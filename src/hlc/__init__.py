@@ -53,6 +53,8 @@ from .hltypes import (
     Product,
     Sequent,
     connective_count,
+    is_balanced,
+    primitive_counts,
     type_rank,
     validate_sequent,
     validate_type,

@@ -10,6 +10,10 @@ conclude, and both rules are enumerated exhaustively via :mod:`hlc.matching`.
 
 Every backward step removes exactly one connective, so the search space is
 finite; a failure answer is exact unless a budget was hit along the way.
+Every derivable sequent is balanced (see :mod:`hlc.hltypes`), so an
+unbalanced goal is refuted at once, and a rule instance with an unbalanced
+premise is dropped before any of its premises is searched; the stats count
+these as ``pruned``.
 Results are memoized on canonical sequent encodings and shared across calls
 on the same :class:`Prover`.
 """
@@ -28,6 +32,7 @@ from .hltypes import (
     Sequent,
     connective_count,
     dollar_edge,
+    is_balanced,
     validate_sequent,
 )
 from .matching import enumerate_context_extractions, enumerate_decompositions
@@ -98,6 +103,9 @@ class SearchStats:
     nodes_expanded: int
     budget_hits: int
     memo_size: int
+    # Candidates the primitive-count check discarded unsearched: an unbalanced
+    # goal and premise lists in Prover.derive, relabelings in hl_member.
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,7 @@ class Prover:
         self.memo: dict[object, DerivationTree | bool] = {}
         self.nodes_expanded = 0
         self._budget_hits = 0
+        self._pruned = 0
         self._node_cap = 0
         self._handle_keys: dict[object, object] = {}
 
@@ -173,12 +182,18 @@ class Prover:
         budget = budget or SearchBudget()
         max_depth = budget.max_depth if budget.max_depth is not None else default_depth(s)
         start_nodes, start_hits = self.nodes_expanded, self._budget_hits
+        start_pruned = self._pruned
         self._node_cap = self.nodes_expanded + budget.max_nodes
-        tree = self._prove(s, 0, max_depth)
+        if is_balanced(s):
+            tree = self._prove(s, 0, max_depth)
+        else:
+            tree = None
+            self._pruned += 1
         stats = SearchStats(
             nodes_expanded=self.nodes_expanded - start_nodes,
             budget_hits=self._budget_hits - start_hits,
             memo_size=len(self.memo),
+            pruned=self._pruned - start_pruned,
         )
         if tree is not None:
             return tree
@@ -261,6 +276,11 @@ class Prover:
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
                 ]
+                # Parts first: they are small, and a balanced conclusion has an
+                # unbalanced main premise only if some part is unbalanced too.
+                if not all(map(is_balanced, reversed(premise_seqs))):
+                    self._pruned += 1
+                    continue
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs, depth, max_depth)
                 if subtrees is None:
@@ -285,6 +305,9 @@ class Prover:
                 g, body, nonminimal=self.nonminimal, dedupe=False
             ):
                 premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
+                if not all(map(is_balanced, premise_seqs)):
+                    self._pruned += 1
+                    continue
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs, depth, max_depth)
                 if subtrees is None:

@@ -14,7 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-from .calculus import BudgetExceeded, DerivationTree, Prover, SearchBudget, check_derivation
+from .calculus import (
+    DEFAULT_MAX_NODES,
+    BudgetExceeded,
+    DerivationTree,
+    Prover,
+    SearchBudget,
+    check_derivation,
+)
 from .canon import isomorphic
 from .fixtures import in_l1, is_bipartite, is_regular
 from .fmt import (
@@ -53,7 +60,7 @@ def _budget(args) -> SearchBudget:
     depth = args.budget_depth
     if depth is None:
         depth = int(os.environ.get("HLC_BUDGET_DEPTH", 0)) or None
-    return SearchBudget(max_nodes=nodes or 1_000_000, max_depth=depth)
+    return SearchBudget(max_nodes=nodes or DEFAULT_MAX_NODES, max_depth=depth)
 
 
 def _add_budget_flags(sub) -> None:

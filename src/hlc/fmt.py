@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .canon import canonical_ordering
 from .graphs import DOLLAR_NAME, Hypergraph, RankedLabel, dollar, validate
-from .grammars import HRG, HLGrammar, Production
+from .grammars import HRG, HLGrammar, Production, validate_hl_grammar
 from .hltypes import Division, HLType, Primitive, Product, Sequent
 
 
@@ -318,11 +318,15 @@ def parse_hl_grammar(text: str) -> HLGrammar:
             raise parser.fail(f"expected start/map, found {tok.text!r}")
     if distinguished is None:
         raise ParseError("grammar has no start line", 1, 1)
-    return HLGrammar(
+    grammar = HLGrammar(
         alphabet=tuple(alphabet),
         distinguished=distinguished,
         correspondence=tuple(correspondence),
     )
+    report = validate_hl_grammar(grammar)
+    if report is not None:
+        raise ParseError(f"invalid grammar: {report}", 1, 1)
+    return grammar
 
 
 def parse_hrg(text: str) -> HRG:

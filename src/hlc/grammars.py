@@ -27,7 +27,16 @@ from .calculus import (
 )
 from .canon import canonical_key
 from .graphs import Hypergraph, RankedLabel, dollar, handle, relabel, replace, validate
-from .hltypes import Division, HLType, Primitive, Sequent, validate_type
+from .hltypes import (
+    Counts,
+    Division,
+    HLType,
+    Primitive,
+    Sequent,
+    add_counts,
+    primitive_counts,
+    validate_type,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,19 @@ class HLGrammar:
         return tuple(t for a, t in self.correspondence if a == label)
 
 
+_UNCHECKED = object()
+
+
 def validate_hl_grammar(g: HLGrammar) -> str | None:
+    """None or the first violation; the verdict is cached on the grammar."""
+    cached = g.__dict__.get("_report", _UNCHECKED)
+    if cached is _UNCHECKED:
+        cached = _hl_grammar_report(g)
+        object.__setattr__(g, "_report", cached)
+    return cached
+
+
+def _hl_grammar_report(g: HLGrammar) -> str | None:
     for a, t in g.correspondence:
         if a not in g.alphabet:
             return f"correspondence label {a!r} not in the alphabet"
@@ -124,11 +145,16 @@ def hl_member(
     """Decide membership of ``graph`` in the grammar's language.
 
     Tries every relabeling of the edges by corresponding types; memoized
-    derivability makes isomorphic relabelings cheap.  Candidate order is
-    seeded-shuffled so that accepted graphs are usually found long before the
-    assignment space is exhausted; a NotMember answer always means the space
-    was exhausted without a budget event.
+    derivability makes isomorphic relabelings cheap.  A relabeling whose
+    primitive counts differ from the distinguished type's is unbalanced, so
+    underivable, and is skipped before any sequent is built (``pruned`` in the
+    stats).  Candidate order is seeded-shuffled so that accepted graphs are
+    usually found long before the assignment space is exhausted; a NotMember
+    answer always means the space was exhausted without a budget event.
     """
+    report = validate_hl_grammar(g)
+    if report is not None:
+        raise ValueError(f"invalid grammar: {report}")
     report = validate(graph)
     if report is not None:
         raise ValueError(f"invalid graph: {report}")
@@ -139,35 +165,42 @@ def hl_member(
     prover = prover or Prover()
     rng = random.Random(seed)
     edges = sorted(graph.edges, key=lambda e: len(g.types_for(graph.lab[e])))
-    candidates: list[list[HLType]] = []
+    candidates: list[list[tuple[HLType, Counts]]] = []
     for e in edges:
         options = list(g.types_for(graph.lab[e]))
         rng.shuffle(options)
-        candidates.append(options)
+        candidates.append([(t, primitive_counts(t)) for t in options])
+    target = dict(primitive_counts(g.distinguished))
+    chosen: dict[int, HLType] = {}
+    counts: dict = {}
+    pruned = 0
 
-    def assignments():
-        def rec(i: int, acc: dict[int, HLType]):
-            if i == len(edges):
-                yield dict(acc)
-                return
-            for t in candidates[i]:
-                acc[edges[i]] = t
-                yield from rec(i + 1, acc)
-
-        yield from rec(0, {})
+    def assignments(i: int):
+        # The running count sum keeps the balance check O(1) per relabeling.
+        nonlocal pruned
+        if i == len(edges):
+            if counts == target:
+                yield dict(chosen)
+            else:
+                pruned += 1
+            return
+        for t, tc in candidates[i]:
+            chosen[edges[i]] = t
+            add_counts(counts, tc)
+            yield from assignments(i + 1)
+            add_counts(counts, tc, -1)
 
     total_nodes = 0
-    any_budget = False
-    for assignment in assignments():
+    budget_hits = 0
+    for assignment in assignments(0):
         seq = Sequent(relabel(graph, assignment), g.distinguished)
         result = prover.derive(seq, budget)
         if isinstance(result, DerivationTree):
             return MemberWitness(assignment=assignment, relabeled=seq, tree=result)
         total_nodes += result.stats.nodes_expanded
-        if isinstance(result, BudgetExceeded):
-            any_budget = True
-    stats = SearchStats(total_nodes, int(any_budget), len(prover.memo))
-    if any_budget:
+        budget_hits += result.stats.budget_hits
+    stats = SearchStats(total_nodes, budget_hits, len(prover.memo), pruned)
+    if budget_hits:
         return BudgetExceeded(stats)
     return NotMember(stats)
 

@@ -8,6 +8,32 @@ types; its rank is the rank of the body.
 
 Types are compared (and hashed) up to isomorphism of their component graphs:
 two divisions with isomorphic denominators are the same type.
+
+**Primitive counts.**  Every type, label and graph carries a signed count per
+primitive (:func:`primitive_counts`): a primitive ``p`` counts +1 for ``p``;
+``N ÷ D`` counts ``#N − #D``; ``×(M)`` counts ``#M``; a graph counts the sum
+over its edge labels, where alphabet symbols and ``$`` count nothing.  A
+sequent ``G ⊢ A`` is *balanced* when ``#G = #A``.  Every derivable sequent is
+balanced (van Benthem's count invariant, lifted to hypergraphs), because the
+axiom is balanced and every rule concludes a balanced sequent from balanced
+premises:
+
+* axiom ``p-handle ⊢ p``: the handle has one edge, labeled ``p``.
+* ×L, from ``G[e := M] ⊢ A`` to ``G ⊢ A`` with ``lab(e) = ×(M)``: replacing
+  ``e`` removes ``#×(M) = #M`` and adds ``#M``, so both antecedents count the
+  same.
+* ×R, from ``H_m ⊢ lab(m)`` for every edge ``m`` of ``M`` to
+  ``M[m := H_m] ⊢ ×(M)``: the composite's edges are those of the ``H_m``, so it
+  counts ``Σ #H_m = Σ #lab(m) = #M = #×(M)``.
+* ÷R, from ``D[$ := G] ⊢ N`` to ``G ⊢ N ÷ D``: ``#D[$ := G] = #D + #G``, which
+  is ``#N`` exactly when ``#G = #N − #D``.
+* ÷L, from ``H ⊢ A`` (``H`` with an ``N``-labeled edge ``e``) and
+  ``H_d ⊢ lab(d)`` for every non-``$`` edge ``d`` of ``D``, to
+  ``H[e := D[$ := N ÷ D, d := H_d]] ⊢ A``: the conclusion counts
+  ``#H − #N + (#N − #D) + Σ #H_d = #H + Σ (#H_d − #lab(d))``, which is ``#A``.
+
+So an unbalanced sequent is underivable without any search, and the
+imbalance of a conclusion is the sum of its premises' imbalances.
 """
 
 from __future__ import annotations
@@ -36,12 +62,13 @@ class HLType:
 class Primitive(HLType):
     """A named primitive type of fixed rank."""
 
-    __slots__ = ("name", "rank", "_key", "_cid")
+    __slots__ = ("name", "rank", "_key", "_cid", "_pc")
 
     def __init__(self, name: str, rank: int):
         self.name = name
         self.rank = rank
         self._key = ("p", name, rank)
+        self._pc = None
 
     def canon_key(self):
         return self._key
@@ -58,6 +85,7 @@ class Division(HLType):
         self.denominator = denominator
         self._key = None
         self._cc = None
+        self._pc = None
 
     @property
     def rank(self) -> int:
@@ -79,6 +107,7 @@ class Product(HLType):
         self.body = body
         self._key = None
         self._cc = None
+        self._pc = None
 
     @property
     def rank(self) -> int:
@@ -214,8 +243,7 @@ def connective_count(x: object) -> int:
     if isinstance(x, Hypergraph):
         cached = x.__dict__.get("_cc")
         if cached is None:
-            cached = sum(connective_count(x.lab[e]) for e in x.edges)
-            object.__setattr__(x, "_cc", cached)
+            cached = _graph_counts(x)[0]
         return cached
     if isinstance(x, Primitive):
         return 0
@@ -228,3 +256,64 @@ def connective_count(x: object) -> int:
             x._cc = 1 + connective_count(x.body)
         return x._cc
     return 0  # ranked labels and $
+
+
+Counts = frozenset[tuple[tuple, int]]  # (primitive canon key, nonzero count) pairs
+NO_COUNTS: Counts = frozenset()
+
+
+def add_counts(acc: dict, counts: Counts, sign: int = 1) -> None:
+    """Add ``sign`` times ``counts`` into ``acc`` in place, dropping zeros, so
+    that two accumulators are equal exactly when their counts are."""
+    for key, n in counts:
+        total = acc.get(key, 0) + sign * n
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+
+
+def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:
+    """One pass over the edges that caches both the connective count and the
+    primitive counts of a graph."""
+    cc = 0
+    acc: dict = {}
+    for e in g.edges:
+        lab = g.lab[e]
+        cc += connective_count(lab)
+        add_counts(acc, primitive_counts(lab))
+    pc = frozenset(acc.items())
+    object.__setattr__(g, "_cc", cc)
+    object.__setattr__(g, "_pc", pc)
+    return cc, pc
+
+
+def primitive_counts(x: object) -> Counts:
+    """Signed count per primitive of a type, label, or graph (see the module
+    docstring); cached on the value, like :func:`connective_count`."""
+    if isinstance(x, Hypergraph):
+        cached = x.__dict__.get("_pc")
+        if cached is None:
+            cached = _graph_counts(x)[1]
+        return cached
+    if isinstance(x, Primitive):
+        if x._pc is None:
+            x._pc = frozenset({(x._key, 1)})
+        return x._pc
+    if isinstance(x, Division):
+        if x._pc is None:
+            acc = dict(primitive_counts(x.numerator))
+            add_counts(acc, primitive_counts(x.denominator), -1)
+            x._pc = frozenset(acc.items())
+        return x._pc
+    if isinstance(x, Product):
+        if x._pc is None:
+            x._pc = primitive_counts(x.body)
+        return x._pc
+    return NO_COUNTS  # ranked labels and $
+
+
+def is_balanced(s: Sequent) -> bool:
+    """Antecedent and succedent have equal primitive counts; every derivable
+    sequent is balanced."""
+    return primitive_counts(s.antecedent) == primitive_counts(s.succedent)

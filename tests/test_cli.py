@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hlc.calculus import check_derivation
-from hlc.cli import main
+from hlc.cli import EXIT_USAGE, main
 from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
 from hlc.fmt import parse_hl_grammar, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
 from hlc.graphs import build_graph, handle, string_graph, RankedLabel
@@ -131,6 +131,17 @@ def test_format_error_exit(workdir, capsys):
                  "--graph", str(workdir / "broken.hgf")]) == 2
     err = capsys.readouterr().err
     assert "repeated attachment" in err
+
+
+def test_member_rejects_invalid_grammar_for_every_seed(workdir, capsys):
+    # A mistyped entry beside valid ones is refused at parse time, before any
+    # search could pass it by or trip over it.
+    bad = workdir / "bad.hlg"
+    bad.write_text((workdir / "sgr.hlg").read_text() + "map a/2 -> prim s/1\n")
+    for seed in range(6):
+        args = ["member", "--grammar", str(bad), "--graph", str(workdir / "aabbb.hgf")]
+        assert main(args + ["--seed", str(seed)]) == EXIT_USAGE
+    assert "rank mismatch" in capsys.readouterr().err
 
 
 def test_suite_command_smoke(workdir, capsys, tmp_path):

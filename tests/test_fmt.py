@@ -118,6 +118,13 @@ def test_parse_diagnostics_position():
         parse_graph("nodes: v0 v1\nedge e0 $/2 : v0 v1\n")  # $ reserved in symbol mode
 
 
+def test_invalid_hl_grammar_is_a_parse_error():
+    text = print_hl_grammar(build_sgr()) + "map a/2 -> prim s/1\n"
+    with pytest.raises(ParseError) as err:
+        parse_hl_grammar(text)
+    assert "rank mismatch" in str(err.value)
+
+
 def test_comments_and_blank_lines():
     text = "# a chain\nnodes: x y\n\next: x y\n# the only edge\nedge e a/2 : x y\n"
     g = parse_graph(text)

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from hlc.calculus import check_derivation
+from hlc.calculus import BudgetExceeded, Prover, SearchBudget, check_derivation
 from hlc.canon import canonical_key, isomorphic
 from hlc.fixtures import (
+    all_binary_graphs,
     build_hgr1,
     build_hgr2,
     build_sgr,
     build_sgr_hrg,
     build_syntree_hrg,
+    in_l1,
+    is_bipartite,
     sgr_string_graph,
     syntree,
     STAR,
@@ -55,6 +58,66 @@ def test_grammar_validation():
     assert "rank mismatch" in validate_hl_grammar(bad)
     assert validate_hrg(build_syntree_hrg()) is None
     assert validate_hrg(build_sgr_hrg()) is None
+
+
+class CountingProver(Prover):
+    """Records every top-level derive result."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.results)
+
+    def derive(self, s, budget=None):
+        result = super().derive(s, budget)
+        self.results.append(result)
+        return result
+
+
+def test_grammar_validation_is_cached_and_checked_before_search():
+    bad = HLGrammar(
+        alphabet=(RankedLabel("a", 2),),
+        distinguished=Primitive("s", 2),
+        correspondence=((RankedLabel("a", 2), Primitive("s", 1)),),
+    )
+    report = validate_hl_grammar(bad)
+    assert bad.__dict__["_report"] == report
+    assert validate_hl_grammar(bad) is report
+    prover = CountingProver()
+    with pytest.raises(ValueError, match="invalid grammar"):
+        hl_member(bad, string_graph([RankedLabel("a", 2)]), prover=prover)
+    assert prover.calls == 0
+    good = build_sgr()
+    assert validate_hl_grammar(good) is None and "_report" in good.__dict__
+
+
+def test_member_prunes_unbalanced_relabelings():
+    hgr2 = build_hgr2()
+    graph = next(
+        g
+        for g in all_binary_graphs((2,))
+        if len(g.nodes) == 2 and in_l1(g) and not is_bipartite(g)
+    )
+    prover = CountingProver()
+    result = hl_member(hgr2, graph, prover=prover)
+    assert isinstance(result, NotMember)
+    assert result.stats.pruned > 0
+    total = len(hgr2.correspondence) ** len(graph.edges)
+    assert result.stats.pruned + prover.calls == total
+    assert result.stats.nodes_expanded == sum(r.stats.nodes_expanded for r in prover.results)
+
+
+def test_member_sums_budget_hits():
+    prover = CountingProver()
+    graph = build_graph([0, 1, 2], [(STAR, (0, 1)), (STAR, (1, 2)), (STAR, (2, 0))], ())
+    result = hl_member(build_hgr1(), graph, SearchBudget(max_nodes=1), prover=prover)
+    assert isinstance(result, BudgetExceeded)
+    per_relabeling = [r.stats.budget_hits for r in prover.results]
+    assert sum(1 for hits in per_relabeling if hits) > 1
+    assert result.stats.budget_hits == sum(per_relabeling)
 
 
 def test_sgr_membership(prover):
