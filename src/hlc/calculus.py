@@ -11,9 +11,11 @@ conclude, and both rules are enumerated exhaustively via :mod:`hlc.matching`.
 Every backward step removes exactly one connective, so the search space is
 finite; a failure answer is exact unless a budget was hit along the way.
 Every derivable sequent is balanced (see :mod:`hlc.hltypes`), so an
-unbalanced goal is refuted at once, and a rule instance with an unbalanced
-premise is dropped before any of its premises is searched; the stats count
-these as ``pruned``.
+unbalanced goal is refuted at once, and rule instances are enumerated with
+the typed slot check of :mod:`hlc.matching`, which never builds one with an
+unbalanced premise; the stats count both as ``pruned``.  Division pivots are
+tried lazily in edge order, so the search stops at the first pivot that
+yields a derivation and never enumerates the contexts of later ones.
 Results are memoized on canonical sequent encodings and shared across calls
 on the same :class:`Prover`.
 """
@@ -35,7 +37,7 @@ from .hltypes import (
     is_balanced,
     validate_sequent,
 )
-from .matching import enumerate_context_extractions, enumerate_decompositions
+from .matching import Tally, enumerate_context_extractions, enumerate_decompositions
 
 AXIOM = "axiom"
 DIV_LEFT = "div_left"
@@ -103,8 +105,9 @@ class SearchStats:
     nodes_expanded: int
     budget_hits: int
     memo_size: int
-    # Candidates the primitive-count check discarded unsearched: an unbalanced
-    # goal and premise lists in Prover.derive, relabelings in hl_member.
+    # Candidates the primitive-count check discarded unsearched: in
+    # Prover.derive an unbalanced goal plus the slot assignments the typed
+    # check in matching skipped; in hl_member, relabelings.
     pruned: int = 0
 
 
@@ -169,7 +172,7 @@ class Prover:
         self.memo: dict[object, DerivationTree | bool] = {}
         self.nodes_expanded = 0
         self._budget_hits = 0
-        self._pruned = 0
+        self._tally = Tally()
         self._node_cap = 0
         self._handle_keys: dict[object, object] = {}
 
@@ -182,18 +185,18 @@ class Prover:
         budget = budget or SearchBudget()
         max_depth = budget.max_depth if budget.max_depth is not None else default_depth(s)
         start_nodes, start_hits = self.nodes_expanded, self._budget_hits
-        start_pruned = self._pruned
+        start_pruned = self._tally.pruned
         self._node_cap = self.nodes_expanded + budget.max_nodes
         if is_balanced(s):
             tree = self._prove(s, 0, max_depth)
         else:
             tree = None
-            self._pruned += 1
+            self._tally.pruned += 1
         stats = SearchStats(
             nodes_expanded=self.nodes_expanded - start_nodes,
             budget_hits=self._budget_hits - start_hits,
             memo_size=len(self.memo),
-            pruned=self._pruned - start_pruned,
+            pruned=self._tally.pruned - start_pruned,
         )
         if tree is not None:
             return tree
@@ -252,35 +255,34 @@ class Prover:
         return self._handle_keys[tk]
 
     def _expand(self, nseq: Sequent, depth: int, max_depth: int) -> DerivationTree | None:
+        """Try the axiom, then division elimination at each division pivot in
+        edge order, then product introduction; return the first derivation.
+
+        The enumerators run with the typed slot check, so every part premise
+        they yield is balanced.  The conclusion is balanced too (``derive``
+        refutes an unbalanced goal, normalization keeps balance, and every
+        premise searched is balanced), and then so is the main premise of
+        division elimination: with ``#H_d = #lab(d)``,
+        ``#contracted = #g − (#N − Σ #lab(d)) − Σ #H_d + #N = #g``.
+        No premise list needs a balance filter here.
+        """
         g, succ = nseq.antecedent, nseq.succedent
         if isinstance(succ, Primitive) and canon_id(g) == self._handle_key(succ):
             return DerivationTree(nseq, AXIOM)
         cc = connective_count(nseq)
-        # Division pivots, fewest extractions first.
-        pivots = []
-        for e in sorted(g.edges):
+        for e in g.edges:
             lab = g.lab[e]
-            if isinstance(lab, Division):
-                extractions = list(
-                    enumerate_context_extractions(
-                        g, e, lab, nonminimal=self.nonminimal, dedupe=False
-                    )
-                )
-                pivots.append((len(extractions), e, lab, extractions))
-        pivots.sort(key=lambda t: (t[0], t[1]))
-        for _, _, lab, extractions in pivots:
+            if not isinstance(lab, Division):
+                continue
             d = lab.denominator
             hole = dollar_edge(d)
-            d_edges = sorted(e for e in d.edges if e != hole)
-            for extr in extractions:
+            d_edges = sorted(de for de in d.edges if de != hole)
+            for extr in enumerate_context_extractions(
+                g, e, lab, nonminimal=self.nonminimal, dedupe=False, typed=self._tally
+            ):
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
                 ]
-                # Parts first: they are small, and a balanced conclusion has an
-                # unbalanced main premise only if some part is unbalanced too.
-                if not all(map(is_balanced, reversed(premise_seqs))):
-                    self._pruned += 1
-                    continue
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs, depth, max_depth)
                 if subtrees is None:
@@ -302,12 +304,9 @@ class Prover:
             body = succ.body
             m_edges = sorted(body.edges)
             for dec in enumerate_decompositions(
-                g, body, nonminimal=self.nonminimal, dedupe=False
+                g, body, nonminimal=self.nonminimal, dedupe=False, typed=self._tally
             ):
                 premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
-                if not all(map(is_balanced, premise_seqs)):
-                    self._pruned += 1
-                    continue
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs, depth, max_depth)
                 if subtrees is None:

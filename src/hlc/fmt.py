@@ -37,7 +37,7 @@ from .calculus import (
 )
 from .canon import canonical_ordering
 from .graphs import DOLLAR_NAME, Hypergraph, RankedLabel, dollar, validate
-from .grammars import HRG, HLGrammar, Production, validate_hl_grammar
+from .grammars import HRG, HLGrammar, Production, validate_hl_grammar, validate_hrg
 from .hltypes import Division, HLType, Primitive, Product, Sequent
 
 
@@ -363,13 +363,17 @@ def parse_hrg(text: str) -> HRG:
     start = next((x for x in nonterminals if x.name == start_name), None)
     if start is None:
         raise ParseError("missing or undeclared start symbol", 1, 1)
-    return HRG(
+    grammar = HRG(
         nonterminals=tuple(nonterminals),
         terminals=tuple(terminals),
         productions=tuple(productions),
         start=start,
         fixed=frozenset(fixed),
     )
+    report = validate_hrg(grammar)
+    if report is not None:
+        raise ParseError(f"invalid grammar: {report}", 1, 1)
+    return grammar
 
 
 def parse_valuation_lines(text: str) -> list[tuple[Primitive, list[str]]]:

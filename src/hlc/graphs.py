@@ -73,9 +73,6 @@ class Hypergraph:
     def rank(self) -> int:
         return len(self.ext)
 
-    def edge_rank(self, e: int) -> int:
-        return len(self.att[e])
-
     def incidences(self, v: int) -> tuple[tuple[int, int], ...]:
         """All (edge, position) pairs whose attachment hits node ``v``."""
         return self._incidence_map().get(v, ())

@@ -21,7 +21,21 @@ part are private to it.  Host nodes outside the embedding image therefore tie
 the edges incident to them into clusters that must travel together.  By
 default parts take the minimal node set (nodes incident to their edges plus
 their external nodes); isolated host nodes can be apportioned to parts as
-extra interior nodes only behind the ``nonminimal`` flag.
+extra interior nodes only behind the ``nonminimal`` flag.  For each
+embedding the clusters are found by walking from edge to edge across
+non-image nodes, over the incidences cached on the host.
+
+**Typed slot check.**  In proof search every host label is a type, and a rule
+instance can be derived only if each part balances against its label
+(``#H_d = #lab(d)``, see :mod:`hlc.hltypes`).  A caller that passes a
+:class:`Tally` as ``typed`` gets only such instances: each cluster's
+primitive counts are summed from its edge labels, and a slot assignment is
+kept only when the clusters in every slot sum to that slot's label.  The
+check runs before any part, contracted graph or :class:`Hypergraph` is built,
+and a slot is checked as soon as no later cluster can join it, so one
+mismatch skips a whole subtree of assignments; the tally counts every
+assignment skipped.  ``models`` and ``hlc match`` leave ``typed`` unset,
+because their host labels are alphabet symbols, which count nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from typing import Iterator
 
 from .canon import canon_id
 from .graphs import Hypergraph
-from .hltypes import Division, dollar_edge
+from .hltypes import Division, add_counts, dollar_edge, primitive_counts
 
 
 @dataclass(frozen=True)
@@ -107,43 +121,121 @@ class _Cluster:
     interior: frozenset[int]  # incident host nodes outside the image
 
 
-def _clusters(host: Hypergraph, candidate_edges: list[int], image: set[int]) -> list[_Cluster]:
-    """Group candidate edges by shared non-image nodes (union-find)."""
-    parent: dict[int, int] = {e: e for e in candidate_edges}
+def _clusters(host: Hypergraph, image: set[int], pivot: int | None = None) -> Iterator[_Cluster]:
+    """Group the host's edges, except ``pivot``, by shared non-image nodes.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Each cluster is one walk from an unvisited edge across the non-image
+    nodes, over the incidences cached on the host; starting the walks in
+    edge order yields the clusters ordered by their smallest edge, and a
+    caller that stops early leaves the rest of the host unwalked.
+    """
+    att, incidences = host.att, host._incidence_map()
+    seen = {pivot}
+    for start in host.edges:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, edges, hits, interior = [start], [], set(), set()
+        while stack:
+            e = stack.pop()
+            edges.append(e)
+            for v in att[e]:
+                if v in image:
+                    hits.add(v)
+                elif v not in interior:
+                    interior.add(v)
+                    for f, _ in incidences[v]:
+                        if f not in seen:
+                            seen.add(f)
+                            stack.append(f)
+        yield _Cluster(frozenset(edges), frozenset(hits), frozenset(interior))
 
-    owner: dict[int, int] = {}
-    for e in candidate_edges:
-        for v in host.att[e]:
-            if v in image:
-                continue
-            if v in owner:
-                ra, rb = find(owner[v]), find(e)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                owner[v] = e
-    groups: dict[int, list[int]] = {}
-    for e in candidate_edges:
-        groups.setdefault(find(e), []).append(e)
-    out = []
-    for members in groups.values():
-        hits, interior = set(), set()
-        for e in members:
-            for v in host.att[e]:
-                (hits if v in image else interior).add(v)
-        out.append(_Cluster(frozenset(members), frozenset(hits), frozenset(interior)))
-    out.sort(key=lambda c: min(c.edges))
-    return out
+
+@dataclass
+class Tally:
+    """Slot assignments the typed check skipped (see the module docstring)."""
+
+    pruned: int = 0
+
+
+def _edge_counts(host: Hypergraph, edges: frozenset[int], known: dict) -> tuple:
+    """Summed primitive counts of ``edges``, kept in ``known`` for the rest of
+    one enumeration call, because the same cluster recurs under many
+    embeddings."""
+    counts = known.get(edges)
+    if counts is None:
+        acc: dict = {}
+        for e in edges:
+            add_counts(acc, primitive_counts(host.lab[e]))
+        counts = known[edges] = tuple(acc.items())
+    return counts
+
+
+def _choices(
+    slot_lists: list[list],
+    weights: list[tuple] | None,
+    targets: dict[int, dict] | None,
+    typed: Tally | None,
+) -> Iterator[tuple]:
+    """Slot choices, one slot per list, in ``itertools.product`` order.
+
+    With ``typed`` set, a choice is kept only when, for every slot, the summed
+    ``weights`` of the lists choosing it equal ``targets[slot]`` (``None``
+    has no target); each skipped choice is added to ``typed.pruned``.  A
+    slot's sum is final once the last list offering it is decided, so it is
+    checked there and a mismatch skips the whole subtree of choices at once.
+    """
+    if typed is None:
+        yield from itertools.product(*slot_lists)
+        return
+    n = len(slot_lists)
+    below = [1] * (n + 1)  # below[i]: full choices extending one prefix of length i
+    for i in range(n - 1, -1, -1):
+        below[i] = below[i + 1] * len(slot_lists[i])
+    last: dict[int, int] = {}
+    for i, slots in enumerate(slot_lists):
+        for slot in slots:
+            if slot is not None:
+                last[slot] = i
+    if any(targets[slot] for slot in targets if slot not in last):
+        typed.pruned += below[0]  # a slot no list can fill stays at zero
+        return
+    closes: list[list[int]] = [[] for _ in range(n)]
+    for slot, i in last.items():
+        closes[i].append(slot)
+    if not n:
+        yield ()
+        return
+    sums: dict[int, dict] = {slot: {} for slot in targets}
+    pick = [-1] * n
+    i = 0
+    while i >= 0:
+        slots, w = slot_lists[i], weights[i]
+        if pick[i] >= 0 and w and slots[pick[i]] is not None:
+            add_counts(sums[slots[pick[i]]], w, -1)
+        pick[i] += 1
+        if pick[i] == len(slots):
+            pick[i] = -1
+            i -= 1
+            continue
+        slot = slots[pick[i]]
+        if w and slot is not None:
+            add_counts(sums[slot], w)
+        if any(sums[t] != targets[t] for t in closes[i]):
+            typed.pruned += below[i + 1]
+        elif i + 1 < n:
+            i += 1
+        else:
+            yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
 
 
 def enumerate_decompositions(
-    host: Hypergraph, pattern: Hypergraph, *, nonminimal: bool = False, dedupe: bool = True
+    host: Hypergraph,
+    pattern: Hypergraph,
+    *,
+    nonminimal: bool = False,
+    dedupe: bool = True,
+    typed: Tally | None = None,
 ) -> Iterator[Decomposition]:
     """All ways to split the host into parts matching the pattern's edges.
 
@@ -153,26 +245,43 @@ def enumerate_decompositions(
 
     ``dedupe=False`` skips the part-isomorphism filter (duplicates may then
     appear); the proof-search engine uses this and deduplicates via its memo.
+    With a ``typed`` tally, only decompositions whose every part balances
+    against its pattern edge's label are built, and the skipped slot
+    assignments are counted in ``typed.pruned``.
     """
     if host.rank != pattern.rank:
         return
     fixed = dict(zip(pattern.ext, host.ext))
     pat_edges = sorted(pattern.edges, key=lambda e: -len(pattern.att[e]))
+    targets = None
+    if typed is not None:
+        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in pattern.edges}
+    cluster_counts: dict = {}
     seen: set = set()
     for phi in _injective_maps(host, fixed, sorted(pattern.nodes)):
         image = set(phi.values())
         lonely = [v for v in host.nodes if v not in image and not host.incidences(v)]
         if lonely and not nonminimal:
             continue  # an uncovered isolated node kills this embedding
-        clusters = _clusters(host, sorted(host.edges), image)
         att_sets = {m: {phi[u] for u in pattern.att[m]} for m in pattern.edges}
-        slot_lists: list[list[int]] = [
-            [m for m in pat_edges if c.image_hits <= att_sets[m]] for c in clusters
-        ]
-        slot_lists += [list(pat_edges) for _ in lonely]
-        if any(not slots for slots in slot_lists):
+        clusters: list[_Cluster] = []
+        slot_lists: list[list[int]] = []
+        feasible = True
+        for c in _clusters(host, image):
+            slots = [m for m in pat_edges if c.image_hits <= att_sets[m]]
+            if not slots:
+                feasible = False
+                break
+            clusters.append(c)
+            slot_lists.append(slots)
+        if not feasible:
             continue
-        for choice in itertools.product(*slot_lists):
+        slot_lists += [list(pat_edges) for _ in lonely]
+        weights = None
+        if typed is not None:
+            weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
+            weights += [()] * len(lonely)
+        for choice in _choices(slot_lists, weights, targets, typed):
             part_edges: dict[int, set[int]] = {m: set() for m in pattern.edges}
             extra_nodes: dict[int, set[int]] = {m: set() for m in pattern.edges}
             for c, m in zip(clusters, choice):
@@ -201,7 +310,13 @@ def enumerate_decompositions(
 
 
 def enumerate_context_extractions(
-    host: Hypergraph, pivot: int, div_type: Division, *, nonminimal: bool = False, dedupe: bool = True
+    host: Hypergraph,
+    pivot: int,
+    div_type: Division,
+    *,
+    nonminimal: bool = False,
+    dedupe: bool = True,
+    typed: Tally | None = None,
 ) -> Iterator[ContextExtraction]:
     """All division contexts at ``pivot``, whose label must equal ``div_type``.
 
@@ -212,6 +327,9 @@ def enumerate_context_extractions(
 
     ``dedupe=False`` skips the part-isomorphism filter (duplicates may then
     appear); the proof-search engine uses this and deduplicates via its memo.
+    With a ``typed`` tally, only extractions whose every part balances against
+    its denominator edge's label are built, and the skipped slot assignments
+    are counted in ``typed.pruned``.
     """
     d = div_type.denominator
     hole = dollar_edge(d)
@@ -226,18 +344,21 @@ def enumerate_context_extractions(
     if any(v not in d_ext and t in host_ext for v, t in fixed.items()):
         return
     d_edges = sorted(e for e in d.edges if e != hole)
+    targets = None
+    if typed is not None:
+        targets = {de: dict(primitive_counts(d.lab[de])) for de in d_edges}
+    cluster_counts: dict = {}
     seen: set = set()
     for phi in _injective_maps(host, fixed, sorted(d.nodes)):
         consumed_img = {phi[v] for v in consumed_dom}
         if consumed_img & host_ext:
             continue
         image = set(phi.values())
-        others = [e for e in sorted(host.edges) if e != pivot]
-        clusters = _clusters(host, others, image)
         att_sets = {de: {phi[u] for u in d.att[de]} for de in d_edges}
+        clusters: list[_Cluster] = []
         slot_lists: list[list[int | None]] = []
         feasible = True
-        for c in clusters:
+        for c in _clusters(host, image, pivot):
             slots: list[int | None] = [
                 de
                 for de in d_edges
@@ -248,6 +369,7 @@ def enumerate_context_extractions(
             if not slots:
                 feasible = False
                 break
+            clusters.append(c)
             slot_lists.append(slots)
         if not feasible:
             continue
@@ -259,7 +381,11 @@ def enumerate_context_extractions(
                 if v not in image and not host.incidences(v) and v not in host_ext
             ]
             slot_lists += [[*d_edges, None] for _ in extra_dom]
-        for choice in itertools.product(*slot_lists):
+        weights = None
+        if typed is not None:
+            weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
+            weights += [()] * len(extra_dom)
+        for choice in _choices(slot_lists, weights, targets, typed):
             part_edges: dict[int, set[int]] = {de: set() for de in d_edges}
             extra_nodes: dict[int, set[int]] = {de: set() for de in d_edges}
             outside: set[int] = set()

@@ -267,3 +267,35 @@ def test_derive_times_right_with_empty_pattern(prover):
     assert isinstance(result, DerivationTree)
     assert result.rule == "times_right" and result.premises == ()
     assert check_derivation(result) is None
+
+
+def test_first_derivable_pivot_stops_the_search(monkeypatch):
+    # Both q edges of q q s p p are division pivots, and the first one alone
+    # yields a derivation: later pivots' contexts must never be enumerated.
+    import hlc.calculus
+
+    goal = Sequent(string_graph([SGR_Q, SGR_Q, S2, P2, P2]), S2)
+    pulled: dict[int, int] = {}
+    real = hlc.calculus.enumerate_context_extractions
+
+    def counting(host, pivot, *args, **kwargs):
+        for extr in real(host, pivot, *args, **kwargs):
+            if host is goal.antecedent:
+                pulled[pivot] = pulled.get(pivot, 0) + 1
+            yield extr
+
+    monkeypatch.setattr(hlc.calculus, "enumerate_context_extractions", counting)
+    result = Prover().derive(goal)
+    assert isinstance(result, DerivationTree)
+    assert check_derivation(result) is None
+    assert result.rule_data.pivot_edge == 0
+    assert set(pulled) == {0}
+
+
+def test_long_sgr_sequent_is_derived():
+    n = 16
+    goal = Sequent(string_graph([SGR_Q] * n + [S2] + [P2] * n), S2)
+    result = Prover().derive(goal)
+    assert isinstance(result, DerivationTree)
+    assert check_derivation(result) is None
+    assert result.count_rule(DIV_LEFT) == n

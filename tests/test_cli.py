@@ -149,3 +149,22 @@ def test_suite_command_smoke(workdir, capsys, tmp_path):
     assert main(["suite", "sgr", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["failures"] == 0 and report["cases"] == 254
+
+
+def test_invalid_hrg_is_refused_at_parse_time(workdir, capsys):
+    text = (workdir / "sgr.hrg").read_text()
+    # An undeclared label, beside a production whose right-hand side has the
+    # wrong rank; then a label declared both terminal and nonterminal.
+    undeclared = text.replace("edge 2 P/2 : 2 3", "edge 2 Q/2 : 2 3").replace(
+        "prod P -> { nodes: 0 1 ; ext: 0 1 ;", "prod P -> { nodes: 0 1 2 ; ext: 0 1 2 ;"
+    )
+    overlapping = text.replace("terminal: a/2 b/2", "terminal: a/2 b/2 S/2")
+    for name, bad in (("undeclared.hrg", undeclared), ("overlapping.hrg", overlapping)):
+        assert bad != text
+        path = workdir / name
+        path.write_text(bad)
+        assert main(["hrg-generate", "--grammar", str(path), "--max-edges", "3"]) == EXIT_USAGE
+        assert main(["convert", "--in", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown label Q/2" in err
+    assert "must be disjoint" in err

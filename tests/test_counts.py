@@ -14,6 +14,7 @@ from hlc.hltypes import (
     primitive_counts,
 )
 from hlc.lambek import enumerate_lambek_corpus, lambek_derive, translate_lsequent
+from hlc.matching import enumerate_context_extractions
 
 S2 = Primitive("s", 2)
 P2 = Primitive("p", 2)
@@ -78,6 +79,25 @@ def test_balanced_but_underivable_is_still_searched():
     result = Prover().derive(seq)
     assert isinstance(result, NotDerivable)
     assert result.stats.nodes_expanded >= 1
+
+
+def test_pruned_counts_extractions_with_an_unbalanced_part():
+    # One expansion, whose premises are all primitive and decided outright,
+    # so every prune comes from the typed slot check at the one pivot.
+    seq = Sequent(string_graph([SGR_Q, P2, S2]), S2)
+    d = SGR_Q.denominator
+    unbalanced = sum(
+        any(
+            primitive_counts(extr.parts[de]) != primitive_counts(d.lab[de])
+            for de in extr.parts
+        )
+        for extr in enumerate_context_extractions(seq.antecedent, 0, SGR_Q, dedupe=False)
+    )
+    result = Prover().derive(seq)
+    assert isinstance(result, NotDerivable)
+    assert result.stats.nodes_expanded == 1
+    assert unbalanced > 0
+    assert result.stats.pruned == unbalanced
 
 
 def test_axiom_is_balanced():

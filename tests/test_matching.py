@@ -15,8 +15,8 @@ from hlc.graphs import (
     string_graph,
     validate,
 )
-from hlc.hltypes import Division, Primitive, dollar_edge
-from hlc.matching import enumerate_context_extractions, enumerate_decompositions
+from hlc.hltypes import Division, Primitive, dollar_edge, primitive_counts
+from hlc.matching import Tally, enumerate_context_extractions, enumerate_decompositions
 
 P = Primitive("p", 2)
 Q = Primitive("q", 2)
@@ -347,3 +347,107 @@ def test_rank_mismatch_yields_nothing():
     host = string_graph([P])
     pattern = build_graph([0], [(Primitive("T", 1), (0,))], (0,))
     assert list(enumerate_decompositions(host, pattern)) == []
+
+
+def _balanced(parts, labels):
+    return all(primitive_counts(parts[k]) == primitive_counts(labels[k]) for k in parts)
+
+
+def _check_typed_decompositions(host, pattern, nonminimal):
+    """Typed keys are the untyped keys of all-balanced instances, and the tally
+    counts exactly the untyped instances with an unbalanced part."""
+    kw = {"nonminimal": nonminimal}
+    untyped = list(enumerate_decompositions(host, pattern, dedupe=False, **kw))
+    tally = Tally()
+    typed = list(enumerate_decompositions(host, pattern, dedupe=False, typed=tally, **kw))
+    kept = [dec for dec in untyped if _balanced(dec.parts, pattern.lab)]
+    assert [dec.part_edges for dec in typed] == [dec.part_edges for dec in kept]
+    assert tally.pruned == len(untyped) - len(kept)
+    assert decomposition_keys(host, pattern, typed=Tally(), **kw) == {
+        tuple(canon_id(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
+    }
+    return len(kept), tally.pruned
+
+
+def _check_typed_extractions(host, pivot, div_type, nonminimal):
+    d = div_type.denominator
+    kw = {"nonminimal": nonminimal}
+    untyped = list(enumerate_context_extractions(host, pivot, div_type, dedupe=False, **kw))
+    tally = Tally()
+    typed = list(
+        enumerate_context_extractions(host, pivot, div_type, dedupe=False, typed=tally, **kw)
+    )
+    kept = [x for x in untyped if _balanced(x.parts, d.lab)]
+    assert [(x.phi, x.part_edges) for x in typed] == [(x.phi, x.part_edges) for x in kept]
+    assert tally.pruned == len(untyped) - len(kept)
+    assert extraction_keys(host, pivot, div_type, typed=Tally(), **kw) == {
+        (canon_id(x.contracted), tuple(canon_id(x.parts[de]) for de in sorted(x.parts)))
+        for x in kept
+    }
+    return len(kept), tally.pruned
+
+
+def test_typed_decompositions_match_filtered_untyped():
+    rng = random.Random(3)
+    prims = [P, Q, R]
+    p1, q1 = Primitive("p", 1), Primitive("q", 1)
+    kept = pruned = 0
+    for nonminimal in (False, True):
+        for _ in range(40):
+            host = string_graph([rng.choice(prims) for _ in range(rng.randint(0, 3))])
+            pattern = string_graph([rng.choice(prims) for _ in range(rng.randint(1, 2))])
+            k, s = _check_typed_decompositions(host, pattern, nonminimal)
+            kept, pruned = kept + k, pruned + s
+        for _ in range(30):
+            m = rng.randint(1, 3)
+            host = build_graph(
+                range(m),
+                [(rng.choice([p1, q1]), (rng.randrange(m),)) for _ in range(rng.randint(1, 4))],
+                (),
+            )
+            if validate(host) is not None:
+                continue
+            pattern = build_graph(
+                range(2), [(rng.choice([p1, q1]), (i,)) for i in range(rng.randint(1, 2))], ()
+            )
+            k, s = _check_typed_decompositions(host, pattern, nonminimal)
+            kept, pruned = kept + k, pruned + s
+    assert kept > 0 and pruned > 0
+
+
+def test_typed_extractions_match_filtered_untyped():
+    rng = random.Random(6)
+    div = Division(Q, string_graph([P, dollar(2)]))
+    div_wide = Division(Q, string_graph([dollar(2), P, Q]))
+    p1, s0 = Primitive("p", 1), Primitive("s", 0)
+    q2 = Division(p1, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], (0,)))
+    q3 = Division(s0, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], ()))
+    kept = pruned = 0
+    for nonminimal in (False, True):
+        for _ in range(25):
+            labels = [rng.choice([P, Q]) for _ in range(rng.randint(0, 3))]
+            where = rng.randint(0, len(labels))
+            d = rng.choice([div, div_wide])
+            host = string_graph(labels[:where] + [d] + labels[where:])
+            k, s = _check_typed_extractions(host, where, d, nonminimal)
+            kept, pruned = kept + k, pruned + s
+        for _ in range(25):
+            m = rng.randint(2, 4)
+            labels = [rng.choice([p1, q2]) for _ in range(rng.randint(1, 3))]
+            edges = [(q3, (0,))] + [(l, (rng.randrange(m),)) for l in labels]
+            host = build_graph(range(m), edges, ())
+            for pivot in host.edges:
+                lab = host.lab[pivot]
+                if isinstance(lab, Division):
+                    k, s = _check_typed_extractions(host, pivot, lab, nonminimal)
+                    kept, pruned = kept + k, pruned + s
+    # Mapping the p node to 1 closes the p slot at the first cluster, which
+    # cannot fill it, while each of the two later clusters has two slots: the
+    # check skips all four of their assignments at once.
+    q1 = Primitive("q", 1)
+    div_pq = Division(
+        p1, build_graph([0, 1, 2], [(dollar(1), (0,)), (p1, (1,)), (q1, (2,))], (2,))
+    )
+    host = build_graph([0, 1, 2], [(div_pq, (0,)), (q1, (1,)), (q1, (2,)), (q1, (2,))], ())
+    assert _check_typed_extractions(host, 0, div_pq, False)[1] >= 4
+    assert kept > 0 and pruned > 0
