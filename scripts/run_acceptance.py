@@ -22,7 +22,7 @@ from hlc.suites import SUITES, run_suite
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--only", choices=SUITES, action="append")
+    parser.add_argument("--only", choices=list(SUITES), action="append")
     parser.add_argument("--out", metavar="DIR", help="also write one report per suite")
     args = parser.parse_args()
     names = args.only or list(SUITES)

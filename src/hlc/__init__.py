@@ -25,7 +25,6 @@ from .graphs import (
     flowerbed,
     handle,
     isolated_node_count,
-    multiset_count,
     relabel,
     relabel_one,
     replace,
@@ -55,7 +54,6 @@ from .hltypes import (
     connective_count,
     is_balanced,
     primitive_counts,
-    type_rank,
     validate_sequent,
     validate_type,
 )

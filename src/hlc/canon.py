@@ -4,8 +4,23 @@ Two graphs are isomorphic iff their canonical forms are byte-equal.  The
 canonical form is computed by iterative partition refinement on node colors
 (signatures built from edge labels, attachment positions, and external-node
 positions) followed by backtracking individualization; the minimum encoding
-over all discrete refinements is canonical.  Only the *result* is contractual;
-the refinement heuristic is not.
+over all discrete refinements is canonical, and the first leaf (in search
+order) that reaches it fixes the node and edge orders.  Only the *result* is
+contractual; the refinement heuristic is not.
+
+The search is pruned with automorphisms found at its leaves, in the manner of
+McKay & Piperno, *Practical graph isomorphism II* (2014).  When a leaf encodes
+like the first leaf or the best leaf so far, the map between the two leaf
+colorings is an automorphism; it is recorded, and when it maps the earlier
+leaf's path onto the current one the search returns to their common
+ancestor.  At each node only those target-cell vertices are tried whose orbit,
+under the recorded automorphisms that fix the node's path pointwise, holds no
+vertex tried there before.  Refinement and target choice commute with
+automorphisms, so every skipped subtree is the image of an already explored
+subtree under an automorphism fixing the path, and its leaves encode exactly
+like leaves seen earlier.  The best leaf is replaced only by a strictly
+smaller encoding, so the first leaf reaching the minimum is never skipped:
+the key and both orders are those of the unpruned search.
 
 Edge labels contribute via their ``canon_key()`` method, so graphs labeled by
 types are canonicalized up to type equality.  Internally labels are numbered
@@ -125,30 +140,126 @@ def _encode(prep: _Prep, colors: list[int]):
     return enc, edge_order
 
 
-def _search(prep: _Prep, colors: list[int]):
-    colors = _refine(prep, colors)
-    cells: dict[int, list[int]] = {}
-    for vi, c in enumerate(colors):
-        cells.setdefault(c, []).append(vi)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
-    if target is None:
-        enc, edge_order = _encode(prep, colors)
-        return enc, colors, edge_order
-    # Nodes in an all-isolated cell are interchangeable: one branch suffices.
-    branch = [target[0]] if all(not prep.inc[vi] for vi in target) else target
-    fresh = prep.n
-    best = None
-    for vi in branch:
-        trial = list(colors)
-        trial[vi] = fresh
-        cand = _search(prep, trial)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+def _target_cell(colors: list[int]) -> list[int] | None:
+    """The first non-singleton cell in color order, or None when discrete.
+
+    ``colors`` are refinement ranks, so every color is below ``len(colors)``.
+    """
+    n = len(colors)
+    if len(set(colors)) == n:
+        return None
+    sizes = [0] * n
+    for c in colors:
+        sizes[c] += 1
+    first = next(c for c, size in enumerate(sizes) if size > 1)
+    return [vi for vi, c in enumerate(colors) if c == first]
+
+
+def _find(orbits: list[int], x: int) -> int:
+    while orbits[x] != x:
+        orbits[x] = orbits[orbits[x]]
+        x = orbits[x]
+    return x
+
+
+class _Search:
+    """Individualization-refinement below a non-discrete root coloring."""
+
+    __slots__ = ("prep", "path", "gens", "first", "best")
+
+    def __init__(self, prep: _Prep):
+        self.prep = prep
+        self.path: list[int] = []  # vertices individualized above the current node
+        # Pairs of leaf colorings with equal encodings.  Each pair is the
+        # automorphism taking a vertex of the first coloring to the vertex of
+        # the same color in the second.
+        self.gens: list[tuple[list[int], list[int]]] = []
+        self.first = None  # (enc, colors, edge_order, path) of the first leaf
+        self.best = None  # the same for the least encoding so far
+
+    def node(self, colors: list[int], target: list[int]) -> int | None:
+        """Search below ``colors``; a depth to jump back to, or None."""
+        prep = self.prep
+        path = self.path
+        depth = len(path)
+        if all(not prep.inc[vi] for vi in target):
+            # Nodes in an all-isolated cell are interchangeable: one branch
+            # suffices, down to the cell's last node.  Individualizing an
+            # isolated node only gives it the next color, since no other
+            # signature mentions it, so that branch needs no refinement.
+            child = list(colors)
+            for fresh, vi in enumerate(target[:-1], max(colors) + 1):
+                child[vi] = fresh
+            path.extend(target[:-1])
+            cell = _target_cell(child)
+            jump = self.leaf(child) if cell is None else self.node(child, cell)
+            del path[depth:]
+            return jump
+        gens = self.gens
+        orbits = None  # union-find under the automorphisms that fix ``path``
+        seen = 0
+        tried: list[int] = []
+        for vi in target:
+            if tried and seen < len(gens):
+                for src, dst in gens[seen:]:
+                    if all(src[u] == dst[u] for u in path):
+                        if orbits is None:
+                            orbits = list(range(prep.n))
+                        at = [0] * prep.n
+                        for y, c in enumerate(dst):
+                            at[c] = y
+                        for x, c in enumerate(src):
+                            if at[c] != x:
+                                rx, ry = _find(orbits, x), _find(orbits, at[c])
+                                orbits[max(rx, ry)] = min(rx, ry)
+                seen = len(gens)
+            if orbits is not None:
+                root = _find(orbits, vi)
+                if any(_find(orbits, w) == root for w in tried):
+                    continue
+            tried.append(vi)
+            trial = list(colors)
+            trial[vi] = prep.n
+            child = _refine(prep, trial)
+            path.append(vi)
+            cell = _target_cell(child)
+            jump = self.leaf(child) if cell is None else self.node(child, cell)
+            path.pop()
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    def leaf(self, colors: list[int]) -> int | None:
+        enc, edge_order = _encode(self.prep, colors)
+        first, best = self.first, self.best
+        if first is None:
+            self.first = self.best = (enc, colors, edge_order, tuple(self.path))
+        elif enc == first[0]:
+            return self._automorphism(first, colors)
+        elif best is not first and enc == best[0]:
+            return self._automorphism(best, colors)
+        elif enc < best[0]:
+            self.best = (enc, colors, edge_order, tuple(self.path))
+        return None
+
+    def _automorphism(self, ref, colors: list[int]) -> int | None:
+        """Record the automorphism taking leaf ``ref`` to the current leaf.
+
+        If it maps the earlier path onto the current one down to where they
+        part, the current subtree there is its image of one already
+        explored: return that depth.
+        """
+        _, ref_colors, _, ref_path = ref
+        self.gens.append((ref_colors, colors))
+        path = self.path
+        a = 0
+        while ref_path[a] == path[a]:
+            a += 1
+        if colors[path[a]] == ref_colors[ref_path[a]] and all(
+            colors[u] == ref_colors[u] for u in path[:a]
+        ):
+            return a
+        return None
 
 
 def canon_data(g: Hypergraph):
@@ -159,7 +270,14 @@ def canon_data(g: Hypergraph):
         init = [0] * prep.n
         for pos, vi in enumerate(prep.ext):
             init[vi] = pos + 1
-        enc, colors, edge_order = _search(prep, init)
+        colors = _refine(prep, init)
+        target = _target_cell(colors)
+        if target is None:
+            enc, edge_order = _encode(prep, colors)
+        else:
+            search = _Search(prep)
+            search.node(colors, target)
+            enc, colors, edge_order, _ = search.best
         key = ("H", *enc, prep.label_table)
         node_order = {v: colors[i] for i, v in enumerate(prep.nodes)}
         edge_map = {e: edge_order[i] for i, e in enumerate(prep.edges)}

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("suite", help="run a batch experiment suite")
-    p.add_argument("name", choices=SUITES)
+    p.add_argument("name", choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="REPORT.json")
     _add_budget_flags(p)

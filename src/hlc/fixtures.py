@@ -21,7 +21,6 @@ from .graphs import (
     dollar,
     handle,
     isolated_node_count,
-    multiset_count,
     relabel,
     string_graph,
 )
@@ -256,9 +255,9 @@ def in_flowerbed_balanced(g: Hypergraph, spine: RankedLabel, *, offset: int) -> 
     labels = {a for ms in multisets for a in ms}
     i = offset
     while i + 1 < len(multisets):
-        counts = {
-            multiset_count(multisets[i], a) for a in labels
-        } | {multiset_count(multisets[i + 1], a) for a in labels}
+        counts = {multisets[i].count(a) for a in labels} | {
+            multisets[i + 1].count(a) for a in labels
+        }
         if len(counts) > 1:
             return False
         i += 2

@@ -43,11 +43,6 @@ def is_dollar(label: object) -> bool:
     return isinstance(label, RankedLabel) and label.name == DOLLAR_NAME
 
 
-def label_rank(label: object) -> int:
-    """Rank of any edge label: an alphabet symbol, ``$``, or a type."""
-    return label.rank
-
-
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """A hypergraph value.
@@ -124,7 +119,7 @@ def validate(g: Hypergraph) -> str | None:
         if len(set(att)) != len(att):
             return f"edge {e}: repeated attachment"
         try:
-            rank = label_rank(g.lab[e])
+            rank = g.lab[e].rank
         except AttributeError:
             return f"edge {e}: label has no rank"
         if rank != len(att):
@@ -139,7 +134,7 @@ def validate(g: Hypergraph) -> str | None:
 
 def handle(label: object) -> Hypergraph:
     """The one-edge graph whose attachment nodes are exactly its external nodes."""
-    r = label_rank(label)
+    r = label.rank
     nodes = tuple(range(r))
     return Hypergraph(nodes=nodes, edges=(0,), att={0: nodes}, lab={0: label}, ext=nodes)
 
@@ -151,7 +146,7 @@ def string_graph(word: Sequence[object]) -> Hypergraph:
     one-node variant would repeat an external node, which is illegal).
     """
     for a in word:
-        if label_rank(a) != 2:
+        if a.rank != 2:
             raise ValueError(f"string graph labels must have rank 2, got {a!r}")
     n = len(word)
     if n == 0:
@@ -167,7 +162,7 @@ def relabel(g: Hypergraph, f: Mapping[int, object]) -> Hypergraph:
     new_lab = {}
     for e in g.edges:
         new = f[e]
-        if label_rank(new) != len(g.att[e]):
+        if new.rank != len(g.att[e]):
             raise ValueError(f"relabel: rank mismatch at edge {e}")
         new_lab[e] = new
     return Hypergraph(g.nodes, g.edges, dict(g.att), new_lab, g.ext)
@@ -177,7 +172,7 @@ def relabel_one(g: Hypergraph, e0: int, label: object) -> Hypergraph:
     """Replace the label of exactly one edge."""
     if e0 not in g.lab:
         raise KeyError(f"relabel_one: unknown edge {e0}")
-    if label_rank(label) != len(g.att[e0]):
+    if label.rank != len(g.att[e0]):
         raise ValueError(f"relabel_one: rank mismatch at edge {e0}")
     new_lab = dict(g.lab)
     new_lab[e0] = label
@@ -244,11 +239,6 @@ def isolated_node_count(g: Hypergraph) -> int:
     return sum(1 for v in g.nodes if not inc.get(v))
 
 
-def multiset_count(ms: Iterable[object], a: object) -> int:
-    """Number of occurrences of ``a`` in the multiset ``ms``."""
-    return sum(1 for x in ms if x == a)
-
-
 def flowerbed(multisets: Sequence[Sequence[RankedLabel]], b: RankedLabel) -> Hypergraph:
     """A spine of ``b``-edges with one bundle of flower edges per spine node.
 
@@ -259,13 +249,13 @@ def flowerbed(multisets: Sequence[Sequence[RankedLabel]], b: RankedLabel) -> Hyp
     n = len(multisets)
     if n < 1:
         raise ValueError("flowerbed: need at least one multiset")
-    if label_rank(b) != 2:
+    if b.rank != 2:
         raise ValueError("flowerbed: spine label must have rank 2")
     for ms in multisets:
         for a in ms:
             if a == b:
                 raise ValueError("flowerbed: spine label may not occur in a multiset")
-            if label_rank(a) < 1:
+            if a.rank < 1:
                 raise ValueError("flowerbed: flower labels must have positive rank")
     nodes = list(range(n))  # spine
     att: dict[int, tuple[int, ...]] = {}
@@ -274,7 +264,7 @@ def flowerbed(multisets: Sequence[Sequence[RankedLabel]], b: RankedLabel) -> Hyp
     next_edge = 0
     for i, ms in enumerate(multisets):
         for a in ms:
-            private = list(range(next_node, next_node + label_rank(a) - 1))
+            private = list(range(next_node, next_node + a.rank - 1))
             next_node += len(private)
             nodes.extend(private)
             att[next_edge] = tuple([i] + private)

@@ -130,10 +130,6 @@ def dollar_edge(d: Hypergraph) -> int:
     return found[0]
 
 
-def type_rank(t: HLType) -> int:
-    return t.rank
-
-
 def validate_type(t: object) -> str | None:
     """Check a type tree recursively; None or the first violation."""
     if isinstance(t, Primitive):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from typing import Callable
 
 from .calculus import DerivationTree, Prover, SearchBudget, cut_compose
 from .canon import canonical_key
@@ -47,8 +48,6 @@ from .models import (
     sequent_primitives,
     Product,
 )
-
-SUITES = ("sgr", "allgraphs", "bipartite", "soundness", "cut", "embedding", "conversion")
 
 _MAX_LISTED = 20
 
@@ -314,19 +313,21 @@ def run_conversion(seed: int = 0, budget: SearchBudget | None = None) -> dict:
     return _report("conversion", seed, cases, discrepancies, t0)
 
 
+# Suite name -> runner taking (seed, budget).  Soundness, cut and embedding
+# run their provers with the default budget, as they always have.
+SUITES: dict[str, Callable[[int, SearchBudget | None], dict]] = {
+    "sgr": run_sgr,
+    "allgraphs": run_allgraphs,
+    "bipartite": run_bipartite,
+    "soundness": lambda seed, budget: run_soundness(seed),
+    "cut": lambda seed, budget: run_cut(seed),
+    "embedding": lambda seed, budget: run_embedding(seed),
+    "conversion": run_conversion,
+}
+
+
 def run_suite(name: str, seed: int = 0, budget: SearchBudget | None = None) -> dict:
-    if name == "sgr":
-        return run_sgr(seed, budget)
-    if name == "allgraphs":
-        return run_allgraphs(seed, budget)
-    if name == "bipartite":
-        return run_bipartite(seed, budget)
-    if name == "soundness":
-        return run_soundness(seed)
-    if name == "cut":
-        return run_cut(seed)
-    if name == "embedding":
-        return run_embedding(seed)
-    if name == "conversion":
-        return run_conversion(seed, budget)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    runner = SUITES.get(name)
+    if runner is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return runner(seed, budget)

@@ -3,8 +3,15 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from hlc.canon import (
     IsoWitness,
+    _encode,
+    _Prep,
+    _refine,
+    canon_data,
     canonical_form,
     canonical_key,
     canonical_ordering,
@@ -12,11 +19,13 @@ from hlc.canon import (
     transport_edge,
     witness_valid,
 )
-from hlc.graphs import Hypergraph, RankedLabel, build_graph, string_graph
+from hlc.graphs import Hypergraph, RankedLabel, build_graph, flowerbed, string_graph
 
 A = RankedLabel("a", 2)
 B = RankedLabel("b", 2)
 U = RankedLabel("u", 1)
+F = RankedLabel("f", 2)
+T = RankedLabel("t", 3)
 
 
 def permute(g: Hypergraph, rng: random.Random) -> Hypergraph:
@@ -141,3 +150,139 @@ def test_canonical_key_distinguishes_parallel_edge_counts():
     one = build_graph([0, 1], [(A, (0, 1))], (0, 1))
     two = build_graph([0, 1], [(A, (0, 1)), (A, (0, 1))], (0, 1))
     assert canonical_key(one) != canonical_key(two)
+
+
+def _reference_search(prep, colors):
+    """The unpruned search: every vertex of each target cell is tried."""
+    colors = _refine(prep, colors)
+    cells: dict[int, list[int]] = {}
+    for vi, c in enumerate(colors):
+        cells.setdefault(c, []).append(vi)
+    target = None
+    for c in sorted(cells):
+        if len(cells[c]) > 1:
+            target = cells[c]
+            break
+    if target is None:
+        enc, edge_order = _encode(prep, colors)
+        return enc, colors, edge_order
+    branch = [target[0]] if all(not prep.inc[vi] for vi in target) else target
+    fresh = prep.n
+    best = None
+    for vi in branch:
+        trial = list(colors)
+        trial[vi] = fresh
+        cand = _reference_search(prep, trial)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def reference_canon_data(g: Hypergraph):
+    """``canon_data`` computed by the unpruned search, without caching."""
+    prep = _Prep(g)
+    init = [0] * prep.n
+    for pos, vi in enumerate(prep.ext):
+        init[vi] = pos + 1
+    enc, colors, edge_order = _reference_search(prep, init)
+    key = ("H", *enc, prep.label_table)
+    node_order = {v: colors[i] for i, v in enumerate(prep.nodes)}
+    edge_map = {e: edge_order[i] for i, e in enumerate(prep.edges)}
+    return key, node_order, edge_map
+
+
+def cycle_unions(n: int) -> list[Hypergraph]:
+    """Disjoint unions of directed ``a``-cycles on n nodes, one per partition
+    of n into parts of at least 2, plus the same with an isolated node."""
+
+    def partitions(total: int, least: int):
+        if total == 0:
+            yield []
+        for part in range(least, total + 1):
+            for rest in partitions(total - part, part):
+                yield [part, *rest]
+
+    graphs = []
+    for parts in partitions(n, 2):
+        edges, start = [], 0
+        for length in parts:
+            edges += [(A, (start + i, start + (i + 1) % length)) for i in range(length)]
+            start += length
+        graphs += [build_graph(range(n), edges), build_graph(range(n + 1), edges)]
+    return graphs
+
+
+def symmetric_families(k: int) -> list[tuple[str, Hypergraph, Hypergraph]]:
+    """(name, graph, the graph with one attachment moved) for bundles of k parts."""
+    disjoint = [(A, (2 * i, 2 * i + 1)) for i in range(k)]
+    star = [(A, (0, i)) for i in range(1, k + 1)]
+    unary = [(U, (i,)) for i in range(k)]
+    return [
+        (
+            "disjoint",
+            build_graph(range(2 * k), disjoint),
+            build_graph(range(2 * k), disjoint[:-1] + [(A, (1, 2 * k - 1))]),
+        ),
+        ("star", build_graph(range(k + 1), star), build_graph(range(k + 1), star[:-1] + [(A, (1, k))])),
+        ("unary", build_graph(range(k), unary), build_graph(range(k), unary[:-1] + [(U, (0,))])),
+        ("flowerbed", flowerbed([[F] * k, [F]], B), flowerbed([[F] * (k - 1), [F] * 2], B)),
+    ]
+
+
+@st.composite
+def small_graphs(draw) -> Hypergraph:
+    """Up to 7 nodes, labels of rank 1-3, parallel edges, isolated nodes,
+    and 0-2 external nodes; few labels, so symmetric graphs are common.
+
+    Half of the graphs start from directed ``a``-cycles over the nodes: all
+    their nodes look alike to refinement, though the nodes of cycles of
+    different lengths are not alike, so the search must branch on cells whose
+    vertices are not all in one orbit."""
+    n = draw(st.integers(0, 7))
+    labels = [lab for lab in (U, A, B, T) if lab.rank <= n]
+    edges = []
+    extra = 8
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        while len(order) >= 2:
+            length = draw(st.integers(2, len(order)))
+            cycle, order = order[:length], order[length:]
+            edges += [(A, (cycle[i - 1], cycle[i])) for i in range(length)]
+        extra = 2
+    for _ in range(draw(st.integers(0, extra) if labels else st.just(0))):
+        lab = draw(st.sampled_from(labels))
+        att = tuple(draw(st.permutations(range(n)))[: lab.rank])
+        edges += [(lab, att)] * draw(st.integers(1, 2))
+    ext = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, min(2, n)))])
+    return build_graph(range(n), edges, ext)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_pruned_search_equals_unpruned_reference(g, rng):
+    for graph in (g, permute(g, rng)):
+        assert canon_data(graph) == reference_canon_data(graph)
+
+
+def test_symmetric_families_equal_unpruned_reference():
+    rng = random.Random(5)
+    for k in range(2, 7):
+        for _, g, near in symmetric_families(k):
+            for graph in (g, near, permute(g, rng), permute(near, rng)):
+                assert canon_data(graph) == reference_canon_data(graph)
+    for n in range(2, 8):
+        for g in cycle_unions(n):
+            for graph in (g, permute(g, rng), permute(g, rng)):
+                assert canon_data(graph) == reference_canon_data(graph)
+
+
+@pytest.mark.parametrize("name", ["disjoint", "star", "unary", "flowerbed"])
+def test_large_symmetric_graphs(name):
+    [(_, g, near)] = [family for family in symmetric_families(20) if family[0] == name]
+    h = permute(g, random.Random(name))
+    w = isomorphic(g, h)
+    assert w is not None and witness_valid(g, h, w)
+    assert isomorphic(g, near) is None
+    node_order, edge_order = canonical_ordering(g)
+    assert sorted(node_order.values()) == list(range(len(g.nodes)))
+    assert sorted(edge_order.values()) == list(range(len(g.edges)))

@@ -11,6 +11,7 @@ from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
 from hlc.fmt import parse_hl_grammar, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
 from hlc.graphs import build_graph, handle, string_graph, RankedLabel
 from hlc.hltypes import Primitive, Sequent
+from hlc.suites import SUITES, run_suite
 
 
 @pytest.fixture()
@@ -149,6 +150,20 @@ def test_suite_command_smoke(workdir, capsys, tmp_path):
     assert main(["suite", "sgr", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["failures"] == 0 and report["cases"] == 254
+
+
+def test_suite_names_come_from_one_table(capsys):
+    assert list(SUITES) == ["sgr", "allgraphs", "bipartite", "soundness", "cut", "embedding", "conversion"]
+    with pytest.raises(ValueError) as info:
+        run_suite("nope")
+    assert str(info.value) == (
+        "unknown suite 'nope'; choose from "
+        "sgr, allgraphs, bipartite, soundness, cut, embedding, conversion"
+    )
+    with pytest.raises(SystemExit) as info:
+        main(["suite", "nope"])
+    assert info.value.code == 2
+    assert "choose from 'sgr', 'allgraphs'" in capsys.readouterr().err
 
 
 def test_invalid_hrg_is_refused_at_parse_time(workdir, capsys):

@@ -21,7 +21,7 @@ from hlc.fixtures import (
     STAR,
 )
 from hlc.graphs import RankedLabel, build_graph, relabel
-from hlc.hltypes import Sequent, type_rank, validate_type
+from hlc.hltypes import Sequent, validate_type
 from hlc.suites import kite_graph
 
 
@@ -40,14 +40,14 @@ def test_all_fixture_types_validate():
 
 def test_fixture_type_ranks():
     t1 = hgr1_types()
-    assert type_rank(t1["Q1"]) == 1 and type_rank(t1["Q2"]) == 1 and type_rank(t1["Q3"]) == 1
-    assert type_rank(t1["M11_11"]) == 2 and type_rank(t1["M22"]) == 2
-    assert type_rank(t1["s"]) == 0
+    assert t1["Q1"].rank == 1 and t1["Q2"].rank == 1 and t1["Q3"].rank == 1
+    assert t1["M11_11"].rank == 2 and t1["M22"].rank == 2
+    assert t1["s"].rank == 0
     t2 = hgr2_types()
     for i in (1, 2, 3, 4):
-        assert type_rank(t2[f"R{i}p"]) == 1
-    assert type_rank(t2["S"]) == 0
-    assert type_rank(t2["M_11"]) == 2
+        assert t2[f"R{i}p"].rank == 1
+    assert t2["S"].rank == 0
+    assert t2["M_11"].rank == 2
 
 
 def test_witness_replays_worked_example(prover):

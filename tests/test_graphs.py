@@ -15,7 +15,6 @@ from hlc.graphs import (
     flowerbed,
     handle,
     isolated_node_count,
-    multiset_count,
     relabel,
     relabel_one,
     replace,
@@ -164,14 +163,6 @@ def test_isolated_node_count():
     assert isolated_node_count(handle(RankedLabel("p", 1))) == 0
     assert isolated_node_count(build_graph([0, 1, 2], [], ())) == 3
     assert isolated_node_count(syntree()) == 0
-
-
-def test_multiset_count():
-    a1 = RankedLabel("a", 1)
-    z3 = RankedLabel("z", 3)
-    assert multiset_count([a1, a1, z3], a1) == 2
-    assert multiset_count([a1, a1, z3], z3) == 1
-    assert multiset_count([], a1) == 0
 
 
 def test_flowerbed_two_singleton_multisets():

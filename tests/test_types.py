@@ -11,7 +11,6 @@ from hlc.hltypes import (
     Sequent,
     connective_count,
     dollar_edge,
-    type_rank,
     validate_sequent,
     validate_type,
 )
@@ -22,13 +21,13 @@ Q = Division(S2, string_graph([dollar(2), S2, P2]))
 
 
 def test_type_rank_examples():
-    assert type_rank(Primitive("s", 0)) == 0
+    assert Primitive("s", 0).rank == 0
     t = hgr1_types()
-    assert type_rank(t["Q2"]) == 1
+    assert t["Q2"].rank == 1
     str2 = Primitive("str", 2)
     parallel = Product(build_graph([0, 1], [(str2, (0, 1)), (str2, (0, 1))], (0, 1)))
-    assert type_rank(parallel) == 2
-    assert type_rank(Q) == 2
+    assert parallel.rank == 2
+    assert Q.rank == 2
 
 
 def test_validate_division_with_two_holes():
