@@ -174,7 +174,6 @@ class Prover:
         self._budget_hits = 0
         self._tally = Tally()
         self._node_cap = 0
-        self._handle_keys: dict[object, object] = {}
 
     def derive(
         self, s: Sequent, budget: SearchBudget | None = None
@@ -248,15 +247,11 @@ class Prover:
             return DerivationTree(nseq, AXIOM)
         return False
 
-    def _handle_key(self, t: HLType):
-        tk = _label_id(t)
-        if tk not in self._handle_keys:
-            self._handle_keys[tk] = canon_id(handle(t))
-        return self._handle_keys[tk]
-
     def _expand(self, nseq: Sequent, depth: int, max_depth: int) -> DerivationTree | None:
-        """Try the axiom, then division elimination at each division pivot in
-        edge order, then product introduction; return the first derivation.
+        """Try division elimination at each division pivot in edge order, then
+        product introduction; return the first derivation.  The axiom never
+        applies here: ``_prove`` has already decided every all-primitive
+        sequent, and a primitive's handle is all-primitive.
 
         The enumerators run with the typed slot check, so every part premise
         they yield is balanced.  The conclusion is balanced too (``derive``
@@ -267,8 +262,6 @@ class Prover:
         No premise list needs a balance filter here.
         """
         g, succ = nseq.antecedent, nseq.succedent
-        if isinstance(succ, Primitive) and canon_id(g) == self._handle_key(succ):
-            return DerivationTree(nseq, AXIOM)
         cc = connective_count(nseq)
         for e in g.edges:
             lab = g.lab[e]
@@ -278,7 +271,7 @@ class Prover:
             hole = dollar_edge(d)
             d_edges = sorted(de for de in d.edges if de != hole)
             for extr in enumerate_context_extractions(
-                g, e, lab, nonminimal=self.nonminimal, dedupe=False, typed=self._tally
+                g, e, lab, nonminimal=self.nonminimal, typed=self._tally
             ):
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges

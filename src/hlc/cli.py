@@ -53,13 +53,26 @@ def _read(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc
 
 
+def _limit(flag_value: int | None, flag: str, env: str) -> int | None:
+    """The flag's value, else the environment's (unset or empty: None); a
+    value that is not a positive integer is a usage error."""
+    raw, source = flag_value, flag
+    if raw is None:
+        raw, source = os.environ.get(env), env
+        if not raw:
+            return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise SystemExit(f"error: {source} must be a positive integer, not {raw!r}")
+    return value
+
+
 def _budget(args) -> SearchBudget:
-    nodes = args.budget_nodes
-    if nodes is None:
-        nodes = int(os.environ.get("HLC_BUDGET_NODES", 0)) or None
-    depth = args.budget_depth
-    if depth is None:
-        depth = int(os.environ.get("HLC_BUDGET_DEPTH", 0)) or None
+    nodes = _limit(args.budget_nodes, "--budget-nodes", "HLC_BUDGET_NODES")
+    depth = _limit(args.budget_depth, "--budget-depth", "HLC_BUDGET_DEPTH")
     return SearchBudget(max_nodes=nodes or DEFAULT_MAX_NODES, max_depth=depth)
 
 

@@ -38,7 +38,7 @@ from .calculus import (
 from .canon import canonical_ordering
 from .graphs import DOLLAR_NAME, Hypergraph, RankedLabel, dollar, validate
 from .grammars import HRG, HLGrammar, Production, validate_hl_grammar, validate_hrg
-from .hltypes import Division, HLType, Primitive, Product, Sequent
+from .hltypes import Division, HLType, Primitive, Product, Sequent, validate_sequent
 
 
 class ParseError(Exception):
@@ -292,7 +292,11 @@ def parse_sequent(text: str) -> Sequent:
     succedent = parser.type_expr()
     if not parser.at_end():
         raise parser.fail("trailing input after sequent")
-    return Sequent(antecedent, succedent)
+    seq = Sequent(antecedent, succedent)
+    report = validate_sequent(seq)
+    if report is not None:
+        raise ParseError(f"invalid sequent: {report}", 1, 1)
+    return seq
 
 
 def parse_hl_grammar(text: str) -> HLGrammar:

@@ -1,28 +1,36 @@
 """Enumeration of pattern decompositions and division contexts.
 
-These two enumerators drive backward proof search:
+Read backward, the two search rules ask the host graph one question:
 
-* :func:`enumerate_decompositions` finds every way to present a host graph as
-  a substitution instance ``M[m1/H1, ..., ml/Hl]`` of a type-labeled pattern
-  ``M`` (the shape of a product-introduction conclusion).
+* product introduction: is the host ``M[m1 := H1, ..., ml := Hl]`` for the
+  type-labeled pattern ``M``?  :func:`enumerate_decompositions` finds every
+  such decomposition.
 
-* :func:`enumerate_context_extractions` finds, for a chosen host edge labeled
-  by a division N ÷ D, every way to embed D around that edge with D's non-hole
-  edges expanded to sub-hypergraphs, and returns the contracted graph in which
-  the whole region is collapsed to one fresh N-labeled edge (the shape of a
-  division-elimination conclusion, read backward).
+* division elimination: is the host ``H[e := D[$ := N ÷ D, d := H_d]]`` for
+  a chosen host edge (the pivot) labeled N ÷ D?
+  :func:`enumerate_context_extractions` finds every such context and returns
+  the contracted graph ``H`` in which the region is one fresh N-labeled edge.
 
-Both are exhaustive up to part-isomorphism and free of duplicates; soundness
-means reassembling the reported parts reproduces the host up to isomorphism.
+Both are answered by one search, ``_instances``: embed the pattern (D with
+its hole on the pivot), group the host's remaining edges into clusters, and
+give each cluster to one pattern edge.  A decomposition is the case without
+a pivot, in which every cluster must go to a part; around a pivot a cluster
+may also stay outside the region.  The two public functions only build their
+results from the instances.  Both are exhaustive up to part-isomorphism, and
+every instance reassembles to the host up to isomorphism;
+``enumerate_decompositions`` filters isomorphic repeats unless ``dedupe`` is
+off, while extractions may repeat (the prover's memo absorbs them).
 
 Fusion semantics force the search structure: substituting a graph for an edge
 fuses only its external nodes with the context, so the interior nodes of each
 part are private to it.  Host nodes outside the embedding image therefore tie
-the edges incident to them into clusters that must travel together.  By
-default parts take the minimal node set (nodes incident to their edges plus
-their external nodes); isolated host nodes can be apportioned to parts as
-extra interior nodes only behind the ``nonminimal`` flag.  For each
-embedding the clusters are found by walking from edge to edge across
+the edges incident to them into clusters that must travel together, and a
+cluster with a host external node inside cannot join a part.  By default
+parts take the minimal node set (nodes incident to their edges plus their
+external nodes): an isolated host node outside the image stays outside a
+division context and rules out a decomposition.  Behind the ``nonminimal``
+flag such a node may instead join any part as an extra interior node.  For
+each embedding the clusters are found by walking from edge to edge across
 non-image nodes, over the incidences cached on the host.
 
 **Typed slot check.**  In proof search every host label is a type, and a rule
@@ -71,12 +79,9 @@ class ContextExtraction:
 
 
 def _subgraph(
-    host: Hypergraph,
-    edges: frozenset[int],
-    ext: tuple[int, ...],
-    extra_nodes: frozenset[int] = frozenset(),
+    host: Hypergraph, edges: frozenset[int], ext: tuple[int, ...], extra_nodes: set[int]
 ) -> Hypergraph:
-    nodes = set(ext) | set(extra_nodes)
+    nodes = set(ext) | extra_nodes
     for e in edges:
         nodes.update(host.att[e])
     return Hypergraph(
@@ -229,6 +234,94 @@ def _choices(
             yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
 
 
+
+
+def _instances(
+    host: Hypergraph,
+    pattern: Hypergraph,
+    slot_order: list[int],
+    fixed: dict[int, int],
+    *,
+    pivot: int | None,
+    consumed_dom: list[int],
+    nonminimal: bool,
+    typed: Tally | None,
+) -> Iterator[tuple]:
+    """The instances of ``pattern`` in the host, with the ``slot_order``
+    edges expanded to parts (see the module docstring).
+
+    Yields ``(phi, parts, part_edges, outside, consumed)``: the embedding
+    (an injective extension of ``fixed``), the parts and their host edges,
+    the host edges left outside, and the host nodes the parts swallow.  A
+    ``pivot`` joins no cluster and makes the outside a choice for every
+    cluster that does not touch the image of ``consumed_dom``; those images
+    may not be host external nodes.
+    """
+    host_ext = frozenset(host.ext)
+    if any(fixed.get(v) in host_ext for v in consumed_dom):
+        return
+    incidences = host._incidence_map()
+    isolated = [v for v in host.nodes if v not in incidences and v not in host_ext]
+    lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
+    edge_ids = sorted(slot_order)
+    targets = None
+    if typed is not None:
+        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
+    cluster_counts: dict = {}
+    for phi in _injective_maps(host, fixed, sorted(pattern.nodes)):
+        consumed_img = {phi[v] for v in consumed_dom}
+        if not host_ext.isdisjoint(consumed_img):
+            continue
+        image = set(phi.values())
+        lonely = [v for v in isolated if v not in image]
+        if lonely and not nonminimal:
+            if pivot is None:
+                continue  # no part may take the node, yet every node is in one
+            lonely = []  # the nodes stay outside the region
+        att_sets = {m: {phi[u] for u in pattern.att[m]} for m in slot_order}
+        clusters: list[_Cluster] = []
+        slot_lists: list[list[int | None]] = []
+        for c in _clusters(host, image, pivot):
+            slots: list[int | None] = []
+            if host_ext.isdisjoint(c.interior):
+                slots = [m for m in slot_order if c.image_hits <= att_sets[m]]
+            if pivot is not None and c.image_hits.isdisjoint(consumed_img):
+                slots.append(None)  # the cluster may stay outside the region
+            if not slots:
+                break
+            clusters.append(c)
+            slot_lists.append(slots)
+        else:  # every cluster has a slot
+            slot_lists += [lonely_slots] * len(lonely)
+            weights = None
+            if typed is not None:
+                weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
+                weights += [()] * len(lonely)
+            for choice in _choices(slot_lists, weights, targets, typed):
+                part_edges: dict[int, set[int]] = {m: set() for m in edge_ids}
+                extra_nodes: dict[int, set[int]] = {m: set() for m in edge_ids}
+                outside: set[int] = set()
+                consumed = set(consumed_img)
+                for c, m in zip(clusters, choice):
+                    if m is None:
+                        outside.update(c.edges)
+                    else:
+                        part_edges[m].update(c.edges)
+                        consumed.update(c.interior)
+                for v, m in zip(lonely, choice[len(clusters):]):
+                    if m is not None:
+                        extra_nodes[m].add(v)
+                        consumed.add(v)
+                frozen = {m: frozenset(part_edges[m]) for m in edge_ids}
+                parts = {
+                    m: _subgraph(
+                        host, frozen[m], tuple(phi[u] for u in pattern.att[m]), extra_nodes[m]
+                    )
+                    for m in edge_ids
+                }
+                yield phi, parts, frozen, outside, consumed
+
+
 def enumerate_decompositions(
     host: Hypergraph,
     pattern: Hypergraph,
@@ -251,62 +344,19 @@ def enumerate_decompositions(
     """
     if host.rank != pattern.rank:
         return
+    slot_order = sorted(pattern.edges, key=lambda e: -len(pattern.att[e]))
     fixed = dict(zip(pattern.ext, host.ext))
-    pat_edges = sorted(pattern.edges, key=lambda e: -len(pattern.att[e]))
-    targets = None
-    if typed is not None:
-        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in pattern.edges}
-    cluster_counts: dict = {}
     seen: set = set()
-    for phi in _injective_maps(host, fixed, sorted(pattern.nodes)):
-        image = set(phi.values())
-        lonely = [v for v in host.nodes if v not in image and not host.incidences(v)]
-        if lonely and not nonminimal:
-            continue  # an uncovered isolated node kills this embedding
-        att_sets = {m: {phi[u] for u in pattern.att[m]} for m in pattern.edges}
-        clusters: list[_Cluster] = []
-        slot_lists: list[list[int]] = []
-        feasible = True
-        for c in _clusters(host, image):
-            slots = [m for m in pat_edges if c.image_hits <= att_sets[m]]
-            if not slots:
-                feasible = False
-                break
-            clusters.append(c)
-            slot_lists.append(slots)
-        if not feasible:
-            continue
-        slot_lists += [list(pat_edges) for _ in lonely]
-        weights = None
-        if typed is not None:
-            weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
-            weights += [()] * len(lonely)
-        for choice in _choices(slot_lists, weights, targets, typed):
-            part_edges: dict[int, set[int]] = {m: set() for m in pattern.edges}
-            extra_nodes: dict[int, set[int]] = {m: set() for m in pattern.edges}
-            for c, m in zip(clusters, choice):
-                part_edges[m].update(c.edges)
-            for v, m in zip(lonely, choice[len(clusters):]):
-                extra_nodes[m].add(v)
-            parts = {
-                m: _subgraph(
-                    host,
-                    frozenset(part_edges[m]),
-                    tuple(phi[u] for u in pattern.att[m]),
-                    frozenset(extra_nodes[m]),
-                )
-                for m in pattern.edges
-            }
-            if dedupe:
-                key = tuple(canon_id(parts[m]) for m in sorted(pattern.edges))
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield Decomposition(
-                node_map=dict(phi),
-                parts=parts,
-                part_edges={m: frozenset(part_edges[m]) for m in pattern.edges},
-            )
+    for phi, parts, part_edges, _, _ in _instances(
+        host, pattern, slot_order, fixed,
+        pivot=None, consumed_dom=[], nonminimal=nonminimal, typed=typed,
+    ):
+        if dedupe:
+            key = tuple(canon_id(parts[m]) for m in pattern.edges)
+            if key in seen:
+                continue
+            seen.add(key)
+        yield Decomposition(node_map=dict(phi), parts=parts, part_edges=part_edges)
 
 
 def enumerate_context_extractions(
@@ -315,7 +365,6 @@ def enumerate_context_extractions(
     div_type: Division,
     *,
     nonminimal: bool = False,
-    dedupe: bool = True,
     typed: Tally | None = None,
 ) -> Iterator[ContextExtraction]:
     """All division contexts at ``pivot``, whose label must equal ``div_type``.
@@ -323,120 +372,41 @@ def enumerate_context_extractions(
     An extraction embeds the denominator D into the host with its hole on the
     pivot, expands each non-hole edge of D to a sub-hypergraph, and contracts
     the whole region to a single fresh edge labeled by the numerator.  Emitted
-    contexts are exactly those whose reassembly reproduces the host.
-
-    ``dedupe=False`` skips the part-isomorphism filter (duplicates may then
-    appear); the proof-search engine uses this and deduplicates via its memo.
-    With a ``typed`` tally, only extractions whose every part balances against
-    its denominator edge's label are built, and the skipped slot assignments
-    are counted in ``typed.pruned``.
+    contexts are exactly those whose reassembly reproduces the host; contexts
+    with isomorphic parts and contracted graphs may repeat (the prover's memo
+    absorbs them).  With a ``typed`` tally, only extractions whose every part
+    balances against its denominator edge's label are built, and the skipped
+    slot assignments are counted in ``typed.pruned``.
     """
     d = div_type.denominator
     hole = dollar_edge(d)
     if len(d.att[hole]) != len(host.att[pivot]):
         return
-    d_ext = set(d.ext)
-    consumed_dom = [v for v in d.nodes if v not in d_ext]
-    host_ext = frozenset(host.ext)
+    d_edges = [e for e in d.edges if e != hole]
+    # Non-external denominator nodes are consumed by the contraction.
+    consumed_dom = [v for v in d.nodes if v not in d.ext]
     fixed = dict(zip(d.att[hole], host.att[pivot]))
-    # Non-external denominator nodes are consumed by the contraction, so they
-    # may not land on a host external node.
-    if any(v not in d_ext and t in host_ext for v, t in fixed.items()):
-        return
-    d_edges = sorted(e for e in d.edges if e != hole)
-    targets = None
-    if typed is not None:
-        targets = {de: dict(primitive_counts(d.lab[de])) for de in d_edges}
-    cluster_counts: dict = {}
-    seen: set = set()
-    for phi in _injective_maps(host, fixed, sorted(d.nodes)):
-        consumed_img = {phi[v] for v in consumed_dom}
-        if consumed_img & host_ext:
-            continue
-        image = set(phi.values())
-        att_sets = {de: {phi[u] for u in d.att[de]} for de in d_edges}
-        clusters: list[_Cluster] = []
-        slot_lists: list[list[int | None]] = []
-        feasible = True
-        for c in _clusters(host, image, pivot):
-            slots: list[int | None] = [
-                de
-                for de in d_edges
-                if c.image_hits <= att_sets[de] and not (c.interior & host_ext)
-            ]
-            if not (c.image_hits & consumed_img):
-                slots.append(None)  # the cluster may stay outside the region
-            if not slots:
-                feasible = False
-                break
-            clusters.append(c)
-            slot_lists.append(slots)
-        if not feasible:
-            continue
-        extra_dom: list[int] = []
-        if nonminimal:
-            extra_dom = [
-                v
-                for v in host.nodes
-                if v not in image and not host.incidences(v) and v not in host_ext
-            ]
-            slot_lists += [[*d_edges, None] for _ in extra_dom]
-        weights = None
-        if typed is not None:
-            weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
-            weights += [()] * len(extra_dom)
-        for choice in _choices(slot_lists, weights, targets, typed):
-            part_edges: dict[int, set[int]] = {de: set() for de in d_edges}
-            extra_nodes: dict[int, set[int]] = {de: set() for de in d_edges}
-            outside: set[int] = set()
-            for c, slot in zip(clusters, choice):
-                if slot is None:
-                    outside.update(c.edges)
-                else:
-                    part_edges[slot].update(c.edges)
-            consumed = set(consumed_img)
-            for de in d_edges:
-                for e in part_edges[de]:
-                    consumed.update(v for v in host.att[e] if v not in image)
-            for v, slot in zip(extra_dom, choice[len(clusters):]):
-                if slot is not None:
-                    extra_nodes[slot].add(v)
-                    consumed.add(v)
-            parts = {
-                de: _subgraph(
-                    host,
-                    frozenset(part_edges[de]),
-                    tuple(phi[u] for u in d.att[de]),
-                    frozenset(extra_nodes[de]),
-                )
-                for de in d_edges
-            }
-            kept = [v for v in host.nodes if v not in consumed]
-            fresh = max(host.edges, default=-1) + 1
-            att = {e: host.att[e] for e in outside}
-            lab = {e: host.lab[e] for e in outside}
-            att[fresh] = tuple(phi[v] for v in d.ext)
-            lab[fresh] = div_type.numerator
-            contracted = Hypergraph(
-                nodes=tuple(sorted(kept)),
-                edges=tuple(sorted(att)),
-                att=att,
-                lab=lab,
-                ext=host.ext,
-            )
-            if dedupe:
-                key = (
-                    canon_id(contracted),
-                    tuple(canon_id(parts[de]) for de in d_edges),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield ContextExtraction(
-                pivot=pivot,
-                phi=dict(phi),
-                parts=parts,
-                part_edges={de: frozenset(part_edges[de]) for de in d_edges},
-                contracted=contracted,
-                numerator_edge=fresh,
-            )
+    fresh = max(host.edges, default=-1) + 1
+    for phi, parts, part_edges, outside, consumed in _instances(
+        host, d, d_edges, fixed,
+        pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, typed=typed,
+    ):
+        att = {e: host.att[e] for e in outside}
+        lab = {e: host.lab[e] for e in outside}
+        att[fresh] = tuple(phi[v] for v in d.ext)
+        lab[fresh] = div_type.numerator
+        contracted = Hypergraph(
+            nodes=tuple(v for v in host.nodes if v not in consumed),
+            edges=tuple(att),
+            att=att,
+            lab=lab,
+            ext=host.ext,
+        )
+        yield ContextExtraction(
+            pivot=pivot,
+            phi=dict(phi),
+            parts=parts,
+            part_edges=part_edges,
+            contracted=contracted,
+            numerator_edge=fresh,
+        )

@@ -9,7 +9,7 @@ from hlc.calculus import check_derivation
 from hlc.cli import EXIT_USAGE, main
 from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
 from hlc.fmt import parse_hl_grammar, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
-from hlc.graphs import build_graph, handle, string_graph, RankedLabel
+from hlc.graphs import build_graph, dollar, handle, string_graph, RankedLabel
 from hlc.hltypes import Primitive, Sequent
 from hlc.suites import SUITES, run_suite
 
@@ -183,3 +183,37 @@ def test_invalid_hrg_is_refused_at_parse_time(workdir, capsys):
     err = capsys.readouterr().err
     assert "unknown label Q/2" in err
     assert "must be disjoint" in err
+
+
+def test_invalid_sequent_is_refused_at_parse_time(workdir, capsys):
+    p2 = Primitive("p", 2)
+    mismatch = workdir / "mismatch.seq"
+    mismatch.write_text(print_sequent(Sequent(handle(p2), Primitive("p", 1))))
+    hole = workdir / "hole.seq"
+    hole.write_text(print_sequent(Sequent(string_graph([p2, dollar(2)]), p2)))
+    assert main(["derive", str(mismatch)]) == EXIT_USAGE
+    assert main(["derive", str(hole)]) == EXIT_USAGE
+    val = str(workdir / "w.val")
+    assert main(["model-check", "--valuation", val, "--sequent", str(mismatch)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("invalid sequent: rank mismatch") == 2
+    assert "labeled $" in err
+
+
+def test_malformed_budget_flags_are_usage_errors(workdir, capsys):
+    deep = str(workdir / "deep.seq")
+    assert main(["derive", deep, "--budget-nodes", "-5"]) == EXIT_USAGE
+    assert main(["derive", deep, "--budget-depth", "0"]) == EXIT_USAGE
+    assert main(["suite", "sgr", "--budget-nodes", "-1"]) == EXIT_USAGE
+    assert "--budget-depth must be a positive integer" in capsys.readouterr().err
+
+
+def test_malformed_budget_env_is_a_usage_error(workdir, monkeypatch, capsys):
+    deep = str(workdir / "deep.seq")
+    monkeypatch.setenv("HLC_BUDGET_NODES", "abc")
+    assert main(["derive", deep]) == EXIT_USAGE
+    assert main(["derive", deep, "--budget-nodes", "1"]) == 3  # the flag wins
+    monkeypatch.delenv("HLC_BUDGET_NODES")
+    monkeypatch.setenv("HLC_BUDGET_DEPTH", "-2")
+    assert main(["derive", deep]) == EXIT_USAGE
+    assert "HLC_BUDGET_NODES must be a positive integer, not 'abc'" in capsys.readouterr().err

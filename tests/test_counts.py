@@ -91,7 +91,7 @@ def test_pruned_counts_extractions_with_an_unbalanced_part():
             primitive_counts(extr.parts[de]) != primitive_counts(d.lab[de])
             for de in extr.parts
         )
-        for extr in enumerate_context_extractions(seq.antecedent, 0, SGR_Q, dedupe=False)
+        for extr in enumerate_context_extractions(seq.antecedent, 0, SGR_Q)
     )
     result = Prover().derive(seq)
     assert isinstance(result, NotDerivable)

@@ -24,6 +24,65 @@ R = Primitive("r", 2)
 S = Primitive("s", 2)
 T = Primitive("t", 2)
 U = Primitive("u", 2)
+P1, Q1, S0 = Primitive("p", 1), Primitive("q", 1), Primitive("s", 0)
+Q2 = Division(P1, build_graph([0, 1], [(dollar(1), (0,)), (P1, (1,))], (0,)))
+Q3 = Division(S0, build_graph([0, 1], [(dollar(1), (0,)), (P1, (1,))], ()))
+DIV = Division(Q, string_graph([P, dollar(2)]))
+DIV_WIDE = Division(Q, string_graph([dollar(2), P, Q]))
+
+
+def string_hosts(rng, count):
+    """(host, pattern) pairs: strings of up to three and of one or two edges."""
+    for _ in range(count):
+        host = string_graph([rng.choice([P, Q, R]) for _ in range(rng.randint(0, 3))])
+        yield host, string_graph([rng.choice([P, Q, R]) for _ in range(rng.randint(1, 2))])
+
+
+def rank1_hosts(rng, count):
+    """(host, pattern) pairs of rank-0 graphs with unary edges; a host node
+    that no edge hits is isolated."""
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        host = build_graph(
+            range(m),
+            [(rng.choice([P1, Q1]), (rng.randrange(m),)) for _ in range(rng.randint(1, 4))],
+            (),
+        )
+        if validate(host) is not None:
+            continue
+        yield host, build_graph(
+            range(2), [(rng.choice([P1, Q1]), (i,)) for i in range(rng.randint(1, 2))], ()
+        )
+
+
+def string_division_hosts(rng, count):
+    """(host, pivot, division) triples: a string around one division edge."""
+    for _ in range(count):
+        labels = [rng.choice([P, Q]) for _ in range(rng.randint(0, 3))]
+        where = rng.randint(0, len(labels))
+        d = rng.choice([DIV, DIV_WIDE])
+        yield string_graph(labels[:where] + [d] + labels[where:]), where, d
+
+
+def rank1_division_hosts(rng, count):
+    """(host, pivot, division) triples at every division edge of rank-0 hosts
+    with unary edges around a ``Q3`` edge."""
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        labels = [rng.choice([P1, Q2]) for _ in range(rng.randint(1, 3))]
+        edges = [(Q3, (0,))] + [(l, (rng.randrange(m),)) for l in labels]
+        host = build_graph(range(m), edges, ())
+        for pivot in host.edges:
+            if isinstance(host.lab[pivot], Division):
+                yield host, pivot, host.lab[pivot]
+
+
+def with_isolated_nodes(host, k):
+    top = max(host.nodes, default=-1)
+    extra = tuple(range(top + 1, top + 1 + k))
+    return Hypergraph(
+        nodes=host.nodes + extra, edges=host.edges, att=host.att, lab=host.lab, ext=host.ext
+    )
 
 
 def reassemble_decomposition(pattern, dec):
@@ -45,9 +104,18 @@ def decomposition_keys(host, pattern, **kw):
     }
 
 
-def oracle_decomposition_keys(host, pattern):
-    """Try every injective node map and every labeled edge partition; keep
-    those whose reassembly reproduces the host."""
+def _isolated_outside(host, phi, nonminimal):
+    """The host nodes a nonminimal oracle apportions: isolated, not images."""
+    if not nonminimal:
+        return []
+    image = set(phi.values())
+    return [v for v in host.nodes if v not in image and not host.incidences(v)]
+
+
+def oracle_decomposition_keys(host, pattern, nonminimal=False):
+    """Try every injective node map and every labeled edge partition (and,
+    with ``nonminimal``, every way to give the isolated non-image host nodes
+    to parts); keep those whose reassembly reproduces the host."""
     keys = set()
     if host.rank != pattern.rank:
         return keys
@@ -61,14 +129,18 @@ def oracle_decomposition_keys(host, pattern):
         phi.update(zip(free, images))
         if len(set(phi.values())) != len(phi):
             continue
-        for assignment in itertools.product(pat_edges, repeat=len(host.edges)):
+        lonely = _isolated_outside(host, phi, nonminimal)
+        for assignment in itertools.product(pat_edges, repeat=len(host.edges) + len(lonely)):
             part_edges = {m: set() for m in pat_edges}
             for he, m in zip(sorted(host.edges), assignment):
                 part_edges[m].add(he)
+            extra = {m: set() for m in pat_edges}
+            for v, m in zip(lonely, assignment[len(host.edges):]):
+                extra[m].add(v)
             parts = {}
             for m in pat_edges:
                 ext = tuple(phi[u] for u in pattern.att[m])
-                nodes = set(ext)
+                nodes = set(ext) | extra[m]
                 for he in part_edges[m]:
                     nodes.update(host.att[he])
                 parts[m] = Hypergraph(
@@ -171,33 +243,25 @@ def test_extraction_reassembly_random():
 
 def test_decompositions_match_oracle_small():
     rng = random.Random(3)
-    prims = [P, Q, R]
-    for _ in range(40):
-        host_labels = [rng.choice(prims) for _ in range(rng.randint(0, 3))]
-        host = string_graph(host_labels)
-        pattern = string_graph([rng.choice(prims) for _ in range(rng.randint(1, 2))])
-        fast = decomposition_keys(host, pattern)
-        slow = oracle_decomposition_keys(host, pattern)
-        assert fast == slow
+    for host, pattern in string_hosts(rng, 40):
+        assert decomposition_keys(host, pattern) == oracle_decomposition_keys(host, pattern)
 
 
 def test_decompositions_match_oracle_rank1():
     rng = random.Random(4)
-    p1 = Primitive("p", 1)
-    q1 = Primitive("q", 1)
-    for _ in range(30):
-        m = rng.randint(1, 3)
-        host = build_graph(
-            range(m),
-            [(rng.choice([p1, q1]), (rng.randrange(m),)) for _ in range(rng.randint(1, 4))],
-            (),
-        )
-        if validate(host) is not None:
-            continue
-        pattern = build_graph(
-            range(2), [(rng.choice([p1, q1]), (i,)) for i in range(rng.randint(1, 2))], ()
-        )
+    for host, pattern in rank1_hosts(rng, 30):
         assert decomposition_keys(host, pattern) == oracle_decomposition_keys(host, pattern)
+
+
+def test_nonminimal_decompositions_match_oracle():
+    rng = random.Random(5)
+    found = 0
+    for host, pattern in [*string_hosts(rng, 25), *rank1_hosts(rng, 15)]:
+        host = with_isolated_nodes(host, rng.randint(1, 2))
+        keys = decomposition_keys(host, pattern, nonminimal=True)
+        assert keys == oracle_decomposition_keys(host, pattern, nonminimal=True)
+        found += bool(keys)
+    assert found > 10
 
 
 def extraction_keys(host, pivot, div_type, **kw):
@@ -210,10 +274,11 @@ def extraction_keys(host, pivot, div_type, **kw):
     }
 
 
-def oracle_extraction_keys(host, pivot, div_type):
+def oracle_extraction_keys(host, pivot, div_type, nonminimal=False):
     """Try every hole-respecting injective map and every way to split the
-    remaining edges between denominator parts and the outside; keep those
-    whose reassembly reproduces the host."""
+    remaining edges (and, with ``nonminimal``, the isolated non-image host
+    nodes) between denominator parts and the outside; keep those whose
+    reassembly reproduces the host."""
     d = div_type.denominator
     hole = dollar_edge(d)
     d_edges = sorted(e for e in d.edges if e != hole)
@@ -228,7 +293,8 @@ def oracle_extraction_keys(host, pivot, div_type):
         phi.update(zip(free, images))
         if len(set(phi.values())) != len(phi):
             continue
-        for assignment in itertools.product([*d_edges, None], repeat=len(others)):
+        lonely = _isolated_outside(host, phi, nonminimal)
+        for assignment in itertools.product([*d_edges, None], repeat=len(others) + len(lonely)):
             part_edges = {de: set() for de in d_edges}
             outside = set()
             for he, slot in zip(others, assignment):
@@ -236,12 +302,16 @@ def oracle_extraction_keys(host, pivot, div_type):
                     outside.add(he)
                 else:
                     part_edges[slot].add(he)
+            extra = {de: set() for de in d_edges}
+            for v, slot in zip(lonely, assignment[len(others):]):
+                if slot is not None:
+                    extra[slot].add(v)
             parts = {}
             bad = False
             consumed = {phi[v] for v in d.nodes if v not in set(d.ext)}
             for de in d_edges:
                 ext = tuple(phi[u] for u in d.att[de])
-                nodes = set(ext)
+                nodes = set(ext) | extra[de]
                 for he in part_edges[de]:
                     nodes.update(host.att[he])
                 consumed.update(nodes - set(phi.values()))
@@ -286,32 +356,26 @@ def oracle_extraction_keys(host, pivot, div_type):
 
 def test_extractions_match_oracle_small():
     rng = random.Random(6)
-    div = Division(Q, string_graph([P, dollar(2)]))
-    div_wide = Division(Q, string_graph([dollar(2), P, Q]))
-    for _ in range(25):
-        labels = [rng.choice([P, Q]) for _ in range(rng.randint(0, 3))]
-        where = rng.randint(0, len(labels))
-        d = rng.choice([div, div_wide])
-        host = string_graph(labels[:where] + [d] + labels[where:])
-        assert extraction_keys(host, where, d) == oracle_extraction_keys(host, where, d)
+    for host, pivot, d in string_division_hosts(rng, 25):
+        assert extraction_keys(host, pivot, d) == oracle_extraction_keys(host, pivot, d)
 
 
 def test_extractions_match_oracle_rank1():
-    p1, s0 = Primitive("p", 1), Primitive("s", 0)
-    q2 = Division(p1, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], (0,)))
-    q3 = Division(s0, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], ()))
     rng = random.Random(12)
-    for _ in range(25):
-        m = rng.randint(2, 4)
-        labels = [rng.choice([p1, q2]) for _ in range(rng.randint(1, 3))]
-        edges = [(q3, (0,))] + [(l, (rng.randrange(m),)) for l in labels]
-        host = build_graph(range(m), edges, ())
-        for pivot in host.edges:
-            lab = host.lab[pivot]
-            if isinstance(lab, Division):
-                assert extraction_keys(host, pivot, lab) == oracle_extraction_keys(
-                    host, pivot, lab
-                )
+    for host, pivot, d in rank1_division_hosts(rng, 25):
+        assert extraction_keys(host, pivot, d) == oracle_extraction_keys(host, pivot, d)
+
+
+def test_nonminimal_extractions_match_oracle():
+    rng = random.Random(13)
+    found = 0
+    for host, pivot, d in [*string_division_hosts(rng, 20), *rank1_division_hosts(rng, 15)]:
+        host = with_isolated_nodes(host, rng.randint(1, 2))
+        keys = extraction_keys(host, pivot, d, nonminimal=True)
+        assert keys == oracle_extraction_keys(host, pivot, d, nonminimal=True)
+        # Each isolated node can join a part or stay, so it multiplies the keys.
+        found += len(keys) > len(extraction_keys(host, pivot, d))
+    assert found > 10
 
 
 def test_determinism_on_isomorphic_hosts():
@@ -372,10 +436,10 @@ def _check_typed_decompositions(host, pattern, nonminimal):
 def _check_typed_extractions(host, pivot, div_type, nonminimal):
     d = div_type.denominator
     kw = {"nonminimal": nonminimal}
-    untyped = list(enumerate_context_extractions(host, pivot, div_type, dedupe=False, **kw))
+    untyped = list(enumerate_context_extractions(host, pivot, div_type, **kw))
     tally = Tally()
     typed = list(
-        enumerate_context_extractions(host, pivot, div_type, dedupe=False, typed=tally, **kw)
+        enumerate_context_extractions(host, pivot, div_type, typed=tally, **kw)
     )
     kept = [x for x in untyped if _balanced(x.parts, d.lab)]
     assert [(x.phi, x.part_edges) for x in typed] == [(x.phi, x.part_edges) for x in kept]
@@ -389,27 +453,9 @@ def _check_typed_extractions(host, pivot, div_type, nonminimal):
 
 def test_typed_decompositions_match_filtered_untyped():
     rng = random.Random(3)
-    prims = [P, Q, R]
-    p1, q1 = Primitive("p", 1), Primitive("q", 1)
     kept = pruned = 0
     for nonminimal in (False, True):
-        for _ in range(40):
-            host = string_graph([rng.choice(prims) for _ in range(rng.randint(0, 3))])
-            pattern = string_graph([rng.choice(prims) for _ in range(rng.randint(1, 2))])
-            k, s = _check_typed_decompositions(host, pattern, nonminimal)
-            kept, pruned = kept + k, pruned + s
-        for _ in range(30):
-            m = rng.randint(1, 3)
-            host = build_graph(
-                range(m),
-                [(rng.choice([p1, q1]), (rng.randrange(m),)) for _ in range(rng.randint(1, 4))],
-                (),
-            )
-            if validate(host) is not None:
-                continue
-            pattern = build_graph(
-                range(2), [(rng.choice([p1, q1]), (i,)) for i in range(rng.randint(1, 2))], ()
-            )
+        for host, pattern in [*string_hosts(rng, 40), *rank1_hosts(rng, 30)]:
             k, s = _check_typed_decompositions(host, pattern, nonminimal)
             kept, pruned = kept + k, pruned + s
     assert kept > 0 and pruned > 0
@@ -417,37 +463,17 @@ def test_typed_decompositions_match_filtered_untyped():
 
 def test_typed_extractions_match_filtered_untyped():
     rng = random.Random(6)
-    div = Division(Q, string_graph([P, dollar(2)]))
-    div_wide = Division(Q, string_graph([dollar(2), P, Q]))
-    p1, s0 = Primitive("p", 1), Primitive("s", 0)
-    q2 = Division(p1, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], (0,)))
-    q3 = Division(s0, build_graph([0, 1], [(dollar(1), (0,)), (p1, (1,))], ()))
     kept = pruned = 0
     for nonminimal in (False, True):
-        for _ in range(25):
-            labels = [rng.choice([P, Q]) for _ in range(rng.randint(0, 3))]
-            where = rng.randint(0, len(labels))
-            d = rng.choice([div, div_wide])
-            host = string_graph(labels[:where] + [d] + labels[where:])
-            k, s = _check_typed_extractions(host, where, d, nonminimal)
+        for host, pivot, d in [*string_division_hosts(rng, 25), *rank1_division_hosts(rng, 25)]:
+            k, s = _check_typed_extractions(host, pivot, d, nonminimal)
             kept, pruned = kept + k, pruned + s
-        for _ in range(25):
-            m = rng.randint(2, 4)
-            labels = [rng.choice([p1, q2]) for _ in range(rng.randint(1, 3))]
-            edges = [(q3, (0,))] + [(l, (rng.randrange(m),)) for l in labels]
-            host = build_graph(range(m), edges, ())
-            for pivot in host.edges:
-                lab = host.lab[pivot]
-                if isinstance(lab, Division):
-                    k, s = _check_typed_extractions(host, pivot, lab, nonminimal)
-                    kept, pruned = kept + k, pruned + s
     # Mapping the p node to 1 closes the p slot at the first cluster, which
     # cannot fill it, while each of the two later clusters has two slots: the
     # check skips all four of their assignments at once.
-    q1 = Primitive("q", 1)
     div_pq = Division(
-        p1, build_graph([0, 1, 2], [(dollar(1), (0,)), (p1, (1,)), (q1, (2,))], (2,))
+        P1, build_graph([0, 1, 2], [(dollar(1), (0,)), (P1, (1,)), (Q1, (2,))], (2,))
     )
-    host = build_graph([0, 1, 2], [(div_pq, (0,)), (q1, (1,)), (q1, (2,)), (q1, (2,))], ())
+    host = build_graph([0, 1, 2], [(div_pq, (0,)), (Q1, (1,)), (Q1, (2,)), (Q1, (2,))], ())
     assert _check_typed_extractions(host, 0, div_pq, False)[1] >= 4
     assert kept > 0 and pruned > 0
