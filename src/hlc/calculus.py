@@ -297,7 +297,7 @@ class Prover:
             body = succ.body
             m_edges = sorted(body.edges)
             for dec in enumerate_decompositions(
-                g, body, nonminimal=self.nonminimal, dedupe=False, typed=self._tally
+                g, body, nonminimal=self.nonminimal, typed=self._tally
             ):
                 premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
                 assert sum(connective_count(p) for p in premise_seqs) < cc

@@ -174,7 +174,8 @@ def cmd_match(args) -> int:
         print("  node map:", " ".join(f"{a}->{b}" for a, b in sorted(dec.node_map.items())))
         for m in sorted(dec.parts):
             edges = " ".join(str(e) for e in sorted(dec.part_edges[m])) or "-"
-            print(f"  part for pattern edge {m}: host edges {edges}")
+            nodes = " ".join(str(v) for v in dec.parts[m].nodes)
+            print(f"  part for pattern edge {m}: host edges {edges}, nodes {nodes}")
     print(f"{count} decompositions")
     return EXIT_YES if count else EXIT_NO
 
@@ -267,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true")
     p.set_defaults(fn=cmd_iso)
 
-    p = sub.add_parser("match", help="print all decompositions of a host by a pattern")
+    p = sub.add_parser(
+        "match",
+        help="print every decomposition of a host by a pattern; each differs from the "
+        "others in node map, part edges or apportioned nodes, but parts may be isomorphic",
+    )
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--nonminimal", action="store_true")

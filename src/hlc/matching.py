@@ -17,9 +17,11 @@ give each cluster to one pattern edge.  A decomposition is the case without
 a pivot, in which every cluster must go to a part; around a pivot a cluster
 may also stay outside the region.  The two public functions only build their
 results from the instances.  Both are exhaustive up to part-isomorphism, and
-every instance reassembles to the host up to isomorphism;
-``enumerate_decompositions`` filters isomorphic repeats unless ``dedupe`` is
-off, while extractions may repeat (the prover's memo absorbs them).
+every instance reassembles to the host up to isomorphism.  Neither filters
+isomorphic repeats: every instance yielded differs from the others in its
+node map, its part edges or the nodes apportioned to its parts, though its
+parts may be isomorphic to another's.  The prover's memo absorbs such
+repeats, and ``hlc match`` lists them all.
 
 Fusion semantics force the search structure: substituting a graph for an edge
 fuses only its external nodes with the context, so the interior nodes of each
@@ -42,8 +44,9 @@ kept only when the clusters in every slot sum to that slot's label.  The
 check runs before any part, contracted graph or :class:`Hypergraph` is built,
 and a slot is checked as soon as no later cluster can join it, so one
 mismatch skips a whole subtree of assignments; the tally counts every
-assignment skipped.  ``models`` and ``hlc match`` leave ``typed`` unset,
-because their host labels are alphabet symbols, which count nothing.
+assignment skipped.  ``models`` leaves ``typed`` unset, because its host
+labels are alphabet symbols, which count nothing; ``hlc match`` lists every
+decomposition, balanced or not.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import canon_id
 from .graphs import Hypergraph
 from .hltypes import Division, add_counts, dollar_edge, primitive_counts
 
@@ -327,7 +329,6 @@ def enumerate_decompositions(
     pattern: Hypergraph,
     *,
     nonminimal: bool = False,
-    dedupe: bool = True,
     typed: Tally | None = None,
 ) -> Iterator[Decomposition]:
     """All ways to split the host into parts matching the pattern's edges.
@@ -336,26 +337,19 @@ def enumerate_decompositions(
     parts jointly cover every host edge and are edge-disjoint; each part's
     external nodes are the images of its pattern edge's attachment nodes.
 
-    ``dedupe=False`` skips the part-isomorphism filter (duplicates may then
-    appear); the proof-search engine uses this and deduplicates via its memo.
-    With a ``typed`` tally, only decompositions whose every part balances
-    against its pattern edge's label are built, and the skipped slot
+    Decompositions with isomorphic parts may repeat (see the module
+    docstring).  With a ``typed`` tally, only decompositions whose every part
+    balances against its pattern edge's label are built, and the skipped slot
     assignments are counted in ``typed.pruned``.
     """
     if host.rank != pattern.rank:
         return
     slot_order = sorted(pattern.edges, key=lambda e: -len(pattern.att[e]))
     fixed = dict(zip(pattern.ext, host.ext))
-    seen: set = set()
     for phi, parts, part_edges, _, _ in _instances(
         host, pattern, slot_order, fixed,
         pivot=None, consumed_dom=[], nonminimal=nonminimal, typed=typed,
     ):
-        if dedupe:
-            key = tuple(canon_id(parts[m]) for m in pattern.edges)
-            if key in seen:
-                continue
-            seen.add(key)
         yield Decomposition(node_map=dict(phi), parts=parts, part_edges=part_edges)
 
 

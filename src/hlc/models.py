@@ -9,6 +9,22 @@ Exact checking is possible precisely when every universal quantifier ranges
 over an enumerable denotation, i.e. when the types in denominator positions
 contain no division.  Outside that fragment the answer is ``UNDECIDED``,
 which is a first-class result and never conflated with falsehood.
+
+Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
+
+* ``t`` enumerable (division-free, primitives included): ``[[t]]`` is finite
+  and :func:`denotation_enumerate` lists it exactly, up to isomorphism, by
+  substituting members of the body labels' denotations into the body.  So
+  ``g`` belongs iff its canonical id is among the listed graphs' ids.  Each
+  such denotation is enumerated once per valuation and cached on it, keyed by
+  the type's canonical key.  Membership is up to isomorphism throughout: a
+  valuation's own graphs stand for their isomorphism classes.
+* ``t`` a product with a division in its body: ``[[t]]`` may be infinite, so
+  ``g`` belongs iff some nonminimal decomposition of ``g`` along the body
+  puts every part in its label's denotation.
+* ``t`` a division ``N ÷ D``: ``g`` belongs iff filling D's hole with ``g``
+  and its other edges with every choice from their (enumerable, cached)
+  denotations always gives a member of ``[[N]]``.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .canon import canonical_key
+from .canon import canon_id, canonical_key
 from .graphs import Hypergraph, RankedLabel, build_graph, replace_all, validate
 from .hltypes import Division, HLType, Primitive, Product, Sequent, dollar_edge
 from .matching import enumerate_decompositions
@@ -51,8 +67,10 @@ class Valuation:
 
 
 def validate_valuation(w: Valuation) -> str | None:
-    for p, graphs in w.assignment:
-        for g in w.graphs(p):
+    for i, (p, graphs) in enumerate(w.assignment):
+        if any(p == q for q, _ in w.assignment[:i]):
+            return f"{p!r}: assigned more than once"
+        for g in graphs:
             report = validate(g)
             if report is not None:
                 return f"{p!r}: {report}"
@@ -89,15 +107,16 @@ def contains_decidable(t: HLType) -> bool:
     return False
 
 
-def _dedupe(graphs) -> list[Hypergraph]:
-    out: dict[object, Hypergraph] = {}
+def _dedupe(graphs) -> tuple[Hypergraph, ...]:
+    out: dict[int, Hypergraph] = {}
     for g in graphs:
-        out.setdefault(canonical_key(g), g)
-    return sorted(out.values(), key=canonical_key)
+        out.setdefault(canon_id(g), g)
+    return tuple(sorted(out.values(), key=canonical_key))
 
 
 def denotation_enumerate(w: Valuation, t: HLType):
-    """The exact denotation of an enumerable type, as canonical representatives;
+    """The exact denotation of an enumerable type, as a tuple of one
+    representative per isomorphism class in canonical order;
     ``NOT_ENUMERABLE`` for types containing a division."""
     if not is_enumerable(t):
         return NOT_ENUMERABLE
@@ -105,11 +124,21 @@ def denotation_enumerate(w: Valuation, t: HLType):
         return _dedupe(w.graphs(t))
     body = t.body
     edges = sorted(body.edges)
-    pools = [denotation_enumerate(w, body.lab[e]) for e in edges]
-    out = []
-    for pick in itertools.product(*pools):
-        out.append(replace_all(body, dict(zip(edges, pick))))
-    return _dedupe(out)
+    pools = [_denotation(w, body.lab[e])[0] for e in edges]
+    picks = itertools.product(*pools)
+    return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
+
+
+def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset[int]]:
+    """The denotation of enumerable ``t`` and its canonical ids, enumerated
+    once and cached on the valuation value by the type's canonical key."""
+    cache = w.__dict__.setdefault("_denotations", {})
+    key = t.canon_key()
+    den = cache.get(key)
+    if den is None:
+        graphs = denotation_enumerate(w, t)
+        den = cache[key] = (graphs, frozenset(map(canon_id, graphs)))
+    return den
 
 
 def denotation_contains(w: Valuation, t: HLType, g: Hypergraph):
@@ -122,11 +151,11 @@ def denotation_contains(w: Valuation, t: HLType, g: Hypergraph):
 def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
     if g.rank != t.rank:
         return False
-    if isinstance(t, Primitive):
-        key = canonical_key(g)
-        return any(canonical_key(h) == key for h in w.graphs(t))
+    if is_enumerable(t):
+        return canon_id(g) in _denotation(w, t)[1]
     if isinstance(t, Product):
         body = t.body
+        # A division in the body leaves [[t]] possibly infinite, so decompose.
         # Nonminimal decompositions are required for exactness: denotation
         # members may carry isolated interior nodes.
         for dec in enumerate_decompositions(g, body, nonminimal=True):
@@ -137,7 +166,7 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
     d = t.denominator
     hole = dollar_edge(d)
     others = sorted(e for e in d.edges if e != hole)
-    pools = [denotation_enumerate(w, d.lab[e]) for e in others]
+    pools = [_denotation(w, d.lab[e])[0] for e in others]
     for pick in itertools.product(*pools):
         filled = replace_all(d, {hole: g, **dict(zip(others, pick))})
         if not _contains(w, t.numerator, filled):

@@ -110,11 +110,31 @@ def test_match_command(workdir, capsys):
     )
     assert rc == 0
     assert "1 decompositions" in capsys.readouterr().out
+    # An isolated host node may join either part: two instances, told apart
+    # only by the nodes apportioned to their parts.
+    host = workdir / "isolated.hgf"
+    host.write_text("nodes: 0 1 2 3\next: 0 2\nedge e0 p/2 : 0 1\nedge e1 q/2 : 1 2\n")
+    pattern = workdir / "two.hgf"
+    pattern.write_text("nodes: 0 1 2\next: 0 2\nedge m T/2 : 0 1\nedge n U/2 : 1 2\n")
+    assert main(["match", "--host", str(host), "--pattern", str(pattern), "--nonminimal"]) == 0
+    out = capsys.readouterr().out
+    assert "2 decompositions" in out
+    assert "host edges 0, nodes 0 1 3" in out and "host edges 1, nodes 1 2 3" in out
 
 
 def test_model_check(workdir):
     assert main(["model-check", "--valuation", str(workdir / "w.val"),
                  "--sequent", str(workdir / "axiom.seq")]) == 0
+
+
+def test_repeated_primitive_in_valuation_is_refused(workdir, capsys):
+    # The second entry used to be ignored, so its rank-1 graph went unchecked.
+    (workdir / "r1.hgf").write_text("nodes: 0\next: 0\n")
+    val = workdir / "twice.val"
+    val.write_text("p/2 = { a.hgf }\np/2 = { r1.hgf }\n")
+    seq = str(workdir / "axiom.seq")
+    assert main(["model-check", "--valuation", str(val), "--sequent", seq]) == EXIT_USAGE
+    assert "p/2: assigned more than once" in capsys.readouterr().out
 
 
 def test_oracle_command(workdir, tmp_path):

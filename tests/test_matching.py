@@ -421,9 +421,9 @@ def _check_typed_decompositions(host, pattern, nonminimal):
     """Typed keys are the untyped keys of all-balanced instances, and the tally
     counts exactly the untyped instances with an unbalanced part."""
     kw = {"nonminimal": nonminimal}
-    untyped = list(enumerate_decompositions(host, pattern, dedupe=False, **kw))
+    untyped = list(enumerate_decompositions(host, pattern, **kw))
     tally = Tally()
-    typed = list(enumerate_decompositions(host, pattern, dedupe=False, typed=tally, **kw))
+    typed = list(enumerate_decompositions(host, pattern, typed=tally, **kw))
     kept = [dec for dec in untyped if _balanced(dec.parts, pattern.lab)]
     assert [dec.part_edges for dec in typed] == [dec.part_edges for dec in kept]
     assert tally.pruned == len(untyped) - len(kept)

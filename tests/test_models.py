@@ -4,16 +4,21 @@ import itertools
 import random
 
 from hlc.calculus import DerivationTree
-from hlc.canon import canonical_key
+from hlc.canon import canon_id, canonical_key
 from hlc.fixtures import build_sgr
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace_all, string_graph
-from hlc.hltypes import Division, Primitive, Product, Sequent
+from hlc.hltypes import Division, Primitive, Product, Sequent, dollar_edge
+from hlc.lambek import enumerate_lambek_corpus, translate_lsequent
+from hlc.matching import enumerate_decompositions
 from hlc.models import (
     NOT_ENUMERABLE,
     UNDECIDED,
     Valuation,
+    contains_decidable,
     denotation_contains,
     denotation_enumerate,
+    is_enumerable,
+    random_graphs,
     random_valuation,
     sequent_holds,
     sequent_primitives,
@@ -227,3 +232,90 @@ def test_enumeration_matches_brute_force_counts():
             for pick in itertools.product(graphs, repeat=k)
         }
         assert {canonical_key(g) for g in enumerated} == brute
+
+
+def reference_contains(w: Valuation, t, g) -> bool:
+    """Membership from the definitions, kept as the reference for the cached
+    denotation lookup in ``hlc.models``: a primitive by canonical key, a
+    product by nonminimal decompositions, a division by quantifying over the
+    denominator's other labels."""
+    if g.rank != t.rank:
+        return False
+    if isinstance(t, Primitive):
+        key = canonical_key(g)
+        return any(canonical_key(h) == key for h in w.graphs(t))
+    if isinstance(t, Product):
+        body = t.body
+        tried = set()  # parts up to isomorphism, as the enumerator may repeat them
+        for dec in enumerate_decompositions(g, body, nonminimal=True):
+            key = tuple(canon_id(dec.parts[m]) for m in sorted(body.edges))
+            if key in tried:
+                continue
+            tried.add(key)
+            if all(reference_contains(w, body.lab[m], dec.parts[m]) for m in body.edges):
+                return True
+        return False
+    d = t.denominator
+    hole = dollar_edge(d)
+    others = sorted(e for e in d.edges if e != hole)
+    pools = [denotation_enumerate(w, d.lab[e]) for e in others]
+    return all(
+        reference_contains(w, t.numerator, replace_all(d, {hole: g, **dict(zip(others, pick))}))
+        for pick in itertools.product(*pools)
+    )
+
+
+def reference_holds(w: Valuation, s: Sequent):
+    lhs = denotation_enumerate(w, Product(s.antecedent))
+    if lhs is NOT_ENUMERABLE or not contains_decidable(s.succedent):
+        return UNDECIDED
+    return all(reference_contains(w, s.succedent, g) for g in lhs)
+
+
+def _kind(t) -> str:
+    if isinstance(t, Product) and not is_enumerable(t):
+        return "product with a division in its body"
+    if isinstance(t, Division) and isinstance(t.numerator, Product) and is_enumerable(t.numerator):
+        return "division over an enumerable product"
+    return "other"
+
+
+def _substitution(rng: random.Random, w: Valuation, t: Product):
+    """A graph built like a member of ``t``: each body edge is replaced by a
+    graph the valuation assigns to its label, or else by a random graph."""
+    body = t.body
+    picks = {}
+    for e in body.edges:
+        lab = body.lab[e]
+        pool = w.graphs(lab) if isinstance(lab, Primitive) else ()
+        picks[e] = rng.choice(pool or random_graphs(rng, lab.rank, w.alphabet, count=1))
+    return replace_all(body, picks)
+
+
+def test_membership_matches_reference_on_lambek_corpus():
+    rng = random.Random(4)
+    corpus = list(enumerate_lambek_corpus())
+    verdicts: set[str] = set()
+    kinds: set[tuple[str, bool]] = set()
+    for ants, succ in rng.sample(corpus, 120):
+        s = translate_lsequent(ants, succ)
+        t = s.succedent
+        for _ in range(2):
+            w = random_valuation(rng, sequent_primitives(s), max_edges=1)
+            verdict = sequent_holds(w, s)
+            assert verdict is reference_holds(w, s), s
+            verdicts.add(repr(verdict))
+            if not contains_decidable(t):
+                continue
+            graphs = random_graphs(rng, t.rank, w.alphabet, count=2)
+            if isinstance(t, Product):
+                graphs.append(_substitution(rng, w, t))
+            lhs = denotation_enumerate(w, Product(s.antecedent))
+            graphs += [] if lhs is NOT_ENUMERABLE else list(lhs)
+            for g in graphs:
+                member = denotation_contains(w, t, g)
+                assert member is reference_contains(w, t, g), (s, g)
+                kinds.add((_kind(t), member))
+    assert verdicts == {"True", "False", "UNDECIDED"}
+    for kind in ("product with a division in its body", "division over an enumerable product"):
+        assert {(kind, True), (kind, False)} <= kinds, kinds
