@@ -16,19 +16,19 @@ the typed slot check of :mod:`hlc.matching`, which never builds one with an
 unbalanced premise; the stats count both as ``pruned``.  Division pivots are
 tried lazily in edge order, so the search stops at the first pivot that
 yields a derivation and never enumerates the contexts of later ones.
-Results are memoized on canonical sequent encodings and shared across calls
-on the same :class:`Prover`.
+Results are memoized by the canonical key of the normalized sequent
+(:meth:`hlc.hltypes.Sequent.canon_key`) and shared across calls on the same
+:class:`Prover`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import _label_id, canon_id, canonical_key, transport_edge
+from .canon import canonical_key, transport_edge
 from .graphs import handle, relabel_one, replace, replace_all, replace_with_maps
 from .hltypes import (
     Division,
-    HLType,
     Primitive,
     Product,
     Sequent,
@@ -88,16 +88,22 @@ class DerivationTree:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Caps on one ``derive`` call: nodes expanded, and backward-step depth.
+
+    ``max_depth=None`` means no depth cap, and none is needed for
+    termination: each backward step leaves every premise at least one
+    connective short of its conclusion (the assert in ``Prover._expand``),
+    normalization only removes connectives, and ``Prover._prove`` decides
+    all-primitive sequents before its budget check.  So a sequent checked at
+    depth ``d`` still has a connective, and ``d <= cc(goal) - 1``.
+    """
+
     max_nodes: int = DEFAULT_MAX_NODES
-    max_depth: int | None = None  # None: derived from the sequent
+    max_depth: int | None = None  # None: no depth cap
 
     def __post_init__(self):
         if self.max_nodes <= 0 or (self.max_depth is not None and self.max_depth <= 0):
             raise ValueError("budget components must be positive")
-
-
-def default_depth(s: Sequent) -> int:
-    return connective_count(s) + len(s.antecedent.edges) + 2
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,8 @@ def _wrap_trace(tree: DerivationTree, steps) -> DerivationTree:
 class Prover:
     """Backward proof search with a memo table shared across calls.
 
-    The memo is keyed by canonical encodings of normalized sequents and is
-    append-only; failure is recorded only when the subtree search was
+    The memo is keyed by ``Sequent.canon_key()`` of normalized sequents and
+    is append-only; failure is recorded only when the subtree search was
     exhaustive (no budget event occurred inside it).
     """
 
@@ -182,12 +188,11 @@ class Prover:
         if report is not None:
             raise ValueError(f"invalid sequent: {report}")
         budget = budget or SearchBudget()
-        max_depth = budget.max_depth if budget.max_depth is not None else default_depth(s)
         start_nodes, start_hits = self.nodes_expanded, self._budget_hits
         start_pruned = self._tally.pruned
         self._node_cap = self.nodes_expanded + budget.max_nodes
         if is_balanced(s):
-            tree = self._prove(s, 0, max_depth)
+            tree = self._prove(s, 0, budget.max_depth)
         else:
             tree = None
             self._tally.pruned += 1
@@ -203,18 +208,18 @@ class Prover:
             return BudgetExceeded(stats)
         return NotDerivable(stats)
 
-    def _prove(self, s: Sequent, depth: int, max_depth: int) -> DerivationTree | None:
+    def _prove(self, s: Sequent, depth: int, max_depth: int | None) -> DerivationTree | None:
         nseq, steps = normalize_trace(s)
         quick = self._primitive_answer(nseq)
         if quick is not None:
             return _wrap_trace(quick, steps) if quick else None
-        key = (canon_id(nseq.antecedent), _label_id(nseq.succedent))
+        key = nseq.canon_key()
         cached = self.memo.get(key)
         if cached is not None:
             if cached is False:
                 return None
             return _wrap_trace(cached, steps)
-        if depth > max_depth or self.nodes_expanded >= self._node_cap:
+        if (max_depth is not None and depth > max_depth) or self.nodes_expanded >= self._node_cap:
             self._budget_hits += 1
             return None
         self.nodes_expanded += 1
@@ -247,7 +252,7 @@ class Prover:
             return DerivationTree(nseq, AXIOM)
         return False
 
-    def _expand(self, nseq: Sequent, depth: int, max_depth: int) -> DerivationTree | None:
+    def _expand(self, nseq: Sequent, depth: int, max_depth: int | None) -> DerivationTree | None:
         """Try division elimination at each division pivot in edge order, then
         product introduction; return the first derivation.  The axiom never
         applies here: ``_prove`` has already decided every all-primitive
@@ -328,10 +333,6 @@ def derive(
     return (prover or Prover()).derive(s, budget)
 
 
-def _types_equal(a: HLType, b: HLType) -> bool:
-    return a.canon_key() == b.canon_key()
-
-
 def check_derivation(t: DerivationTree) -> str | None:
     """Re-verify a derivation tree against the rule schemata, by reassembly.
 
@@ -358,7 +359,7 @@ def check_derivation(t: DerivationTree) -> str | None:
             if not isinstance(lab, Product):
                 return "product elimination edge not labeled by a product"
             premise = t.premises[0]
-            if not _types_equal(premise.conclusion.succedent, succ):
+            if premise.conclusion.succedent != succ:
                 return "product elimination premise succedent mismatch"
             expected = replace(g, data.edge, lab.body)
             if canonical_key(premise.conclusion.antecedent) != canonical_key(expected):
@@ -369,7 +370,7 @@ def check_derivation(t: DerivationTree) -> str | None:
             if not isinstance(succ, Division):
                 return "division introduction with non-division succedent"
             premise = t.premises[0]
-            if not _types_equal(premise.conclusion.succedent, succ.numerator):
+            if premise.conclusion.succedent != succ.numerator:
                 return "division introduction premise succedent mismatch"
             d = succ.denominator
             expected = replace(d, dollar_edge(d), g)
@@ -388,15 +389,15 @@ def check_derivation(t: DerivationTree) -> str | None:
             if len(t.premises) != 1 + len(d_edges):
                 return "division elimination premise count mismatch"
             main = t.premises[0]
-            if not _types_equal(main.conclusion.succedent, succ):
+            if main.conclusion.succedent != succ:
                 return "division elimination main premise succedent mismatch"
             h = main.conclusion.antecedent
             if data.numerator_edge not in h.lab:
                 return "division elimination numerator edge missing"
-            if not _types_equal(h.lab[data.numerator_edge], lab.numerator):
+            if h.lab[data.numerator_edge] != lab.numerator:
                 return "division elimination numerator edge label mismatch"
             for de, premise in zip(data.part_order, t.premises[1:]):
-                if not _types_equal(premise.conclusion.succedent, d.lab[de]):
+                if premise.conclusion.succedent != d.lab[de]:
                     return "division elimination part premise succedent mismatch"
             composite, _, emap = replace_with_maps(h, data.numerator_edge, d)
             composite = relabel_one(composite, emap[hole], lab)
@@ -419,7 +420,7 @@ def check_derivation(t: DerivationTree) -> str | None:
             if len(t.premises) != len(body.edges):
                 return "product introduction premise count mismatch"
             for m, premise in zip(data.part_order, t.premises):
-                if not _types_equal(premise.conclusion.succedent, body.lab[m]):
+                if premise.conclusion.succedent != body.lab[m]:
                     return "product introduction premise succedent mismatch"
             composite = replace_all(
                 body,
@@ -461,7 +462,7 @@ def cut_compose(
     g = d2.conclusion.antecedent
     if e0 not in g.lab:
         raise KeyError(f"cut edge {e0} not in the second antecedent")
-    if not _types_equal(g.lab[e0], a):
+    if g.lab[e0] != a:
         raise ValueError("cut edge label must equal the first succedent")
     composed = Sequent(replace(g, e0, d1.conclusion.antecedent), d2.conclusion.succedent)
     if budget is None:

@@ -24,9 +24,11 @@ the key and both orders are those of the unpruned search.
 
 Edge labels contribute via their ``canon_key()`` method, so graphs labeled by
 types are canonicalized up to type equality.  Internally labels are numbered
-within each graph by the sorted order of their keys, which keeps the search
-on small integers without making the exported encoding depend on session
-history: the canonical tuple carries the sorted label table itself.
+within each graph by the sorted set of their keys, which keeps the search on
+small integers; the canonical tuple carries that sorted label table itself,
+so the key depends on the graph alone.  The canonical key is the one identity
+of a graph: nothing is interned, and the only cache is the one ``canon_data``
+keeps on the graph value.
 """
 
 from __future__ import annotations
@@ -34,47 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Hypergraph
-
-
-# Interning label keys lets the search run on small integers; the sorted
-# label tables are cached per key multiset since grammars reuse a handful of
-# types across millions of candidate graphs.
-_KEY_IDS: dict[object, int] = {}
-_KEYS_BY_ID: list[object] = []
-_TABLE_CACHE: dict[tuple[int, ...], tuple[tuple, dict[int, int]]] = {}
-
-
-def _intern(key: object) -> int:
-    kid = _KEY_IDS.get(key)
-    if kid is None:
-        kid = len(_KEYS_BY_ID)
-        _KEY_IDS[key] = kid
-        _KEYS_BY_ID.append(key)
-    return kid
-
-
-def _label_id(label: object) -> int:
-    """Interned id of a label's canon key, cached on the label object."""
-    kid = getattr(label, "_cid", None)
-    if kid is None:
-        kid = _intern(label.canon_key())
-        try:
-            object.__setattr__(label, "_cid", kid)
-        except (AttributeError, TypeError):
-            pass
-        return kid
-    return kid
-
-
-def _label_table(kids: list[int]) -> tuple[tuple, dict[int, int]]:
-    cache_key = tuple(sorted(set(kids)))
-    cached = _TABLE_CACHE.get(cache_key)
-    if cached is None:
-        table = tuple(sorted(_KEYS_BY_ID[kid] for kid in cache_key))
-        local = {_KEY_IDS[key]: i for i, key in enumerate(table)}
-        cached = (table, local)
-        _TABLE_CACHE[cache_key] = cached
-    return cached
 
 
 class _Prep:
@@ -86,9 +47,10 @@ class _Prep:
         self.nodes = g.nodes  # normalized sorted by construction
         self.edges = g.edges
         nidx = {v: i for i, v in enumerate(self.nodes)}
-        kids = [_label_id(g.lab[e]) for e in self.edges]
-        self.label_table, local = _label_table(kids)
-        self.elab = [local[kid] for kid in kids]
+        keys = [g.lab[e].canon_key() for e in self.edges]
+        self.label_table = tuple(sorted(set(keys)))
+        local = {key: i for i, key in enumerate(self.label_table)}
+        self.elab = [local[key] for key in keys]
         self.eatt = [tuple(nidx[v] for v in g.att[e]) for e in self.edges]
         self.n = len(self.nodes)
         inc: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
@@ -289,15 +251,6 @@ def canon_data(g: Hypergraph):
 def canonical_key(g: Hypergraph):
     """Hashable canonical encoding; equal iff isomorphic."""
     return canon_data(g)[0]
-
-
-def canon_id(g: Hypergraph) -> int:
-    """Interned canonical key: equal ints iff isomorphic (process-local)."""
-    cid = g.__dict__.get("_canon_id")
-    if cid is None:
-        cid = _intern(canonical_key(g))
-        object.__setattr__(g, "_canon_id", cid)
-    return cid
 
 
 def canonical_form(g: Hypergraph) -> bytes:

@@ -62,7 +62,7 @@ class HLType:
 class Primitive(HLType):
     """A named primitive type of fixed rank."""
 
-    __slots__ = ("name", "rank", "_key", "_cid", "_pc")
+    __slots__ = ("name", "rank", "_key", "_pc")
 
     def __init__(self, name: str, rank: int):
         self.name = name

@@ -3,7 +3,9 @@
 Types are built from primitives with left division, right division, and
 concatenation.  Derivability is decided by exhaustive backward search over the
 one axiom and six rules (antecedents stay nonempty throughout); every rule
-removes one connective, so the search is finite.
+removes one connective, so the search is finite.  Each call of
+:func:`lambek_derive` memoizes its subsequents in a dict of its own, so no
+state outlives the call.
 
 Under translation, a string primitive becomes a rank-2 primitive, both string
 divisions become the single graph division (the hole's position in the
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .graphs import dollar, string_graph
@@ -68,49 +69,57 @@ def lconnectives(t: LType) -> int:
     return 1 + lconnectives(t.left) + lconnectives(t.right)
 
 
-@lru_cache(maxsize=None)
-def _derive(antecedent: tuple[LType, ...], succedent: LType) -> bool:
+def _derive(antecedent: tuple[LType, ...], succedent: LType, memo: dict) -> bool:
+    key = (antecedent, succedent)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _search(antecedent, succedent, memo)
+    return found
+
+
+def _search(antecedent: tuple[LType, ...], succedent: LType, memo: dict) -> bool:
     if len(antecedent) == 1 and antecedent[0] == succedent:
         return True
     # Right rules.
     if isinstance(succedent, Under):
-        if _derive((succedent.left,) + antecedent, succedent.right):
+        if _derive((succedent.left,) + antecedent, succedent.right, memo):
             return True
     if isinstance(succedent, Over):
-        if _derive(antecedent + (succedent.right,), succedent.left):
+        if _derive(antecedent + (succedent.right,), succedent.left, memo):
             return True
     if isinstance(succedent, Dot):
         for cut in range(1, len(antecedent)):
-            if _derive(antecedent[:cut], succedent.left) and _derive(
-                antecedent[cut:], succedent.right
+            if _derive(antecedent[:cut], succedent.left, memo) and _derive(
+                antecedent[cut:], succedent.right, memo
             ):
                 return True
     # Left rules.
     for i, t in enumerate(antecedent):
         if isinstance(t, Dot):
-            if _derive(antecedent[:i] + (t.left, t.right) + antecedent[i + 1:], succedent):
+            if _derive(antecedent[:i] + (t.left, t.right) + antecedent[i + 1:], succedent, memo):
                 return True
         if isinstance(t, Under):
             # some nonempty block immediately to the left derives the argument
             for start in range(i):
-                if _derive(antecedent[start:i], t.left) and _derive(
-                    antecedent[:start] + (t.right,) + antecedent[i + 1:], succedent
+                if _derive(antecedent[start:i], t.left, memo) and _derive(
+                    antecedent[:start] + (t.right,) + antecedent[i + 1:], succedent, memo
                 ):
                     return True
         if isinstance(t, Over):
             for stop in range(i + 2, len(antecedent) + 1):
-                if _derive(antecedent[i + 1: stop], t.right) and _derive(
-                    antecedent[:i] + (t.left,) + antecedent[stop:], succedent
+                if _derive(antecedent[i + 1: stop], t.right, memo) and _derive(
+                    antecedent[:i] + (t.left,) + antecedent[stop:], succedent, memo
                 ):
                     return True
     return False
 
 
 def lambek_derive(antecedent: Sequence[LType], succedent: LType) -> bool:
-    """Exhaustive backward search; antecedents must be nonempty."""
+    """Exhaustive backward search, memoized per call; antecedents must be
+    nonempty."""
     if not antecedent:
         raise ValueError("antecedent must be nonempty")
-    return _derive(tuple(antecedent), succedent)
+    return _derive(tuple(antecedent), succedent, {})
 
 
 def translate_ltype(t: LType) -> HLType:

@@ -15,7 +15,7 @@ Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
 * ``t`` enumerable (division-free, primitives included): ``[[t]]`` is finite
   and :func:`denotation_enumerate` lists it exactly, up to isomorphism, by
   substituting members of the body labels' denotations into the body.  So
-  ``g`` belongs iff its canonical id is among the listed graphs' ids.  Each
+  ``g`` belongs iff its canonical key is among the listed graphs' keys.  Each
   such denotation is enumerated once per valuation and cached on it, keyed by
   the type's canonical key.  Membership is up to isomorphism throughout: a
   valuation's own graphs stand for their isomorphism classes.
@@ -33,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .canon import canon_id, canonical_key
+from .canon import canonical_key
 from .graphs import Hypergraph, RankedLabel, build_graph, replace_all, validate
 from .hltypes import Division, HLType, Primitive, Product, Sequent, dollar_edge
 from .matching import enumerate_decompositions
@@ -108,10 +108,10 @@ def contains_decidable(t: HLType) -> bool:
 
 
 def _dedupe(graphs) -> tuple[Hypergraph, ...]:
-    out: dict[int, Hypergraph] = {}
+    out: dict[object, Hypergraph] = {}
     for g in graphs:
-        out.setdefault(canon_id(g), g)
-    return tuple(sorted(out.values(), key=canonical_key))
+        out.setdefault(canonical_key(g), g)
+    return tuple(out[key] for key in sorted(out))
 
 
 def denotation_enumerate(w: Valuation, t: HLType):
@@ -129,15 +129,15 @@ def denotation_enumerate(w: Valuation, t: HLType):
     return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
 
 
-def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset[int]]:
-    """The denotation of enumerable ``t`` and its canonical ids, enumerated
+def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset]:
+    """The denotation of enumerable ``t`` and its canonical keys, enumerated
     once and cached on the valuation value by the type's canonical key."""
     cache = w.__dict__.setdefault("_denotations", {})
     key = t.canon_key()
     den = cache.get(key)
     if den is None:
         graphs = denotation_enumerate(w, t)
-        den = cache[key] = (graphs, frozenset(map(canon_id, graphs)))
+        den = cache[key] = (graphs, frozenset(map(canonical_key, graphs)))
     return den
 
 
@@ -152,7 +152,7 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
     if g.rank != t.rank:
         return False
     if is_enumerable(t):
-        return canon_id(g) in _denotation(w, t)[1]
+        return canonical_key(g) in _denotation(w, t)[1]
     if isinstance(t, Product):
         body = t.body
         # A division in the body leaves [[t]] possibly infinite, so decompose.

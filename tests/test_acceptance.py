@@ -88,8 +88,8 @@ def test_c04_witness_agreement():
     _verdict(4, "witness-agreement", failures == 0, f"50 graphs, {failures} failures")
 
 
-def test_c05_cut_admissibility():
-    report = run_cut(seed=0, pairs=100)
+def test_c05_cut_admissibility(corpus):
+    report = run_cut(corpus, seed=0, pairs=100)
     _verdict(
         5,
         "cut-admissibility",
@@ -136,8 +136,8 @@ def test_c06_reversibility(prover, corpus, bad_corpus):
     )
 
 
-def test_c07_soundness():
-    report = run_soundness(seed=0, valuations=50)
+def test_c07_soundness(corpus):
+    report = run_soundness(corpus, seed=0, valuations=50)
     _verdict(
         7,
         "model-soundness",

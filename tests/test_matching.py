@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from hlc.canon import canon_id, isomorphic
+from hlc.canon import canonical_key, isomorphic
 from hlc.graphs import (
     Hypergraph,
     build_graph,
@@ -99,7 +99,7 @@ def reassemble_extraction(div_type, extr):
 
 def decomposition_keys(host, pattern, **kw):
     return {
-        tuple(canon_id(dec.parts[m]) for m in sorted(pattern.edges))
+        tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges))
         for dec in enumerate_decompositions(host, pattern, **kw)
     }
 
@@ -153,7 +153,7 @@ def oracle_decomposition_keys(host, pattern, nonminimal=False):
             if any(validate(parts[m]) is not None for m in pat_edges):
                 continue
             if isomorphic(replace_all(pattern, parts), host) is not None:
-                keys.add(tuple(canon_id(parts[m]) for m in pat_edges))
+                keys.add(tuple(canonical_key(parts[m]) for m in pat_edges))
     return keys
 
 
@@ -161,7 +161,7 @@ def test_threeway_split_is_found():
     host = string_graph([Primitive(c, 2) for c in "pqrstu"])
     pattern = string_graph([Primitive(f"T{i}", 2) for i in (1, 2, 3)])
     wanted = tuple(
-        canon_id(string_graph([Primitive(a, 2), Primitive(b, 2)]))
+        canonical_key(string_graph([Primitive(a, 2), Primitive(b, 2)]))
         for a, b in (("p", "q"), ("r", "s"), ("t", "u"))
     )
     assert wanted in decomposition_keys(host, pattern)
@@ -170,7 +170,7 @@ def test_threeway_split_is_found():
 def test_identity_decomposition():
     host = string_graph([P, Q])
     decs = list(enumerate_decompositions(host, host))
-    identity = tuple(canon_id(handle(l)) for l in (P, Q))
+    identity = tuple(canonical_key(handle(l)) for l in (P, Q))
     assert identity in decomposition_keys(host, host)
     for dec in decs:
         assert isomorphic(reassemble_decomposition(host, dec), host) is not None
@@ -192,8 +192,8 @@ def test_context_extraction_on_chain():
     found = False
     for extr in enumerate_context_extractions(host, 3, div):
         assert isomorphic(reassemble_extraction(div, extr), host) is not None
-        parts = sorted(canon_id(extr.parts[de]) for de in extr.parts)
-        want = sorted((canon_id(string_graph([R, S])), canon_id(string_graph([T, U]))))
+        parts = sorted(canonical_key(extr.parts[de]) for de in extr.parts)
+        want = sorted((canonical_key(string_graph([R, S])), canonical_key(string_graph([T, U]))))
         if parts == want and isomorphic(extr.contracted, string_graph([P, Q])) is not None:
             found = True
     assert found
@@ -267,8 +267,8 @@ def test_nonminimal_decompositions_match_oracle():
 def extraction_keys(host, pivot, div_type, **kw):
     return {
         (
-            canon_id(extr.contracted),
-            tuple(canon_id(extr.parts[de]) for de in sorted(extr.parts)),
+            canonical_key(extr.contracted),
+            tuple(canonical_key(extr.parts[de]) for de in sorted(extr.parts)),
         )
         for extr in enumerate_context_extractions(host, pivot, div_type, **kw)
     }
@@ -349,7 +349,7 @@ def oracle_extraction_keys(host, pivot, div_type, nonminimal=False):
             composite = replace_all(composite, {emap[de]: parts[de] for de in d_edges})
             if isomorphic(composite, host) is not None:
                 keys.add(
-                    (canon_id(contracted), tuple(canon_id(parts[de]) for de in d_edges))
+                    (canonical_key(contracted), tuple(canonical_key(parts[de]) for de in d_edges))
                 )
     return keys
 
@@ -428,7 +428,7 @@ def _check_typed_decompositions(host, pattern, nonminimal):
     assert [dec.part_edges for dec in typed] == [dec.part_edges for dec in kept]
     assert tally.pruned == len(untyped) - len(kept)
     assert decomposition_keys(host, pattern, typed=Tally(), **kw) == {
-        tuple(canon_id(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
+        tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
     }
     return len(kept), tally.pruned
 
@@ -445,7 +445,7 @@ def _check_typed_extractions(host, pivot, div_type, nonminimal):
     assert [(x.phi, x.part_edges) for x in typed] == [(x.phi, x.part_edges) for x in kept]
     assert tally.pruned == len(untyped) - len(kept)
     assert extraction_keys(host, pivot, div_type, typed=Tally(), **kw) == {
-        (canon_id(x.contracted), tuple(canon_id(x.parts[de]) for de in sorted(x.parts)))
+        (canonical_key(x.contracted), tuple(canonical_key(x.parts[de]) for de in sorted(x.parts)))
         for x in kept
     }
     return len(kept), tally.pruned

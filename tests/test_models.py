@@ -4,7 +4,7 @@ import itertools
 import random
 
 from hlc.calculus import DerivationTree
-from hlc.canon import canon_id, canonical_key
+from hlc.canon import canonical_key
 from hlc.fixtures import build_sgr
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace_all, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent, dollar_edge
@@ -248,7 +248,7 @@ def reference_contains(w: Valuation, t, g) -> bool:
         body = t.body
         tried = set()  # parts up to isomorphism, as the enumerator may repeat them
         for dec in enumerate_decompositions(g, body, nonminimal=True):
-            key = tuple(canon_id(dec.parts[m]) for m in sorted(body.edges))
+            key = tuple(canonical_key(dec.parts[m]) for m in sorted(body.edges))
             if key in tried:
                 continue
             tried.add(key)
