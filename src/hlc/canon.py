@@ -8,19 +8,42 @@ over all discrete refinements is canonical, and the first leaf (in search
 order) that reaches it fixes the node and edge orders.  Only the *result* is
 contractual; the refinement heuristic is not.
 
-The search is pruned with automorphisms found at its leaves, in the manner of
-McKay & Piperno, *Practical graph isomorphism II* (2014).  When a leaf encodes
-like the first leaf or the best leaf so far, the map between the two leaf
-colorings is an automorphism; it is recorded, and when it maps the earlier
-leaf's path onto the current one the search returns to their common
-ancestor.  At each node only those target-cell vertices are tried whose orbit,
-under the recorded automorphisms that fix the node's path pointwise, holds no
-vertex tried there before.  Refinement and target choice commute with
-automorphisms, so every skipped subtree is the image of an already explored
-subtree under an automorphism fixing the path, and its leaves encode exactly
-like leaves seen earlier.  The best leaf is replaced only by a strictly
-smaller encoding, so the first leaf reaching the minimum is never skipped:
-the key and both orders are those of the unpruned search.
+Refinement ranks each vertex by its color and the sorted colors around it,
+cell by cell.  A vertex alone in its cell keeps its rank whatever its
+neighbourhood, so it is never signed; this is the rule of McKay & Piperno,
+*Practical graph isomorphism II* (2014), that singleton cells are never
+re-signed, and the ranks are those of signing every vertex.
+
+The search is pruned with automorphisms, in the manner of the same paper.
+When a leaf encodes like the first leaf or the best leaf so far, the map
+between the two leaf colorings is an automorphism; it is recorded, and when
+it maps the earlier leaf's path onto the current one the search returns to
+their common ancestor.  At each node only those target-cell vertices are
+tried whose orbit, under the recorded automorphisms that fix the node's path
+pointwise, holds no vertex tried there before.  Refinement and target choice
+commute with automorphisms, so every skipped subtree is the image of an
+already explored subtree under an automorphism fixing the path, and its
+leaves encode exactly like leaves seen earlier.  The best leaf is replaced
+only by a strictly smaller encoding, so the first leaf reaching the minimum
+is never skipped: the key and both orders are those of the unpruned search.
+
+Some automorphisms are known before any leaf: swaps of twins.  Two vertices
+are twins when their incidence multisets, the (label, attachment) of each
+incident edge, agree once each vertex's own index is replaced by a
+placeholder.  Twins v and w share no edge: one holding both would put w's
+index in v's multiset, and w's own multiset cannot hold it.  So the equal
+multisets pair each edge at v with an edge at w of the same label whose
+attachment differs only in putting w for v.  A non-singleton cell holds no
+external node, since the initial coloring gives each external node a color
+of its own.  Swapping two twins of one cell is thus an automorphism that
+fixes every other node, the path among them, and by the argument above the
+search tries only the first twin of each class in a target cell: stars and
+bundles of unary edges take one search path.  Isolated nodes are twins with
+an empty multiset, so an all-isolated cell takes one branch down to its last
+node; since no signature mentions an isolated node, individualizing one only
+gives it the next color, and that descent needs no refinement.  The search
+keeps its own stack, so its depth is not bounded by the interpreter's
+recursion limit.
 
 Edge labels contribute via their ``canon_key()`` method, so graphs labeled by
 types are canonicalized up to type equality.  Internally labels are numbered
@@ -34,6 +57,7 @@ keeps on the graph value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Hypergraph
 
@@ -64,25 +88,45 @@ class _Prep:
 
 
 def _refine(prep: _Prep, colors: list[int]) -> list[int]:
-    """1-dimensional refinement; color ranks come from sorted signature
-    values, never from identifiers, so the partition is renaming-invariant."""
+    """1-dimensional refinement to a stable coloring; returns color ranks.
+
+    A round ranks each vertex by its pair (color, local signature), where
+    the local signature is the sorted list of (label, position, colors of
+    the attachment) over its incidences.  Since the color comes first, the
+    round is computed cell by cell in color order: the vertices of one cell
+    get consecutive ranks in the order of their local signatures.  A vertex
+    alone in its cell cannot split, so it is never signed; its rank follows
+    from the cells before it.  Ranks come from sorted signature values, never
+    from identifiers, so the partition is renaming-invariant.
+    """
     eatt = prep.eatt
     inc = prep.inc
     n = prep.n
-    distinct = len(set(colors))
+    by_color: dict[int, list[int]] = {}
+    for vi, c in enumerate(colors):
+        by_color.setdefault(c, []).append(vi)
+    cells = [by_color[c] for c in sorted(by_color)]
     while True:
-        sigs = []
-        for vi in range(n):
-            local = [
-                (lab, pos, tuple(colors[u] for u in eatt[ei])) for lab, pos, ei in inc[vi]
-            ]
-            local.sort()
-            sigs.append((colors[vi], tuple(local)))
-        ranked = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranked[s] for s in sigs]
-        if len(ranked) == n or len(ranked) == distinct:
+        new = [0] * n
+        split: list[list[int]] = []
+        color = colors.__getitem__
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = len(split)
+                split.append(cell)
+                continue
+            pieces: dict[tuple, list[int]] = {}
+            for vi in cell:
+                local = [(lab, pos, tuple(map(color, eatt[ei]))) for lab, pos, ei in inc[vi]]
+                local.sort()
+                pieces.setdefault(tuple(local), []).append(vi)
+            for sig in sorted(pieces):
+                for vi in pieces[sig]:
+                    new[vi] = len(split)
+                split.append(pieces[sig])
+        if len(split) == n or len(split) == len(cells):
             return new  # discrete, or no cell split: stable
-        distinct = len(ranked)
+        cells = split
         colors = new
 
 
@@ -127,10 +171,26 @@ def _find(orbits: list[int], x: int) -> int:
 class _Search:
     """Individualization-refinement below a non-discrete root coloring."""
 
-    __slots__ = ("prep", "path", "gens", "first", "best")
+    __slots__ = ("prep", "twins", "path", "gens", "first", "best")
 
-    def __init__(self, prep: _Prep):
+    def __init__(self, prep: _Prep, colors: list[int]):
         self.prep = prep
+        # Each vertex's twin class (see the module docstring), named by its
+        # first vertex, with -1 as the placeholder.  Only vertices that share
+        # a root cell can meet in a target cell, so the root color is part
+        # of the class; isolated vertices never reach ``_branches``.
+        sizes = [0] * prep.n
+        for c in colors:
+            sizes[c] += 1
+        classes: dict[tuple, int] = {}
+        self.twins = list(range(prep.n))
+        for vi, c in enumerate(colors):
+            if sizes[c] > 1 and prep.inc[vi]:
+                incidences = sorted(
+                    (lab, tuple(-1 if u == vi else u for u in prep.eatt[ei]))
+                    for lab, _, ei in prep.inc[vi]
+                )
+                self.twins[vi] = classes.setdefault((c, *incidences), vi)
         self.path: list[int] = []  # vertices individualized above the current node
         # Pairs of leaf colorings with equal encodings.  Each pair is the
         # automorphism taking a vertex of the first coloring to the vertex of
@@ -139,29 +199,76 @@ class _Search:
         self.first = None  # (enc, colors, edge_order, path) of the first leaf
         self.best = None  # the same for the least encoding so far
 
-    def node(self, colors: list[int], target: list[int]) -> int | None:
-        """Search below ``colors``; a depth to jump back to, or None."""
+    def run(self, colors: list[int]) -> None:
+        """Search the tree below the root coloring depth first.
+
+        The stack holds one (coloring, branches, depth) frame per node that
+        branches; ``path`` holds ``depth`` vertices while a frame chooses its
+        next branch.  A leaf's jump-back depth unwinds every frame below it.
+        """
         prep = self.prep
         path = self.path
-        depth = len(path)
-        if all(not prep.inc[vi] for vi in target):
-            # Nodes in an all-isolated cell are interchangeable: one branch
-            # suffices, down to the cell's last node.  Individualizing an
-            # isolated node only gives it the next color, since no other
-            # signature mentions it, so that branch needs no refinement.
-            child = list(colors)
-            for fresh, vi in enumerate(target[:-1], max(colors) + 1):
-                child[vi] = fresh
-            path.extend(target[:-1])
-            cell = _target_cell(child)
-            jump = self.leaf(child) if cell is None else self.node(child, cell)
+        stack: list[tuple[list[int], Iterator[int], int]] = []
+        self._enter(colors, stack)
+        while stack:
+            colors, branches, depth = stack[-1]
             del path[depth:]
-            return jump
+            vi = next(branches, None)
+            if vi is None:
+                stack.pop()
+                continue
+            trial = list(colors)
+            trial[vi] = prep.n
+            path.append(vi)
+            jump = self._enter(_refine(prep, trial), stack)
+            if jump is not None:
+                while stack[-1][2] > jump:
+                    stack.pop()
+
+    def _enter(self, colors: list[int], stack: list) -> int | None:
+        """Enter the node at ``colors``: push its frame, or evaluate its leaf
+        and return the leaf's jump-back depth.
+
+        An all-isolated target cell is passed through without a frame: its
+        vertices are twins, so one branch suffices, down to the cell's last
+        vertex; and individualizing an isolated vertex only gives it the
+        next color, since no signature mentions it, so it needs no
+        refinement.
+        """
+        path = self.path
+        inc = self.prep.inc
+        cell = _target_cell(colors)
+        while cell is not None and not any(inc[vi] for vi in cell):
+            colors = list(colors)
+            for fresh, vi in enumerate(cell[:-1], max(colors) + 1):
+                colors[vi] = fresh
+            path.extend(cell[:-1])
+            cell = _target_cell(colors)
+        if cell is None:
+            return self.leaf(colors)
+        stack.append((colors, self._branches(cell), len(path)))
+        return None
+
+    def _branches(self, target: list[int]) -> Iterator[int]:
+        """The vertices of ``target`` to individualize at the current node.
+
+        Only the first vertex of each twin class in ``target`` is a
+        candidate, and a candidate is skipped when its orbit, under the
+        recorded automorphisms that fix ``path`` pointwise, holds a vertex
+        tried here before.  Each resumption sees the gens recorded so far.
+        """
+        prep = self.prep
+        twins = self.twins
+        path = self.path
         gens = self.gens
+        classes: set[int] = set()
         orbits = None  # union-find under the automorphisms that fix ``path``
         seen = 0
         tried: list[int] = []
         for vi in target:
+            if twins[vi] in classes:
+                continue
+            classes.add(twins[vi])
             if tried and seen < len(gens):
                 for src, dst in gens[seen:]:
                     if all(src[u] == dst[u] for u in path):
@@ -180,16 +287,7 @@ class _Search:
                 if any(_find(orbits, w) == root for w in tried):
                     continue
             tried.append(vi)
-            trial = list(colors)
-            trial[vi] = prep.n
-            child = _refine(prep, trial)
-            path.append(vi)
-            cell = _target_cell(child)
-            jump = self.leaf(child) if cell is None else self.node(child, cell)
-            path.pop()
-            if jump is not None and jump < depth:
-                return jump
-        return None
+            yield vi
 
     def leaf(self, colors: list[int]) -> int | None:
         enc, edge_order = _encode(self.prep, colors)
@@ -237,8 +335,8 @@ def canon_data(g: Hypergraph):
         if target is None:
             enc, edge_order = _encode(prep, colors)
         else:
-            search = _Search(prep)
-            search.node(colors, target)
+            search = _Search(prep, colors)
+            search.run(colors)
             enc, colors, edge_order, _ = search.best
         key = ("H", *enc, prep.label_table)
         node_order = {v: colors[i] for i, v in enumerate(prep.nodes)}

@@ -96,9 +96,10 @@ def _subgraph(
 
 
 def _injective_maps(
-    host: Hypergraph, fixed: dict[int, int], dom: list[int]
+    host: Hypergraph, fixed: dict[int, int], dom: list[int], forbidden: dict[int, frozenset[int]]
 ) -> Iterator[dict[int, int]]:
-    """All injective extensions of ``fixed`` over ``dom`` into host nodes."""
+    """All injective extensions of ``fixed`` over ``dom`` into host nodes, in
+    which no node outside ``fixed`` takes one of its ``forbidden`` images."""
     if len(set(fixed.values())) != len(fixed):
         return
     remaining = [v for v in dom if v not in fixed]
@@ -109,8 +110,9 @@ def _injective_maps(
             yield dict(current)
             return
         v = remaining[i]
+        banned = forbidden.get(v, ())
         for target in host.nodes:
-            if target in used:
+            if target in used or target in banned:
                 continue
             used.add(target)
             current[v] = target
@@ -270,10 +272,9 @@ def _instances(
     if typed is not None:
         targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
     cluster_counts: dict = {}
-    for phi in _injective_maps(host, fixed, sorted(pattern.nodes)):
+    forbidden = {v: host_ext for v in consumed_dom}
+    for phi in _injective_maps(host, fixed, sorted(pattern.nodes), forbidden):
         consumed_img = {phi[v] for v in consumed_dom}
-        if not host_ext.isdisjoint(consumed_img):
-            continue
         image = set(phi.values())
         lonely = [v for v in isolated if v not in image]
         if lonely and not nonminimal:

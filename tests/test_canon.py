@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hlc.canon
 from hlc.canon import (
     IsoWitness,
     _encode,
     _Prep,
-    _refine,
     canon_data,
     canonical_form,
     canonical_key,
@@ -152,9 +153,32 @@ def test_canonical_key_distinguishes_parallel_edge_counts():
     assert canonical_key(one) != canonical_key(two)
 
 
+def _reference_refine(prep, colors):
+    """Refinement that signs every vertex in every round, kept apart from
+    ``canon._refine`` so the reference does not follow changes to it."""
+    eatt = prep.eatt
+    inc = prep.inc
+    n = prep.n
+    distinct = len(set(colors))
+    while True:
+        sigs = []
+        for vi in range(n):
+            local = [
+                (lab, pos, tuple(colors[u] for u in eatt[ei])) for lab, pos, ei in inc[vi]
+            ]
+            local.sort()
+            sigs.append((colors[vi], tuple(local)))
+        ranked = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranked[s] for s in sigs]
+        if len(ranked) == n or len(ranked) == distinct:
+            return new
+        distinct = len(ranked)
+        colors = new
+
+
 def _reference_search(prep, colors):
     """The unpruned search: every vertex of each target cell is tried."""
-    colors = _refine(prep, colors)
+    colors = _reference_refine(prep, colors)
     cells: dict[int, list[int]] = {}
     for vi, c in enumerate(colors):
         cells.setdefault(c, []).append(vi)
@@ -229,6 +253,30 @@ def symmetric_families(k: int) -> list[tuple[str, Hypergraph, Hypergraph]]:
     ]
 
 
+def twin_families(k: int) -> list[Hypergraph]:
+    """Graphs whose cells hold twins: stars and unary bundles with external
+    nodes, leaves on parallel edges, and cells that mix twins with vertices
+    that are not their twins."""
+    star = [(A, (0, i)) for i in range(1, k + 1)]
+    unary = [(U, (i,)) for i in range(k)]
+    two_stars = star + [(A, (k + 1, i)) for i in range(k + 2, 2 * k + 2)]
+    petals = [(A, (i, (i + 1) % 3)) for i in range(3)]  # k - 1 leaves on each cycle node
+    petals += [(B, (i, 3 + (k - 1) * i + j)) for i in range(3) for j in range(k - 1)]
+    return [
+        build_graph(range(k + 1), star, (0,)),
+        build_graph(range(k + 1), star, (1,)),
+        build_graph(range(k + 1), star, (1, 0)),
+        build_graph(range(k), unary, (0,)),
+        build_graph(range(k + 1), unary, (k,)),
+        build_graph(range(k + 1), star + star),
+        build_graph(range(k + 1), star + [(U, (1,))]),
+        build_graph(range(2 * k + 2), two_stars),
+        build_graph(range(2 * k + 2), two_stars + [(U, (k + 2,))]),
+        build_graph(range(3 * k), petals),
+        build_graph(range(k + 2), [(A, (i, j)) for i in range(2) for j in range(2, k + 2)]),
+    ]
+
+
 @st.composite
 def small_graphs(draw) -> Hypergraph:
     """Up to 7 nodes, labels of rank 1-3, parallel edges, isolated nodes,
@@ -274,6 +322,10 @@ def test_symmetric_families_equal_unpruned_reference():
         for g in cycle_unions(n):
             for graph in (g, permute(g, rng), permute(g, rng)):
                 assert canon_data(graph) == reference_canon_data(graph)
+    for k in range(2, 5):
+        for g in twin_families(k):
+            for graph in (g, permute(g, rng), permute(g, rng)):
+                assert canon_data(graph) == reference_canon_data(graph)
 
 
 @pytest.mark.parametrize("name", ["disjoint", "star", "unary", "flowerbed"])
@@ -283,6 +335,36 @@ def test_large_symmetric_graphs(name):
     w = isomorphic(g, h)
     assert w is not None and witness_valid(g, h, w)
     assert isomorphic(g, near) is None
+    node_order, edge_order = canonical_ordering(g)
+    assert sorted(node_order.values()) == list(range(len(g.nodes)))
+    assert sorted(edge_order.values()) == list(range(len(g.edges)))
+
+
+@pytest.mark.parametrize("k", [10, 20, 40])
+def test_twins_take_one_search_path(k, monkeypatch):
+    """A k-leaf star and k unary edges refine once at the root and once per
+    individualized twin, k - 1 of them, on a single search path."""
+    calls = []
+    refine = hlc.canon._refine
+
+    def counted(prep, colors):
+        calls.append(None)
+        return refine(prep, colors)
+
+    monkeypatch.setattr(hlc.canon, "_refine", counted)
+    for name in ("star", "unary"):
+        [(_, g, _)] = [family for family in symmetric_families(k) if family[0] == name]
+        calls.clear()
+        canon_data(g)
+        assert len(calls) == k, name
+
+
+def test_star_wider_than_recursion_limit():
+    k = sys.getrecursionlimit() + 100
+    g = build_graph(range(k + 1), [(A, (0, i)) for i in range(1, k + 1)])
+    h = permute(g, random.Random(k))
+    w = isomorphic(g, h)
+    assert w is not None and witness_valid(g, h, w)
     node_order, edge_order = canonical_ordering(g)
     assert sorted(node_order.values()) == list(range(len(g.nodes)))
     assert sorted(edge_order.values()) == list(range(len(g.edges)))
