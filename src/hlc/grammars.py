@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .calculus import (
     BudgetExceeded,
@@ -134,6 +135,39 @@ class NotMember:
     stats: SearchStats
 
 
+def _relabelings(
+    edges: list[int], candidates: list[list[tuple[HLType, Counts]]], target: dict
+) -> Iterator[dict[int, HLType] | None]:
+    """Every relabeling of ``edges`` by their ``candidates``, in
+    ``itertools.product`` order, or ``None`` for one whose primitive counts
+    differ from ``target``.  The running count sum keeps the balance check
+    O(1) per relabeling."""
+    n = len(edges)
+    if not n:
+        yield {} if not target else None
+        return
+    chosen: dict[int, HLType] = {}
+    counts: dict = {}
+    pick = [-1] * n  # pick[i]: the candidate of edges[i] on the current path
+    i = 0
+    while i >= 0:
+        options = candidates[i]
+        if pick[i] >= 0:
+            add_counts(counts, options[pick[i]][1], -1)
+        pick[i] += 1
+        if pick[i] == len(options):
+            pick[i] = -1
+            i -= 1
+            continue
+        t, tc = options[pick[i]]
+        chosen[edges[i]] = t
+        add_counts(counts, tc)
+        if i + 1 < n:
+            i += 1
+        else:
+            yield dict(chosen) if counts == target else None
+
+
 def hl_member(
     g: HLGrammar,
     graph: Hypergraph,
@@ -171,28 +205,13 @@ def hl_member(
         rng.shuffle(options)
         candidates.append([(t, primitive_counts(t)) for t in options])
     target = dict(primitive_counts(g.distinguished))
-    chosen: dict[int, HLType] = {}
-    counts: dict = {}
     pruned = 0
-
-    def assignments(i: int):
-        # The running count sum keeps the balance check O(1) per relabeling.
-        nonlocal pruned
-        if i == len(edges):
-            if counts == target:
-                yield dict(chosen)
-            else:
-                pruned += 1
-            return
-        for t, tc in candidates[i]:
-            chosen[edges[i]] = t
-            add_counts(counts, tc)
-            yield from assignments(i + 1)
-            add_counts(counts, tc, -1)
-
     total_nodes = 0
     budget_hits = 0
-    for assignment in assignments(0):
+    for assignment in _relabelings(edges, candidates, target):
+        if assignment is None:
+            pruned += 1
+            continue
         seq = Sequent(relabel(graph, assignment), g.distinguished)
         result = prover.derive(seq, budget)
         if isinstance(result, DerivationTree):

@@ -62,13 +62,14 @@ class HLType:
 class Primitive(HLType):
     """A named primitive type of fixed rank."""
 
-    __slots__ = ("name", "rank", "_key", "_pc")
+    __slots__ = ("name", "rank", "_key", "_pc", "_report")
 
     def __init__(self, name: str, rank: int):
         self.name = name
         self.rank = rank
         self._key = ("p", name, rank)
         self._pc = None
+        self._report = False  # validate_type's verdict, once known
 
     def canon_key(self):
         return self._key
@@ -86,6 +87,7 @@ class Division(HLType):
         self._key = None
         self._cc = None
         self._pc = None
+        self._report = False
 
     @property
     def rank(self) -> int:
@@ -108,6 +110,7 @@ class Product(HLType):
         self._key = None
         self._cc = None
         self._pc = None
+        self._report = False
 
     @property
     def rank(self) -> int:
@@ -131,7 +134,17 @@ def dollar_edge(d: Hypergraph) -> int:
 
 
 def validate_type(t: object) -> str | None:
-    """Check a type tree recursively; None or the first violation."""
+    """Check a type tree recursively; None or the first violation.  The
+    verdict is cached on the type value, so a subtree is checked once."""
+    if not isinstance(t, HLType):
+        return f"not a type: {t!r}"
+    report = t._report
+    if report is False:
+        report = t._report = _type_report(t)
+    return report
+
+
+def _type_report(t: HLType) -> str | None:
     if isinstance(t, Primitive):
         if t.rank < 0:
             return "negative primitive rank"

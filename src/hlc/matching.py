@@ -31,9 +31,39 @@ cluster with a host external node inside cannot join a part.  By default
 parts take the minimal node set (nodes incident to their edges plus their
 external nodes): an isolated host node outside the image stays outside a
 division context and rules out a decomposition.  Behind the ``nonminimal``
-flag such a node may instead join any part as an extra interior node.  For
-each embedding the clusters are found by walking from edge to edge across
-non-image nodes, over the incidences cached on the host.
+flag such a node may instead join any part as an extra interior node.
+
+**Incremental clusters.**  The embeddings are searched depth first: the free
+pattern nodes (those the external nodes or the hole do not fix) are placed in
+node order, each on the host nodes in order, so the instances come in a fixed
+order, on which the prover relies, since it stops at its first derivation.
+Each partial map keeps the cluster partition of its image.  At the root the
+clusters are found by walking from edge to edge across non-image nodes, over
+the incidences cached on the host.  Placing the next node on host node ``t``
+changes only the cluster whose interior holds ``t``: had ``t`` touched another
+cluster's edge, it would lie in that cluster's interior too.  So only that
+cluster is walked again and replaced by its pieces, and a ``t`` in no
+interior (an isolated node, or one that only the pivot touches) changes
+nothing.  A cluster's slots depend only on the preimages of the image nodes
+it touches, which later placements keep, so its slot list, and its count sum
+when typed, are computed once, when the cluster is made.  At a leaf the
+clusters are sorted by their smallest edge, the order of a walk started in
+edge order.
+
+**Cut rule.**  An embedding yields nothing when one of its clusters has no
+slot, or, in a minimal decomposition, when an isolated host node lies
+outside its image.  Call each such cluster or node of a partial map a need.
+A slotless cluster stays a slotless cluster until a later node lands in its
+interior, and an isolated node stays outside the image until a later node
+lands on it.  Interiors are disjoint and hold no isolated node, so each later
+node meets at most one need, wherever it lands.  A partial map with more
+needs than nodes left to place therefore has no leaf that yields, and is
+cut.  When the two are equal, the next node is tried only inside a slotless
+cluster or on a needy isolated node: anywhere else it leaves every need in
+place (splitting a cluster with slots can only add slotless pieces) with one
+node fewer to meet them.  The embeddings skipped are exactly those that would
+reach no slot assignment, so neither the instances, their order nor the
+typed tally change.
 
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
@@ -53,7 +83,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Hypergraph
 from .hltypes import Division, add_counts, dollar_edge, primitive_counts
@@ -93,71 +123,6 @@ def _subgraph(
         lab={e: host.lab[e] for e in edges},
         ext=ext,
     )
-
-
-def _injective_maps(
-    host: Hypergraph, fixed: dict[int, int], dom: list[int], forbidden: dict[int, frozenset[int]]
-) -> Iterator[dict[int, int]]:
-    """All injective extensions of ``fixed`` over ``dom`` into host nodes, in
-    which no node outside ``fixed`` takes one of its ``forbidden`` images."""
-    if len(set(fixed.values())) != len(fixed):
-        return
-    remaining = [v for v in dom if v not in fixed]
-    used = set(fixed.values())
-
-    def rec(i: int, current: dict[int, int]) -> Iterator[dict[int, int]]:
-        if i == len(remaining):
-            yield dict(current)
-            return
-        v = remaining[i]
-        banned = forbidden.get(v, ())
-        for target in host.nodes:
-            if target in used or target in banned:
-                continue
-            used.add(target)
-            current[v] = target
-            yield from rec(i + 1, current)
-            del current[v]
-            used.discard(target)
-
-    yield from rec(0, dict(fixed))
-
-
-@dataclass
-class _Cluster:
-    edges: frozenset[int]
-    image_hits: frozenset[int]  # incident host nodes inside the embedding image
-    interior: frozenset[int]  # incident host nodes outside the image
-
-
-def _clusters(host: Hypergraph, image: set[int], pivot: int | None = None) -> Iterator[_Cluster]:
-    """Group the host's edges, except ``pivot``, by shared non-image nodes.
-
-    Each cluster is one walk from an unvisited edge across the non-image
-    nodes, over the incidences cached on the host; starting the walks in
-    edge order yields the clusters ordered by their smallest edge, and a
-    caller that stops early leaves the rest of the host unwalked.
-    """
-    att, incidences = host.att, host._incidence_map()
-    seen = {pivot}
-    for start in host.edges:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, edges, hits, interior = [start], [], set(), set()
-        while stack:
-            e = stack.pop()
-            edges.append(e)
-            for v in att[e]:
-                if v in image:
-                    hits.add(v)
-                elif v not in interior:
-                    interior.add(v)
-                    for f, _ in incidences[v]:
-                        if f not in seen:
-                            seen.add(f)
-                            stack.append(f)
-        yield _Cluster(frozenset(edges), frozenset(hits), frozenset(interior))
 
 
 @dataclass
@@ -238,6 +203,131 @@ def _choices(
             yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
 
 
+class _Cluster(NamedTuple):
+    """Host edges tied together by shared nodes outside the image.
+
+    Clusters are edge-disjoint, so they compare by their smallest edge alone,
+    and a sorted list of them is in the order of their smallest edges.
+    """
+
+    first: int  # the smallest edge
+    edges: frozenset[int]
+    interior: set[int]  # incident host nodes outside the image
+    slots: list  # the pattern edges that may take the cluster; None: outside
+    weight: tuple | None  # summed primitive counts, with a ``typed`` tally
+
+
+class _Search:
+    """The embedding search of one ``_instances`` call (see the module
+    docstring): depth first over the free pattern nodes, with the clusters of
+    each partial map on its frame."""
+
+    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, typed):
+        self.host = host
+        self.pivot = pivot
+        self.fixed = fixed
+        self.host_ext = frozenset(host.ext)
+        self.slot_att = [(m, frozenset(pattern.att[m])) for m in slot_order]
+        # Around a pivot, a cluster touching no consumed node may stay outside.
+        self.consumed = frozenset(consumed_dom) if pivot is not None else None
+        self.banned = {v: self.host_ext for v in consumed_dom}
+        self.needy = needy  # host nodes that must end up in the image
+        self.known = {} if typed is not None else None
+        self.free = [v for v in sorted(pattern.nodes) if v not in fixed]
+        self.placed: list[int] = []  # the host node of each free node placed
+        self.preimage = {t: v for v, t in fixed.items()}  # over the image so far
+
+    def run(self) -> Iterator[tuple[dict[int, int], list[_Cluster]]]:
+        """Yield ``(phi, clusters)`` for every injective extension of the
+        fixed map that no cluster and no needy node rules out, in the order of
+        the free nodes and, for each, of the host nodes; the clusters are
+        sorted."""
+        preimage, placed, free = self.preimage, self.placed, self.free
+        clusters = self.split(self.host.edges)
+        stack: list[tuple[list[_Cluster], Iterator[int]]] = []
+        if self._enter(clusters, stack):
+            yield dict(self.fixed), sorted(clusters)
+        while stack:
+            clusters, branches = stack[-1]
+            depth = len(stack) - 1
+            while len(placed) > depth:
+                del preimage[placed.pop()]
+            t = next(branches, None)
+            if t is None:
+                stack.pop()
+                continue
+            preimage[t] = free[depth]
+            placed.append(t)
+            # Only the cluster whose interior holds t changes, into its pieces.
+            c = next((c for c in clusters if t in c.interior), None)
+            if c is not None:
+                clusters = [x for x in clusters if x is not c] + self.split(c.edges)
+            if self._enter(clusters, stack):
+                phi = dict(self.fixed)
+                phi.update(zip(free, placed))
+                yield phi, sorted(clusters)
+
+    def _enter(self, clusters: list[_Cluster], stack: list) -> bool:
+        """Cut the partial map with these clusters, push its frame, or report
+        that it is a leaf to yield.  Each later node meets at most one need,
+        so more needs than nodes left cut, and as many restrict the next node
+        to the interiors of slotless clusters and the needy nodes."""
+        preimage = self.preimage
+        slotless = [c for c in clusters if not c.slots]
+        lonely = self.needy - preimage.keys()
+        needs = len(slotless) + len(lonely)
+        left = len(self.free) - len(self.placed)
+        if needs > left:
+            return False
+        if not left:
+            return True
+        banned = self.banned.get(self.free[len(self.placed)], ())
+        nodes = self.host.nodes
+        if needs == left:
+            allowed = lonely.union(*(c.interior for c in slotless))
+            nodes = [t for t in nodes if t in allowed]
+        stack.append((clusters, iter([t for t in nodes if t not in preimage and t not in banned])))
+        return False
+
+    def split(self, edges) -> list[_Cluster]:
+        """The clusters that ``edges``, a union of clusters, fall into under
+        the current image.
+
+        Each is one walk from its smallest edge across non-image nodes, over
+        the incidences cached on the host, so its edges and interior come in
+        the same order whichever splits came before.  Its slots and weight are
+        found here, once (see the module docstring).
+        """
+        host, preimage = self.host, self.preimage
+        att, incidences = host.att, host._incidence_map()
+        seen = {self.pivot}
+        out = []
+        for start in sorted(edges):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, found, hits, interior = [start], [], set(), set()
+            while stack:
+                e = stack.pop()
+                found.append(e)
+                for v in att[e]:
+                    if v in preimage:
+                        hits.add(preimage[v])
+                    elif v not in interior:
+                        interior.add(v)
+                        for f, _ in incidences[v]:
+                            if f not in seen:
+                                seen.add(f)
+                                stack.append(f)
+            slots: list[int | None] = []
+            if self.host_ext.isdisjoint(interior):
+                slots = [m for m, att_m in self.slot_att if hits <= att_m]
+            if self.consumed is not None and self.consumed.isdisjoint(hits):
+                slots.append(None)
+            edge_set = frozenset(found)
+            weight = None if self.known is None else _edge_counts(host, edge_set, self.known)
+            out.append(_Cluster(start, edge_set, interior, slots, weight))
+        return out
 
 
 def _instances(
@@ -264,65 +354,52 @@ def _instances(
     host_ext = frozenset(host.ext)
     if any(fixed.get(v) in host_ext for v in consumed_dom):
         return
+    if len(set(fixed.values())) != len(fixed):
+        return
     incidences = host._incidence_map()
     isolated = [v for v in host.nodes if v not in incidences and v not in host_ext]
+    # In a minimal decomposition every isolated node must be an image, since
+    # no part may take it, yet every node is in one.
+    needy = frozenset(isolated) if pivot is None and not nonminimal else frozenset()
     lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
     edge_ids = sorted(slot_order)
     targets = None
     if typed is not None:
         targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
-    cluster_counts: dict = {}
-    forbidden = {v: host_ext for v in consumed_dom}
-    for phi in _injective_maps(host, fixed, sorted(pattern.nodes), forbidden):
+    search = _Search(host, pattern, slot_order, fixed, pivot, consumed_dom, needy, typed)
+    for phi, clusters in search.run():
         consumed_img = {phi[v] for v in consumed_dom}
-        image = set(phi.values())
-        lonely = [v for v in isolated if v not in image]
-        if lonely and not nonminimal:
-            if pivot is None:
-                continue  # no part may take the node, yet every node is in one
-            lonely = []  # the nodes stay outside the region
-        att_sets = {m: {phi[u] for u in pattern.att[m]} for m in slot_order}
-        clusters: list[_Cluster] = []
-        slot_lists: list[list[int | None]] = []
-        for c in _clusters(host, image, pivot):
-            slots: list[int | None] = []
-            if host_ext.isdisjoint(c.interior):
-                slots = [m for m in slot_order if c.image_hits <= att_sets[m]]
-            if pivot is not None and c.image_hits.isdisjoint(consumed_img):
-                slots.append(None)  # the cluster may stay outside the region
-            if not slots:
-                break
-            clusters.append(c)
-            slot_lists.append(slots)
-        else:  # every cluster has a slot
-            slot_lists += [lonely_slots] * len(lonely)
-            weights = None
-            if typed is not None:
-                weights = [_edge_counts(host, c.edges, cluster_counts) for c in clusters]
-                weights += [()] * len(lonely)
-            for choice in _choices(slot_lists, weights, targets, typed):
-                part_edges: dict[int, set[int]] = {m: set() for m in edge_ids}
-                extra_nodes: dict[int, set[int]] = {m: set() for m in edge_ids}
-                outside: set[int] = set()
-                consumed = set(consumed_img)
-                for c, m in zip(clusters, choice):
-                    if m is None:
-                        outside.update(c.edges)
-                    else:
-                        part_edges[m].update(c.edges)
-                        consumed.update(c.interior)
-                for v, m in zip(lonely, choice[len(clusters):]):
-                    if m is not None:
-                        extra_nodes[m].add(v)
-                        consumed.add(v)
-                frozen = {m: frozenset(part_edges[m]) for m in edge_ids}
-                parts = {
-                    m: _subgraph(
-                        host, frozen[m], tuple(phi[u] for u in pattern.att[m]), extra_nodes[m]
-                    )
-                    for m in edge_ids
-                }
-                yield phi, parts, frozen, outside, consumed
+        lonely = []  # isolated nodes outside the image, which a part may take
+        if nonminimal:
+            image = set(phi.values())
+            lonely = [v for v in isolated if v not in image]
+        slot_lists = [c.slots for c in clusters] + [lonely_slots] * len(lonely)
+        weights = None
+        if typed is not None:
+            weights = [c.weight for c in clusters] + [()] * len(lonely)
+        for choice in _choices(slot_lists, weights, targets, typed):
+            part_edges: dict[int, set[int]] = {m: set() for m in edge_ids}
+            extra_nodes: dict[int, set[int]] = {m: set() for m in edge_ids}
+            outside: set[int] = set()
+            consumed = set(consumed_img)
+            for c, m in zip(clusters, choice):
+                if m is None:
+                    outside.update(c.edges)
+                else:
+                    part_edges[m].update(c.edges)
+                    consumed.update(c.interior)
+            for v, m in zip(lonely, choice[len(clusters):]):
+                if m is not None:
+                    extra_nodes[m].add(v)
+                    consumed.add(v)
+            frozen = {m: frozenset(part_edges[m]) for m in edge_ids}
+            parts = {
+                m: _subgraph(
+                    host, frozen[m], tuple(phi[u] for u in pattern.att[m]), extra_nodes[m]
+                )
+                for m in edge_ids
+            }
+            yield phi, parts, frozen, outside, consumed
 
 
 def enumerate_decompositions(

@@ -227,22 +227,15 @@ def random_valuation(
 def sequent_primitives(s: Sequent) -> list[Primitive]:
     """All primitive types occurring anywhere in a sequent, deduplicated."""
     seen: dict[object, Primitive] = {}
-
-    def visit_type(t: HLType) -> None:
-        if isinstance(t, Primitive):
-            seen.setdefault(t.canon_key(), t)
-        elif isinstance(t, Division):
-            visit_type(t.numerator)
-            visit_graph(t.denominator)
-        elif isinstance(t, Product):
-            visit_graph(t.body)
-
-    def visit_graph(g: Hypergraph) -> None:
-        for e in g.edges:
-            lab = g.lab[e]
-            if isinstance(lab, HLType):
-                visit_type(lab)
-
-    visit_graph(s.antecedent)
-    visit_type(s.succedent)
+    stack: list[object] = [s.succedent, s.antecedent]  # popped last to first
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Hypergraph):
+            stack += [x.lab[e] for e in reversed(x.edges) if isinstance(x.lab[e], HLType)]
+        elif isinstance(x, Primitive):
+            seen.setdefault(x.canon_key(), x)
+        elif isinstance(x, Division):
+            stack += (x.denominator, x.numerator)
+        elif isinstance(x, Product):
+            stack.append(x.body)
     return [seen[k] for k in sorted(seen)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from hlc import matching
 from hlc.canon import canonical_key, isomorphic
 from hlc.graphs import (
     Hypergraph,
@@ -29,6 +30,7 @@ Q2 = Division(P1, build_graph([0, 1], [(dollar(1), (0,)), (P1, (1,))], (0,)))
 Q3 = Division(S0, build_graph([0, 1], [(dollar(1), (0,)), (P1, (1,))], ()))
 DIV = Division(Q, string_graph([P, dollar(2)]))
 DIV_WIDE = Division(Q, string_graph([dollar(2), P, Q]))
+DIV_PQ = Division(P1, build_graph([0, 1, 2], [(dollar(1), (0,)), (P1, (1,)), (Q1, (2,))], (2,)))
 
 
 def string_hosts(rng, count):
@@ -75,6 +77,17 @@ def rank1_division_hosts(rng, count):
         for pivot in host.edges:
             if isinstance(host.lab[pivot], Division):
                 yield host, pivot, host.lab[pivot]
+
+
+def wide_division_hosts(rng, count):
+    """(host, pivot, division) triples: unary edges on three to five nodes
+    around a division whose denominator places two free nodes, one of them
+    external, so that clusters often have several slots."""
+    for _ in range(count):
+        m = rng.randint(3, 5)
+        edges = [(DIV_PQ, (0,))]
+        edges += [(rng.choice([P1, Q1]), (rng.randrange(m),)) for _ in range(rng.randint(2, 5))]
+        yield build_graph(range(m), edges, ()), 0, DIV_PQ
 
 
 def with_isolated_nodes(host, k):
@@ -471,9 +484,179 @@ def test_typed_extractions_match_filtered_untyped():
     # Mapping the p node to 1 closes the p slot at the first cluster, which
     # cannot fill it, while each of the two later clusters has two slots: the
     # check skips all four of their assignments at once.
-    div_pq = Division(
-        P1, build_graph([0, 1, 2], [(dollar(1), (0,)), (P1, (1,)), (Q1, (2,))], (2,))
-    )
-    host = build_graph([0, 1, 2], [(div_pq, (0,)), (Q1, (1,)), (Q1, (2,)), (Q1, (2,))], ())
-    assert _check_typed_extractions(host, 0, div_pq, False)[1] >= 4
+    host = build_graph([0, 1, 2], [(DIV_PQ, (0,)), (Q1, (1,)), (Q1, (2,)), (Q1, (2,))], ())
+    assert _check_typed_extractions(host, 0, DIV_PQ, False)[1] >= 4
     assert kept > 0 and pruned > 0
+
+
+# A test-only copy of the enumerator that the incremental search replaced:
+# every injective extension of the fixed map, each walked from the host's
+# first edge, stopped at the first slotless cluster.
+
+
+def _reference_injective_maps(host, fixed, dom, forbidden):
+    if len(set(fixed.values())) != len(fixed):
+        return
+    remaining = [v for v in dom if v not in fixed]
+    used = set(fixed.values())
+    for images in itertools.product(host.nodes, repeat=len(remaining)):
+        if len(set(images)) == len(images) and used.isdisjoint(images) and not any(
+            t in forbidden.get(v, ()) for v, t in zip(remaining, images)
+        ):
+            yield {**fixed, **dict(zip(remaining, images))}
+
+
+def _reference_clusters(host, image, pivot):
+    att, incidences = host.att, host._incidence_map()
+    seen = {pivot}
+    for start in host.edges:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, edges, hits, interior = [start], [], set(), set()
+        while stack:
+            e = stack.pop()
+            edges.append(e)
+            for v in att[e]:
+                if v in image:
+                    hits.add(v)
+                elif v not in interior:
+                    interior.add(v)
+                    for f, _ in incidences[v]:
+                        if f not in seen:
+                            seen.add(f)
+                            stack.append(f)
+        yield frozenset(edges), frozenset(hits), interior
+
+
+def _reference_instances(
+    host, pattern, slot_order, fixed, *, pivot, consumed_dom, nonminimal, typed, walked
+):
+    host_ext = frozenset(host.ext)
+    if any(fixed.get(v) in host_ext for v in consumed_dom):
+        return
+    incidences = host._incidence_map()
+    isolated = [v for v in host.nodes if v not in incidences and v not in host_ext]
+    lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
+    edge_ids = sorted(slot_order)
+    targets = None
+    if typed is not None:
+        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
+    known: dict = {}
+    forbidden = {v: host_ext for v in consumed_dom}
+    for phi in _reference_injective_maps(host, fixed, sorted(pattern.nodes), forbidden):
+        walked.append(phi)
+        consumed_img = {phi[v] for v in consumed_dom}
+        image = set(phi.values())
+        lonely = [v for v in isolated if v not in image]
+        if lonely and not nonminimal:
+            if pivot is None:
+                continue
+            lonely = []
+        att_sets = {m: {phi[u] for u in pattern.att[m]} for m in slot_order}
+        clusters, slot_lists = [], []
+        for edges, hits, interior in _reference_clusters(host, image, pivot):
+            slots = []
+            if host_ext.isdisjoint(interior):
+                slots = [m for m in slot_order if hits <= att_sets[m]]
+            if pivot is not None and hits.isdisjoint(consumed_img):
+                slots.append(None)
+            if not slots:
+                break
+            clusters.append((edges, interior))
+            slot_lists.append(slots)
+        else:
+            slot_lists += [lonely_slots] * len(lonely)
+            weights = None
+            if typed is not None:
+                weights = [matching._edge_counts(host, c, known) for c, _ in clusters]
+                weights += [()] * len(lonely)
+            for choice in matching._choices(slot_lists, weights, targets, typed):
+                part_edges = {m: set() for m in edge_ids}
+                extra_nodes = {m: set() for m in edge_ids}
+                outside, consumed = set(), set(consumed_img)
+                for (edges, interior), m in zip(clusters, choice):
+                    if m is None:
+                        outside.update(edges)
+                    else:
+                        part_edges[m].update(edges)
+                        consumed.update(interior)
+                for v, m in zip(lonely, choice[len(clusters):]):
+                    if m is not None:
+                        extra_nodes[m].add(v)
+                        consumed.add(v)
+                frozen = {m: frozenset(part_edges[m]) for m in edge_ids}
+                parts = {
+                    m: matching._subgraph(
+                        host, frozen[m], tuple(phi[u] for u in pattern.att[m]), extra_nodes[m]
+                    )
+                    for m in edge_ids
+                }
+                yield phi, parts, frozen, outside, consumed
+
+
+def _graph_fields(g):
+    """A graph as plain data, dict orders included (graphs compare by identity)."""
+    return g.nodes, g.edges, list(g.att.items()), list(g.lab.items()), g.ext
+
+
+def _item_fields(item):
+    if isinstance(item, matching.Decomposition):
+        phi, extra = item.node_map, ()
+    else:
+        phi = item.phi
+        extra = (item.pivot, _graph_fields(item.contracted), item.numerator_edge)
+    parts = [(m, _graph_fields(g)) for m, g in item.parts.items()]
+    part_edges = [(m, sorted(e), list(e)) for m, e in item.part_edges.items()]
+    return list(phi.items()), parts, part_edges, extra
+
+
+def test_incremental_search_equals_reference(monkeypatch):
+    """Both enumerators yield the reference's items in the reference's order,
+    with the same tally, and slot assignment runs once per reference
+    embedding whose every cluster has a slot: no leaf is wasted."""
+    choice_runs = [0]
+    real_choices = matching._choices
+
+    def counted_choices(*args):
+        choice_runs[0] += 1
+        return real_choices(*args)
+
+    monkeypatch.setattr(matching, "_choices", counted_choices)
+    incremental = matching._instances
+    walked: list = []
+
+    def reference(*args, **kw):
+        return _reference_instances(*args, walked=walked, **kw)
+
+    rng = random.Random(21)
+    cases = []
+    for host, pattern in [*string_hosts(rng, 25), *rank1_hosts(rng, 25)]:
+        cases.append((enumerate_decompositions, host, (pattern,)))
+    for host, pivot, d in [
+        *string_division_hosts(rng, 25),
+        *rank1_division_hosts(rng, 25),
+        *wide_division_hosts(rng, 8),
+    ]:
+        cases.append((enumerate_context_extractions, host, (pivot, d)))
+    totals = {"items": 0, "pruned": 0, "leaves": 0}
+    for enumerate_, host, args in cases:
+        for k in range(3):
+            padded = with_isolated_nodes(host, k)
+            for nonminimal in (False, True):
+                for typed in (False, True):
+                    runs = []
+                    for instances in (reference, incremental):
+                        monkeypatch.setattr(matching, "_instances", instances)
+                        tally = Tally() if typed else None
+                        before = choice_runs[0]
+                        items = enumerate_(padded, *args, nonminimal=nonminimal, typed=tally)
+                        fields = [_item_fields(item) for item in items]
+                        runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
+                    assert runs[1] == runs[0]
+                    totals["items"] += len(runs[0][0])
+                    totals["pruned"] += runs[0][1] or 0
+                    totals["leaves"] += runs[0][2]
+    assert totals["items"] > 1000 and totals["pruned"] > 100
+    # The reference walked embeddings that the incremental search never reaches.
+    assert len(walked) > totals["leaves"] > 0

@@ -5,19 +5,23 @@ not grow without bound.  So every dict, list and set held by an ``hlc``
 module, or by a class it defines, and every ``functools`` cache there keeps
 its size across fresh queries.  The queries use type and symbol names that no
 other test uses, so nothing they touch can already sit in such a container.
+Nor does a query leave reference cycles behind for the collector.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import pkgutil
 
 import hlc
 from hlc.calculus import DerivationTree, NotDerivable, Prover
+from hlc.fixtures import build_sgr, sgr_string_graph
+from hlc.grammars import MemberWitness, NotMember, hl_member
 from hlc.graphs import RankedLabel, dollar, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent
 from hlc.lambek import LPrim, Over, lambek_derive
-from hlc.models import Valuation, sequent_holds
+from hlc.models import Valuation, sequent_holds, sequent_primitives
 
 
 def _state_sizes() -> dict[str, int]:
@@ -60,3 +64,28 @@ def test_queries_leave_module_state_unchanged():
     assert not lambek_derive([y, Over(x, y)], x)
 
     assert _state_sizes() == before
+
+
+def test_queries_leave_no_cyclic_garbage():
+    p, q = Primitive("gc_p", 2), Primitive("gc_q", 2)
+    a, b = RankedLabel("gc_a", 2), RankedLabel("gc_b", 2)
+    pq = Product(string_graph([p, q]))
+    seq = Sequent(string_graph([p]), Division(pq, string_graph([dollar(2), q])))
+    w = Valuation(
+        alphabet=(a, b),
+        assignment=((p, (string_graph([a]),)), (q, (string_graph([b]),))),
+    )
+    sgr = build_sgr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert isinstance(Prover().derive(seq), DerivationTree)
+        assert isinstance(Prover().derive(Sequent(string_graph([q, p]), pq)), NotDerivable)
+        assert isinstance(hl_member(sgr, sgr_string_graph("aabbb")), MemberWitness)
+        assert isinstance(hl_member(sgr, sgr_string_graph("abab")), NotMember)
+        assert sequent_primitives(seq) == [p, q]
+        assert sequent_holds(w, seq) is True
+        assert sequent_holds(w, Sequent(string_graph([q, p]), pq)) is False
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

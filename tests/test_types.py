@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from hlc.calculus import Prover
 from hlc.fixtures import hgr1_types
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, string_graph
 from hlc.hltypes import (
@@ -59,6 +60,24 @@ def test_validate_sequent_violations():
     assert "not labeled by a type" in validate_sequent(
         Sequent(string_graph([RankedLabel("a", 2)]), S2)
     )
+
+
+def test_malformed_type_is_refused_on_every_call():
+    """The verdict cached on a type is the verdict: a type that nests a
+    malformed division is refused again on the second call, also by the
+    prover, and the graph and rank checks still run for each sequent."""
+    bad = Division(Primitive("s", 1), string_graph([dollar(2), P2]))
+    outer = Product(string_graph([bad, P2]))
+    seq = Sequent(string_graph([outer]), S2)
+    prover = Prover()
+    for _ in range(2):
+        assert "numerator/denominator rank" in validate_type(outer)
+        assert "numerator/denominator rank" in validate_sequent(seq)
+        with pytest.raises(ValueError, match="numerator/denominator rank"):
+            prover.derive(seq)
+    assert validate_type(Q) is None and validate_type(Q) is None
+    assert "rank mismatch" in validate_sequent(Sequent(string_graph([Q]), Primitive("s", 0)))
+    assert "$" in validate_sequent(Sequent(string_graph([Q, dollar(2)]), S2))
 
 
 def test_connective_count_examples():
