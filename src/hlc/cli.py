@@ -109,6 +109,10 @@ def cmd_member(args) -> int:
         print(f"error: {exc}")
         return EXIT_USAGE
     if isinstance(result, MemberWitness):
+        report = check_derivation(result.tree)
+        if report is not None:
+            print(f"internal error: produced tree fails verification: {report}")
+            return EXIT_USAGE
         print("member")
         for e in sorted(result.assignment):
             print(f"  edge {e} : {result.assignment[e]!r}")

@@ -45,7 +45,7 @@ cluster's edge, it would lie in that cluster's interior too.  So only that
 cluster is walked again and replaced by its pieces, and a ``t`` in no
 interior (an isolated node, or one that only the pivot touches) changes
 nothing.  A cluster's slots depend only on the preimages of the image nodes
-it touches, which later placements keep, so its slot list, and its count sum
+it touches, which later placements keep, so its slot list, and its weight
 when typed, are computed once, when the cluster is made.  At a leaf the
 clusters are sorted by their smallest edge, the order of a walk started in
 edge order.
@@ -68,15 +68,39 @@ typed tally change.
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
 (``#H_d = #lab(d)``, see :mod:`hlc.hltypes`).  A caller that passes a
-:class:`Tally` as ``typed`` gets only such instances: each cluster's
-primitive counts are summed from its edge labels, and a slot assignment is
-kept only when the clusters in every slot sum to that slot's label.  The
-check runs before any part, contracted graph or :class:`Hypergraph` is built,
-and a slot is checked as soon as no later cluster can join it, so one
-mismatch skips a whole subtree of assignments; the tally counts every
-assignment skipped.  ``models`` leaves ``typed`` unset, because its host
-labels are alphabet symbols, which count nothing; ``hlc match`` lists every
-decomposition, balanced or not.
+:class:`Tally` as ``typed`` gets only such instances.  Each call numbers the
+primitives of the host labels and of the slot labels, and packs a count
+vector ``c`` into the integer ``sum(c_i * B**i)``, with ``B = 2M + 1`` and
+``M`` the larger of the summed absolute counts over all host edges and the
+largest absolute count of a slot label.  Packing is additive, so a cluster's
+weight is the sum of its edges' packed labels, one addition per edge walked,
+and a slot's sum is the packed sum of its clusters' counts.  Packing is also
+injective wherever it is compared: a slot's sum counts a subset of the host
+edges and a target is one slot label, so every component of either lies in
+``[-M, M]``, and every component of their difference ``d`` in
+``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its lowest
+nonzero component would be ``d_k = -sum(d_i * B**(i-k) for i > k)``, a
+nonzero multiple of ``B`` of size at most ``2M < B``, which cannot be.  So a
+packed sum equals a packed target exactly when the counts are equal.  A slot
+assignment is kept only when the clusters in every slot sum to that slot's
+label.  A cluster with a single slot makes no choice, so its weight enters
+that slot's sum up front, and a slot that only such clusters offer is
+checked before anything is chosen.  Any other slot is checked as soon as no
+later cluster can join it, so one mismatch skips a whole subtree of
+assignments; the tally counts every assignment skipped.  ``models`` leaves
+``typed`` unset, because its host labels are alphabet symbols, which count
+nothing; ``hlc match`` lists every decomposition, balanced or not.
+
+**Leaf summaries.**  Most typed leaves yield nothing.  So when the last free
+node splits a cluster of a typed search, the walk makes summaries of the
+pieces: the smallest edge, the slot list and the weight, with no edge set
+and no interior.  These are all that the cut rule and the slot check read,
+and they sort like the pieces.  The map and the real pieces are built only
+when the check keeps the leaf's first assignment: the pieces are then walked
+again, in full, from the same edges.  So their edge sets and interiors
+iterate as in a search without summaries, and so does the contracted graph's
+edge order, which follows them.  The instances, their order, the tally and
+the number of slot checks are the same as without summaries.
 """
 
 from __future__ import annotations
@@ -86,7 +110,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .graphs import Hypergraph
-from .hltypes import Division, add_counts, dollar_edge, primitive_counts
+from .hltypes import Division, dollar_edge, primitive_counts
 
 
 @dataclass(frozen=True)
@@ -132,89 +156,116 @@ class Tally:
     pruned: int = 0
 
 
-def _edge_counts(host: Hypergraph, edges: frozenset[int], known: dict) -> tuple:
-    """Summed primitive counts of ``edges``, kept in ``known`` for the rest of
-    one enumeration call, because the same cluster recurs under many
-    embeddings."""
-    counts = known.get(edges)
-    if counts is None:
-        acc: dict = {}
-        for e in edges:
-            add_counts(acc, primitive_counts(host.lab[e]))
-        counts = known[edges] = tuple(acc.items())
-    return counts
+def _places(edge_counts, target_counts) -> dict:
+    """The place value of each primitive for :func:`_pack`: ``B**i`` for the
+    ``i``-th key in sorted order, with ``B = 2M + 1`` and ``M`` the larger of
+    the summed absolute counts of ``edge_counts`` and the largest absolute
+    count of ``target_counts`` (see the module docstring)."""
+    keys: set = set()
+    bound = 0
+    for counts in edge_counts:
+        for key, n in counts:
+            keys.add(key)
+            bound += abs(n)
+    for counts in target_counts:
+        for key, n in counts:
+            keys.add(key)
+            bound = max(bound, abs(n))
+    base = 2 * bound + 1
+    return {key: base**i for i, key in enumerate(sorted(keys))}
+
+
+def _pack(counts, places: dict) -> int:
+    """A count vector as one integer, ``sum(n * places[key])``."""
+    return sum(n * places[key] for key, n in counts)
 
 
 def _choices(
     slot_lists: list[list],
-    weights: list[tuple] | None,
-    targets: dict[int, dict] | None,
+    weights: list[int],
+    targets: dict[int, int] | None,
     typed: Tally | None,
 ) -> Iterator[tuple]:
     """Slot choices, one slot per list, in ``itertools.product`` order.
 
     With ``typed`` set, a choice is kept only when, for every slot, the summed
     ``weights`` of the lists choosing it equal ``targets[slot]`` (``None``
-    has no target); each skipped choice is added to ``typed.pruned``.  A
-    slot's sum is final once the last list offering it is decided, so it is
-    checked there and a mismatch skips the whole subtree of choices at once.
+    has no target); each skipped choice is added to ``typed.pruned``.  A list
+    with one slot is no choice: its weight goes into that slot's sum up
+    front, and a slot that only such lists offer is checked before any
+    choice is made.  Any other slot's sum is final once the last list with a
+    choice offering it is decided, so it is checked there, and a mismatch
+    skips the whole subtree of choices at once.
     """
     if typed is None:
         yield from itertools.product(*slot_lists)
         return
-    n = len(slot_lists)
-    below = [1] * (n + 1)  # below[i]: full choices extending one prefix of length i
-    for i in range(n - 1, -1, -1):
-        below[i] = below[i + 1] * len(slot_lists[i])
-    last: dict[int, int] = {}
+    sums = dict.fromkeys(targets, 0)
+    free = []  # (index, slots, weight) of each list with a choice to make
+    last: dict[int, int] = {}  # slot -> position in free of the last list offering it
+    total = 1  # full choices
     for i, slots in enumerate(slot_lists):
+        if len(slots) == 1:
+            if slots[0] is not None:
+                sums[slots[0]] += weights[i]
+            continue
         for slot in slots:
             if slot is not None:
-                last[slot] = i
-    if any(targets[slot] for slot in targets if slot not in last):
-        typed.pruned += below[0]  # a slot no list can fill stays at zero
+                last[slot] = len(free)
+        free.append((i, slots, weights[i]))
+        total *= len(slots)
+    settled = dict(sums)  # the slots only single-slot lists offer are final
+    for t in last:
+        settled[t] = targets[t]
+    if settled != targets:
+        typed.pruned += total
         return
+    n = len(free)
+    below = [1] * (n + 1)  # below[k]: full choices extending one prefix of k free lists
+    for k in range(n - 1, -1, -1):
+        below[k] = below[k + 1] * len(free[k][1])
     closes: list[list[int]] = [[] for _ in range(n)]
-    for slot, i in last.items():
-        closes[i].append(slot)
+    for slot, k in last.items():
+        closes[k].append(slot)
+    choice = [slots[0] if len(slots) == 1 else None for slots in slot_lists]
     if not n:
-        yield ()
+        yield tuple(choice)
         return
-    sums: dict[int, dict] = {slot: {} for slot in targets}
     pick = [-1] * n
-    i = 0
-    while i >= 0:
-        slots, w = slot_lists[i], weights[i]
-        if pick[i] >= 0 and w and slots[pick[i]] is not None:
-            add_counts(sums[slots[pick[i]]], w, -1)
-        pick[i] += 1
-        if pick[i] == len(slots):
-            pick[i] = -1
-            i -= 1
+    k = 0
+    while k >= 0:
+        i, slots, w = free[k]
+        if pick[k] >= 0 and slots[pick[k]] is not None:
+            sums[slots[pick[k]]] -= w
+        pick[k] += 1
+        if pick[k] == len(slots):
+            pick[k] = -1
+            k -= 1
             continue
-        slot = slots[pick[i]]
-        if w and slot is not None:
-            add_counts(sums[slot], w)
-        if any(sums[t] != targets[t] for t in closes[i]):
-            typed.pruned += below[i + 1]
-        elif i + 1 < n:
-            i += 1
+        slot = choice[i] = slots[pick[k]]
+        if slot is not None:
+            sums[slot] += w
+        if any(sums[t] != targets[t] for t in closes[k]):
+            typed.pruned += below[k + 1]
+        elif k + 1 < n:
+            k += 1
         else:
-            yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
+            yield tuple(choice)
 
 
 class _Cluster(NamedTuple):
     """Host edges tied together by shared nodes outside the image.
 
     Clusters are edge-disjoint, so they compare by their smallest edge alone,
-    and a sorted list of them is in the order of their smallest edges.
+    and a sorted list of them is in the order of their smallest edges.  A
+    summary (see :meth:`_Search.split`) has no ``edges`` and no ``interior``.
     """
 
     first: int  # the smallest edge
-    edges: frozenset[int]
-    interior: set[int]  # incident host nodes outside the image
+    edges: frozenset[int] | None
+    interior: set[int] | None  # incident host nodes outside the image
     slots: list  # the pattern edges that may take the cluster; None: outside
-    weight: tuple | None  # summed primitive counts, with a ``typed`` tally
+    weight: int  # summed packed counts of the edge labels (0 untyped)
 
 
 class _Search:
@@ -222,8 +273,9 @@ class _Search:
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, typed):
+    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, typed):
         self.host = host
+        self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
         self.fixed = fixed
         self.host_ext = frozenset(host.ext)
@@ -232,21 +284,27 @@ class _Search:
         self.consumed = frozenset(consumed_dom) if pivot is not None else None
         self.banned = {v: self.host_ext for v in consumed_dom}
         self.needy = needy  # host nodes that must end up in the image
-        self.known = {} if typed is not None else None
+        self.packs = packs  # host edge -> packed counts of its label (0 untyped)
+        self.typed = typed
         self.free = [v for v in sorted(pattern.nodes) if v not in fixed]
         self.placed: list[int] = []  # the host node of each free node placed
         self.preimage = {t: v for v, t in fixed.items()}  # over the image so far
+        self.leaf: tuple[list[_Cluster], _Cluster | None] = ([], None)
 
-    def run(self) -> Iterator[tuple[dict[int, int], list[_Cluster]]]:
-        """Yield ``(phi, clusters)`` for every injective extension of the
+    def run(self) -> Iterator[list[_Cluster]]:
+        """Yield the clusters, sorted, of every injective extension of the
         fixed map that no cluster and no needy node rules out, in the order of
-        the free nodes and, for each, of the host nodes; the clusters are
-        sorted."""
+        the free nodes and, for each, of the host nodes.
+
+        When typed, the pieces of the cluster that the last node splits are
+        summaries; :meth:`realize` gives the leaf's map and real clusters.
+        """
         preimage, placed, free = self.preimage, self.placed, self.free
         clusters = self.split(self.host.edges)
         stack: list[tuple[list[_Cluster], Iterator[int]]] = []
         if self._enter(clusters, stack):
-            yield dict(self.fixed), sorted(clusters)
+            self.leaf = (clusters, None)
+            yield sorted(clusters)
         while stack:
             clusters, branches = stack[-1]
             depth = len(stack) - 1
@@ -260,12 +318,31 @@ class _Search:
             placed.append(t)
             # Only the cluster whose interior holds t changes, into its pieces.
             c = next((c for c in clusters if t in c.interior), None)
+            leaf = len(placed) == len(free)
             if c is not None:
-                clusters = [x for x in clusters if x is not c] + self.split(c.edges)
-            if self._enter(clusters, stack):
-                phi = dict(self.fixed)
-                phi.update(zip(free, placed))
-                yield phi, sorted(clusters)
+                clusters = [x for x in clusters if x is not c]
+                # Only the slot check of a typed leaf rejects leaves, so only
+                # there do the pieces wait as summaries.
+                if not leaf or not self.typed:
+                    clusters += self.split(c.edges)
+                    c = None
+            if not leaf:
+                self._enter(clusters, stack)
+                continue
+            summary = clusters if c is None else clusters + self.split(c.edges, full=False)
+            if self._enter(summary, stack):
+                self.leaf = (clusters, c)
+                yield sorted(summary)
+
+    def realize(self) -> tuple[dict[int, int], list[_Cluster]]:
+        """The map and the sorted clusters of the leaf :meth:`run` last
+        yielded; its summarized pieces are walked again, in full."""
+        clusters, c = self.leaf
+        if c is not None:
+            clusters = clusters + self.split(c.edges)
+        phi = dict(self.fixed)
+        phi.update(zip(self.free, self.placed))
+        return phi, sorted(clusters)
 
     def _enter(self, clusters: list[_Cluster], stack: list) -> bool:
         """Cut the partial map with these clusters, push its frame, or report
@@ -289,27 +366,28 @@ class _Search:
         stack.append((clusters, iter([t for t in nodes if t not in preimage and t not in banned])))
         return False
 
-    def split(self, edges) -> list[_Cluster]:
+    def split(self, edges, full: bool = True) -> list[_Cluster]:
         """The clusters that ``edges``, a union of clusters, fall into under
         the current image.
 
         Each is one walk from its smallest edge across non-image nodes, over
         the incidences cached on the host, so its edges and interior come in
         the same order whichever splits came before.  Its slots and weight are
-        found here, once (see the module docstring).
+        found here, once (see the module docstring).  Unless ``full``, it
+        returns summaries, which keep neither edge set nor interior.
         """
-        host, preimage = self.host, self.preimage
-        att, incidences = host.att, host._incidence_map()
+        preimage, packs, att, incidences = self.preimage, self.packs, self.att, self.incidences
         seen = {self.pivot}
         out = []
         for start in sorted(edges):
             if start in seen:
                 continue
             seen.add(start)
-            stack, found, hits, interior = [start], [], set(), set()
+            stack, found, hits, interior, weight = [start], [], set(), set(), 0
             while stack:
                 e = stack.pop()
                 found.append(e)
+                weight += packs[e]
                 for v in att[e]:
                     if v in preimage:
                         hits.add(preimage[v])
@@ -324,9 +402,10 @@ class _Search:
                 slots = [m for m, att_m in self.slot_att if hits <= att_m]
             if self.consumed is not None and self.consumed.isdisjoint(hits):
                 slots.append(None)
-            edge_set = frozenset(found)
-            weight = None if self.known is None else _edge_counts(host, edge_set, self.known)
-            out.append(_Cluster(start, edge_set, interior, slots, weight))
+            if full:
+                out.append(_Cluster(start, frozenset(found), interior, slots, weight))
+            else:
+                out.append(_Cluster(start, None, None, slots, weight))
         return out
 
 
@@ -364,20 +443,28 @@ def _instances(
     lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
     edge_ids = sorted(slot_order)
     targets = None
-    if typed is not None:
-        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
-    search = _Search(host, pattern, slot_order, fixed, pivot, consumed_dom, needy, typed)
-    for phi, clusters in search.run():
-        consumed_img = {phi[v] for v in consumed_dom}
+    if typed is None:
+        packs = dict.fromkeys(host.edges, 0)
+    else:
+        edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
+        target_counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
+        places = _places(edge_counts.values(), target_counts.values())
+        packs = {e: _pack(counts, places) for e, counts in edge_counts.items()}
+        targets = {m: _pack(counts, places) for m, counts in target_counts.items()}
+    search = _Search(
+        host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, typed is not None
+    )
+    for summary in search.run():
         lonely = []  # isolated nodes outside the image, which a part may take
         if nonminimal:
-            image = set(phi.values())
-            lonely = [v for v in isolated if v not in image]
-        slot_lists = [c.slots for c in clusters] + [lonely_slots] * len(lonely)
-        weights = None
-        if typed is not None:
-            weights = [c.weight for c in clusters] + [()] * len(lonely)
+            lonely = [v for v in isolated if v not in search.preimage]
+        slot_lists = [c.slots for c in summary] + [lonely_slots] * len(lonely)
+        weights = [c.weight for c in summary] + [0] * len(lonely)
+        clusters = None
         for choice in _choices(slot_lists, weights, targets, typed):
+            if clusters is None:
+                phi, clusters = search.realize()
+                consumed_img = {phi[v] for v in consumed_dom}
             part_edges: dict[int, set[int]] = {m: set() for m in edge_ids}
             extra_nodes: dict[int, set[int]] = {m: set() for m in edge_ids}
             outside: set[int] = set()

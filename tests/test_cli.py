@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from hlc import cli
 from hlc.calculus import check_derivation
 from hlc.cli import EXIT_USAGE, main
 from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
@@ -87,6 +89,23 @@ def test_member_emits_tree(workdir):
     )
     tree = tree_from_json(json.loads(out.read_text()))
     assert check_derivation(tree) is None
+
+
+def test_member_rejects_unverifiable_witness(workdir, monkeypatch, capsys):
+    """A witness tree that fails check_derivation is an internal error: exit 2,
+    and no tree is written."""
+    real_member = cli.hl_member
+
+    def broken_member(*args, **kw):
+        witness = real_member(*args, **kw)
+        return replace(witness, tree=replace(witness.tree, rule="no such rule"))
+
+    monkeypatch.setattr(cli, "hl_member", broken_member)
+    out = workdir / "member.json"
+    args = ["member", "--grammar", str(workdir / "sgr.hlg"), "--graph", str(workdir / "aabbb.hgf")]
+    assert main(args + ["--emit-tree", str(out)]) == EXIT_USAGE
+    assert "internal error" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_hrg_generate_and_convert(workdir, capsys):

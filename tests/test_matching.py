@@ -16,7 +16,7 @@ from hlc.graphs import (
     string_graph,
     validate,
 )
-from hlc.hltypes import Division, Primitive, dollar_edge, primitive_counts
+from hlc.hltypes import Division, Primitive, add_counts, dollar_edge, primitive_counts
 from hlc.matching import Tally, enumerate_context_extractions, enumerate_decompositions
 
 P = Primitive("p", 2)
@@ -491,7 +491,63 @@ def test_typed_extractions_match_filtered_untyped():
 
 # A test-only copy of the enumerator that the incremental search replaced:
 # every injective extension of the fixed map, each walked from the host's
-# first edge, stopped at the first slotless cluster.
+# first edge, stopped at the first slotless cluster, with the typed check
+# summing per-primitive count dicts instead of packed integers.
+
+
+def _reference_edge_counts(host, edges, known):
+    counts = known.get(edges)
+    if counts is None:
+        acc = {}
+        for e in edges:
+            add_counts(acc, primitive_counts(host.lab[e]))
+        counts = known[edges] = tuple(acc.items())
+    return counts
+
+
+def _reference_choices(slot_lists, weights, targets, typed):
+    if typed is None:
+        yield from itertools.product(*slot_lists)
+        return
+    n = len(slot_lists)
+    below = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        below[i] = below[i + 1] * len(slot_lists[i])
+    last = {}
+    for i, slots in enumerate(slot_lists):
+        for slot in slots:
+            if slot is not None:
+                last[slot] = i
+    if any(targets[slot] for slot in targets if slot not in last):
+        typed.pruned += below[0]
+        return
+    closes = [[] for _ in range(n)]
+    for slot, i in last.items():
+        closes[i].append(slot)
+    if not n:
+        yield ()
+        return
+    sums = {slot: {} for slot in targets}
+    pick = [-1] * n
+    i = 0
+    while i >= 0:
+        slots, w = slot_lists[i], weights[i]
+        if pick[i] >= 0 and w and slots[pick[i]] is not None:
+            add_counts(sums[slots[pick[i]]], w, -1)
+        pick[i] += 1
+        if pick[i] == len(slots):
+            pick[i] = -1
+            i -= 1
+            continue
+        slot = slots[pick[i]]
+        if w and slot is not None:
+            add_counts(sums[slot], w)
+        if any(sums[t] != targets[t] for t in closes[i]):
+            typed.pruned += below[i + 1]
+        elif i + 1 < n:
+            i += 1
+        else:
+            yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
 
 
 def _reference_injective_maps(host, fixed, dom, forbidden):
@@ -530,7 +586,8 @@ def _reference_clusters(host, image, pivot):
 
 
 def _reference_instances(
-    host, pattern, slot_order, fixed, *, pivot, consumed_dom, nonminimal, typed, walked
+    host, pattern, slot_order, fixed, *, pivot, consumed_dom, nonminimal, typed, walked,
+    choices, yielding,
 ):
     host_ext = frozenset(host.ext)
     if any(fixed.get(v) in host_ext for v in consumed_dom):
@@ -569,9 +626,11 @@ def _reference_instances(
             slot_lists += [lonely_slots] * len(lonely)
             weights = None
             if typed is not None:
-                weights = [matching._edge_counts(host, c, known) for c, _ in clusters]
+                weights = [_reference_edge_counts(host, c, known) for c, _ in clusters]
                 weights += [()] * len(lonely)
-            for choice in matching._choices(slot_lists, weights, targets, typed):
+            for k, choice in enumerate(choices(slot_lists, weights, targets, typed)):
+                if k == 0:
+                    yielding[0] += 1  # an embedding that yields at least one item
                 part_edges = {m: set() for m in edge_ids}
                 extra_nodes = {m: set() for m in edge_ids}
                 outside, consumed = set(), set(consumed_img)
@@ -613,21 +672,36 @@ def _item_fields(item):
 
 def test_incremental_search_equals_reference(monkeypatch):
     """Both enumerators yield the reference's items in the reference's order,
-    with the same tally, and slot assignment runs once per reference
-    embedding whose every cluster has a slot: no leaf is wasted."""
+    with the same tally; the packed typed check agrees with the reference's
+    count dicts.  Slot assignment runs once per reference embedding whose
+    every cluster has a slot, so no leaf is wasted, and a leaf's real
+    clusters are built once if it yields and never otherwise."""
     choice_runs = [0]
-    real_choices = matching._choices
 
-    def counted_choices(*args):
-        choice_runs[0] += 1
-        return real_choices(*args)
+    def counted(choices):
+        def run(*args):
+            choice_runs[0] += 1
+            return choices(*args)
 
-    monkeypatch.setattr(matching, "_choices", counted_choices)
+        return run
+
+    monkeypatch.setattr(matching, "_choices", counted(matching._choices))
+    realized = [0]
+    real_realize = matching._Search.realize
+
+    def counted_realize(self):
+        realized[0] += 1
+        return real_realize(self)
+
+    monkeypatch.setattr(matching._Search, "realize", counted_realize)
     incremental = matching._instances
     walked: list = []
+    yielding = [0]
 
     def reference(*args, **kw):
-        return _reference_instances(*args, walked=walked, **kw)
+        return _reference_instances(
+            *args, walked=walked, choices=counted(_reference_choices), yielding=yielding, **kw
+        )
 
     rng = random.Random(21)
     cases = []
@@ -639,7 +713,7 @@ def test_incremental_search_equals_reference(monkeypatch):
         *wide_division_hosts(rng, 8),
     ]:
         cases.append((enumerate_context_extractions, host, (pivot, d)))
-    totals = {"items": 0, "pruned": 0, "leaves": 0}
+    totals = {"items": 0, "pruned": 0, "leaves": 0, "yielding": 0}
     for enumerate_, host, args in cases:
         for k in range(3):
             padded = with_isolated_nodes(host, k)
@@ -654,9 +728,73 @@ def test_incremental_search_equals_reference(monkeypatch):
                         fields = [_item_fields(item) for item in items]
                         runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
                     assert runs[1] == runs[0]
+                    assert realized[0] == yielding[0]
                     totals["items"] += len(runs[0][0])
                     totals["pruned"] += runs[0][1] or 0
                     totals["leaves"] += runs[0][2]
+                    totals["yielding"] += yielding[0]
+                    realized[0] = yielding[0] = 0
     assert totals["items"] > 1000 and totals["pruned"] > 100
-    # The reference walked embeddings that the incremental search never reaches.
-    assert len(walked) > totals["leaves"] > 0
+    # The reference walked embeddings that the incremental search never reaches,
+    # and some leaves that reach slot assignment yield nothing.
+    assert len(walked) > totals["leaves"] > totals["yielding"] > 0
+
+
+def _brute_choices(slot_lists, weights, targets):
+    """Every choice in product order whose per-slot weight sums hit the targets."""
+    kept = []
+    for choice in itertools.product(*slot_lists):
+        sums = dict.fromkeys(targets, 0)
+        for slot, w in zip(choice, weights):
+            if slot is not None:
+                sums[slot] += w
+        if sums == targets:
+            kept.append(choice)
+    return kept
+
+
+def test_choices_equal_filtered_product():
+    rng = random.Random(31)
+    slots = [0, 1, 2]
+    forced = multi = kept_total = 0
+    for _ in range(400):
+        lists = []
+        for _ in range(rng.randint(0, 5)):
+            options = [*slots, None]
+            lists.append(rng.sample(options, rng.choice([1, 1, 2, 3, 4])))
+        weights = [rng.randint(-1, 1) for _ in lists]
+        targets = {m: rng.randint(-1, 1) for m in slots}
+        tally = Tally()
+        got = list(matching._choices(lists, weights, targets, tally))
+        want = _brute_choices(lists, weights, targets)
+        assert got == want
+        product = 1
+        for options in lists:
+            product *= len(options)
+        assert tally.pruned == product - len(want)
+        forced += sum(len(options) == 1 for options in lists)
+        multi += sum(len(options) > 1 for options in lists)
+        kept_total += len(want)
+    assert forced > 100 and multi > 100 and kept_total > 50
+
+
+def test_packing_is_injective_within_its_bound():
+    keys = [("p", c, 2) for c in "abc"]
+    for bound in (1, 2, 3):
+        # Host edges whose absolute counts sum to ``bound`` set M = bound.
+        edges = [frozenset({(keys[0], 1)})] * bound
+        places = matching._places(edges, [frozenset({(keys[1], -1), (keys[2], 1)})])
+        assert sorted(places.values()) == [1, 2 * bound + 1, (2 * bound + 1) ** 2]
+        cube = list(itertools.product(range(-bound, bound + 1), repeat=len(keys)))
+        vectors = [frozenset((k, n) for k, n in zip(keys, c) if n) for c in cube]
+        packed = [matching._pack(v, places) for v in vectors]
+        assert len(set(packed)) == len(vectors)
+        too_small = {k: bound**i for i, k in enumerate(keys)}
+        assert len({matching._pack(v, too_small) for v in vectors}) < len(vectors)
+        rng = random.Random(bound)
+        for _ in range(50):
+            u, w = rng.choice(cube), rng.choice(cube)
+            total = frozenset((k, a + b) for k, a, b in zip(keys, u, w) if a + b)
+            assert matching._pack(total, places) == sum(
+                matching._pack(frozenset(zip(keys, x)), places) for x in (u, w)
+            )
