@@ -12,12 +12,14 @@ grammar of ``hlc.fixtures.build_sgr``.  Its wall time is scaled as
 before and just after it.  Repeat an ``n`` to run it again.  The tree is
 checked with ``check_derivation`` outside the timed region.  The output is
 one JSON object with the machine, the Python version, the git revision and
-one entry per run.
+one entry per run.  The revision reads "<rev> plus uncommitted changes" when
+``src`` differs from it.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -55,11 +57,22 @@ def time_derive(n: int) -> dict:
     }
 
 
+def _source_dirty() -> bool:
+    """Whether ``git status`` lists changes under ``src`` (False outside a git checkout)."""
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True
+    )
+    return status.returncode == 0 and bool(status.stdout.strip())
+
+
 def main(argv: list[str]) -> int:
     if not argv or not all(arg.isdigit() and int(arg) > 0 for arg in argv):
         print("usage: derive_scaling.py N [N ...]  (positive integers)", file=sys.stderr)
         return 2
-    record = {**provenance(ROOT), "runs": [time_derive(int(arg)) for arg in argv]}
+    record = provenance(ROOT)
+    if record["git_revision"] and _source_dirty():
+        record["git_revision"] += " plus uncommitted changes"
+    record["runs"] = [time_derive(int(arg)) for arg in argv]
     print(json.dumps(record, indent=1))
     return 0
 

@@ -53,14 +53,9 @@ def _read(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc
 
 
-def _limit(flag_value: int | None, flag: str, env: str) -> int | None:
-    """The flag's value, else the environment's (unset or empty: None); a
-    value that is not a positive integer is a usage error."""
-    raw, source = flag_value, flag
-    if raw is None:
-        raw, source = os.environ.get(env), env
-        if not raw:
-            return None
+def _positive(raw, source: str) -> int:
+    """``raw`` as an int; a value that is not a positive integer is a usage
+    error that names ``source``."""
     try:
         value = int(raw)
     except ValueError:
@@ -68,6 +63,15 @@ def _limit(flag_value: int | None, flag: str, env: str) -> int | None:
     if value <= 0:
         raise SystemExit(f"error: {source} must be a positive integer, not {raw!r}")
     return value
+
+
+def _limit(flag_value: int | None, flag: str, env: str) -> int | None:
+    """The flag's value, else the environment's (unset or empty: None); a
+    value that is not a positive integer is a usage error."""
+    if flag_value is not None:
+        return _positive(flag_value, flag)
+    raw = os.environ.get(env)
+    return _positive(raw, env) if raw else None
 
 
 def _budget(args) -> SearchBudget:
@@ -120,15 +124,19 @@ def cmd_member(args) -> int:
             Path(args.emit_tree).write_text(json.dumps(tree_to_json(result.tree), indent=1))
         return EXIT_YES
     if isinstance(result, BudgetExceeded):
-        print("budget exceeded")
+        print(f"budget exceeded ({result.stats.nodes_expanded} nodes expanded)")
         return EXIT_INCONCLUSIVE
     print("not a member")
     return EXIT_NO
 
 
 def cmd_hrg_generate(args) -> int:
+    max_edges = _positive(args.max_edges, "--max-edges")
+    max_steps = 4 * max_edges
+    if args.max_steps is not None:
+        max_steps = _positive(args.max_steps, "--max-steps")
     grammar = parse_hrg(_read(args.grammar))
-    graphs = hrg_generate(grammar, args.max_edges, args.max_steps or 4 * args.max_edges)
+    graphs = hrg_generate(grammar, max_edges, max_steps)
     for i, g in enumerate(graphs):
         if i:
             print("---")

@@ -90,17 +90,6 @@ later cluster can join it, so one mismatch skips a whole subtree of
 assignments; the tally counts every assignment skipped.  ``models`` leaves
 ``typed`` unset, because its host labels are alphabet symbols, which count
 nothing; ``hlc match`` lists every decomposition, balanced or not.
-
-**Leaf summaries.**  Most typed leaves yield nothing.  So when the last free
-node splits a cluster of a typed search, the walk makes summaries of the
-pieces: the smallest edge, the slot list and the weight, with no edge set
-and no interior.  These are all that the cut rule and the slot check read,
-and they sort like the pieces.  The map and the real pieces are built only
-when the check keeps the leaf's first assignment: the pieces are then walked
-again, in full, from the same edges.  So their edge sets and interiors
-iterate as in a search without summaries, and so does the contracted graph's
-edge order, which follows them.  The instances, their order, the tally and
-the number of slot checks are the same as without summaries.
 """
 
 from __future__ import annotations
@@ -257,13 +246,12 @@ class _Cluster(NamedTuple):
     """Host edges tied together by shared nodes outside the image.
 
     Clusters are edge-disjoint, so they compare by their smallest edge alone,
-    and a sorted list of them is in the order of their smallest edges.  A
-    summary (see :meth:`_Search.split`) has no ``edges`` and no ``interior``.
+    and a sorted list of them is in the order of their smallest edges.
     """
 
     first: int  # the smallest edge
-    edges: frozenset[int] | None
-    interior: set[int] | None  # incident host nodes outside the image
+    edges: frozenset[int]
+    interior: set[int]  # incident host nodes outside the image
     slots: list  # the pattern edges that may take the cluster; None: outside
     weight: int  # summed packed counts of the edge labels (0 untyped)
 
@@ -273,11 +261,10 @@ class _Search:
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, typed):
+    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs):
         self.host = host
         self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
-        self.fixed = fixed
         self.host_ext = frozenset(host.ext)
         self.slot_att = [(m, frozenset(pattern.att[m])) for m in slot_order]
         # Around a pivot, a cluster touching no consumed node may stay outside.
@@ -285,25 +272,18 @@ class _Search:
         self.banned = {v: self.host_ext for v in consumed_dom}
         self.needy = needy  # host nodes that must end up in the image
         self.packs = packs  # host edge -> packed counts of its label (0 untyped)
-        self.typed = typed
         self.free = [v for v in sorted(pattern.nodes) if v not in fixed]
         self.placed: list[int] = []  # the host node of each free node placed
         self.preimage = {t: v for v, t in fixed.items()}  # over the image so far
-        self.leaf: tuple[list[_Cluster], _Cluster | None] = ([], None)
 
     def run(self) -> Iterator[list[_Cluster]]:
         """Yield the clusters, sorted, of every injective extension of the
         fixed map that no cluster and no needy node rules out, in the order of
-        the free nodes and, for each, of the host nodes.
-
-        When typed, the pieces of the cluster that the last node splits are
-        summaries; :meth:`realize` gives the leaf's map and real clusters.
-        """
+        the free nodes and, for each, of the host nodes."""
         preimage, placed, free = self.preimage, self.placed, self.free
         clusters = self.split(self.host.edges)
         stack: list[tuple[list[_Cluster], Iterator[int]]] = []
         if self._enter(clusters, stack):
-            self.leaf = (clusters, None)
             yield sorted(clusters)
         while stack:
             clusters, branches = stack[-1]
@@ -318,31 +298,10 @@ class _Search:
             placed.append(t)
             # Only the cluster whose interior holds t changes, into its pieces.
             c = next((c for c in clusters if t in c.interior), None)
-            leaf = len(placed) == len(free)
             if c is not None:
-                clusters = [x for x in clusters if x is not c]
-                # Only the slot check of a typed leaf rejects leaves, so only
-                # there do the pieces wait as summaries.
-                if not leaf or not self.typed:
-                    clusters += self.split(c.edges)
-                    c = None
-            if not leaf:
-                self._enter(clusters, stack)
-                continue
-            summary = clusters if c is None else clusters + self.split(c.edges, full=False)
-            if self._enter(summary, stack):
-                self.leaf = (clusters, c)
-                yield sorted(summary)
-
-    def realize(self) -> tuple[dict[int, int], list[_Cluster]]:
-        """The map and the sorted clusters of the leaf :meth:`run` last
-        yielded; its summarized pieces are walked again, in full."""
-        clusters, c = self.leaf
-        if c is not None:
-            clusters = clusters + self.split(c.edges)
-        phi = dict(self.fixed)
-        phi.update(zip(self.free, self.placed))
-        return phi, sorted(clusters)
+                clusters = [x for x in clusters if x is not c] + self.split(c.edges)
+            if self._enter(clusters, stack):
+                yield sorted(clusters)
 
     def _enter(self, clusters: list[_Cluster], stack: list) -> bool:
         """Cut the partial map with these clusters, push its frame, or report
@@ -366,15 +325,14 @@ class _Search:
         stack.append((clusters, iter([t for t in nodes if t not in preimage and t not in banned])))
         return False
 
-    def split(self, edges, full: bool = True) -> list[_Cluster]:
+    def split(self, edges) -> list[_Cluster]:
         """The clusters that ``edges``, a union of clusters, fall into under
         the current image.
 
         Each is one walk from its smallest edge across non-image nodes, over
         the incidences cached on the host, so its edges and interior come in
         the same order whichever splits came before.  Its slots and weight are
-        found here, once (see the module docstring).  Unless ``full``, it
-        returns summaries, which keep neither edge set nor interior.
+        found here, once (see the module docstring).
         """
         preimage, packs, att, incidences = self.preimage, self.packs, self.att, self.incidences
         seen = {self.pivot}
@@ -402,10 +360,7 @@ class _Search:
                 slots = [m for m, att_m in self.slot_att if hits <= att_m]
             if self.consumed is not None and self.consumed.isdisjoint(hits):
                 slots.append(None)
-            if full:
-                out.append(_Cluster(start, frozenset(found), interior, slots, weight))
-            else:
-                out.append(_Cluster(start, None, None, slots, weight))
+            out.append(_Cluster(start, frozenset(found), interior, slots, weight))
         return out
 
 
@@ -451,19 +406,18 @@ def _instances(
         places = _places(edge_counts.values(), target_counts.values())
         packs = {e: _pack(counts, places) for e, counts in edge_counts.items()}
         targets = {m: _pack(counts, places) for m, counts in target_counts.items()}
-    search = _Search(
-        host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, typed is not None
-    )
-    for summary in search.run():
+    search = _Search(host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs)
+    for clusters in search.run():
         lonely = []  # isolated nodes outside the image, which a part may take
         if nonminimal:
             lonely = [v for v in isolated if v not in search.preimage]
-        slot_lists = [c.slots for c in summary] + [lonely_slots] * len(lonely)
-        weights = [c.weight for c in summary] + [0] * len(lonely)
-        clusters = None
+        slot_lists = [c.slots for c in clusters] + [lonely_slots] * len(lonely)
+        weights = [c.weight for c in clusters] + [0] * len(lonely)
+        phi = None
         for choice in _choices(slot_lists, weights, targets, typed):
-            if clusters is None:
-                phi, clusters = search.realize()
+            if phi is None:
+                phi = dict(fixed)
+                phi.update(zip(search.free, search.placed))
                 consumed_img = {phi[v] for v in consumed_dom}
             part_edges: dict[int, set[int]] = {m: set() for m in edge_ids}
             extra_nodes: dict[int, set[int]] = {m: set() for m in edge_ids}

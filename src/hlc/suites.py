@@ -30,7 +30,7 @@ from .fixtures import (
 )
 from .graphs import Hypergraph, RankedLabel, build_graph, relabel_one, validate
 from .grammars import MemberWitness, hl_member, hrg_member, wgnf_to_hl
-from .hltypes import Sequent
+from .hltypes import Product, Sequent
 from .lambek import (
     Dot,
     LPrim,
@@ -46,7 +46,6 @@ from .models import (
     random_valuation,
     sequent_holds,
     sequent_primitives,
-    Product,
 )
 
 _MAX_LISTED = 20

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from hlc import cli
-from hlc.calculus import check_derivation
+from hlc.calculus import BudgetExceeded, SearchBudget, check_derivation
 from hlc.cli import EXIT_USAGE, main
 from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
-from hlc.fmt import parse_hl_grammar, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
+from hlc.fmt import parse_graph, parse_hl_grammar, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
+from hlc.grammars import hl_member
 from hlc.graphs import build_graph, dollar, handle, string_graph, RankedLabel
 from hlc.hltypes import Primitive, Sequent
 from hlc.suites import SUITES, run_suite
@@ -69,6 +70,23 @@ def test_member_exit_codes(workdir):
     args = ["member", "--grammar", str(workdir / "sgr.hlg")]
     assert main(args + ["--graph", str(workdir / "aabbb.hgf")]) == 0
     assert main(args + ["--graph", str(workdir / "ab.hgf")]) == 1
+
+
+def test_member_budget_exit_names_the_nodes_expanded(capsys):
+    """An inconclusive membership answer reports the nodes the prover expanded,
+    summed over the relabelings tried, as ``hlc derive`` does."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    grammar, graph = fixtures / "hgr1.hlg", fixtures / "kite.hgf"
+    args = ["member", "--grammar", str(grammar), "--graph", str(graph), "--budget-nodes", "1"]
+    assert main(args) == 3
+    result = hl_member(
+        parse_hl_grammar(grammar.read_text()),
+        parse_graph(graph.read_text(), mode="symbol"),
+        SearchBudget(max_nodes=1),
+    )
+    assert isinstance(result, BudgetExceeded) and result.stats.nodes_expanded > 1
+    expected = f"budget exceeded ({result.stats.nodes_expanded} nodes expanded)"
+    assert capsys.readouterr().out.strip() == expected
 
 
 def test_member_emits_tree(workdir):
@@ -244,7 +262,14 @@ def test_malformed_budget_flags_are_usage_errors(workdir, capsys):
     assert main(["derive", deep, "--budget-nodes", "-5"]) == EXIT_USAGE
     assert main(["derive", deep, "--budget-depth", "0"]) == EXIT_USAGE
     assert main(["suite", "sgr", "--budget-nodes", "-1"]) == EXIT_USAGE
-    assert "--budget-depth must be a positive integer" in capsys.readouterr().err
+    hrg = ["hrg-generate", "--grammar", str(workdir / "sgr.hrg")]
+    assert main([*hrg, "--max-edges", "0"]) == EXIT_USAGE
+    assert main([*hrg, "--max-edges", "3", "--max-steps", "-1"]) == EXIT_USAGE
+    assert main([*hrg, "--max-edges", "3", "--max-steps", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--budget-depth must be a positive integer" in err
+    assert "--max-edges must be a positive integer, not 0" in err
+    assert "--max-steps must be a positive integer, not 0" in err
 
 
 def test_malformed_budget_env_is_a_usage_error(workdir, monkeypatch, capsys):

@@ -674,8 +674,7 @@ def test_incremental_search_equals_reference(monkeypatch):
     """Both enumerators yield the reference's items in the reference's order,
     with the same tally; the packed typed check agrees with the reference's
     count dicts.  Slot assignment runs once per reference embedding whose
-    every cluster has a slot, so no leaf is wasted, and a leaf's real
-    clusters are built once if it yields and never otherwise."""
+    every cluster has a slot, so no leaf is wasted."""
     choice_runs = [0]
 
     def counted(choices):
@@ -686,14 +685,6 @@ def test_incremental_search_equals_reference(monkeypatch):
         return run
 
     monkeypatch.setattr(matching, "_choices", counted(matching._choices))
-    realized = [0]
-    real_realize = matching._Search.realize
-
-    def counted_realize(self):
-        realized[0] += 1
-        return real_realize(self)
-
-    monkeypatch.setattr(matching._Search, "realize", counted_realize)
     incremental = matching._instances
     walked: list = []
     yielding = [0]
@@ -728,12 +719,11 @@ def test_incremental_search_equals_reference(monkeypatch):
                         fields = [_item_fields(item) for item in items]
                         runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
                     assert runs[1] == runs[0]
-                    assert realized[0] == yielding[0]
                     totals["items"] += len(runs[0][0])
                     totals["pruned"] += runs[0][1] or 0
                     totals["leaves"] += runs[0][2]
                     totals["yielding"] += yielding[0]
-                    realized[0] = yielding[0] = 0
+                    yielding[0] = 0
     assert totals["items"] > 1000 and totals["pruned"] > 100
     # The reference walked embeddings that the incremental search never reaches,
     # and some leaves that reach slot assignment yield nothing.
