@@ -88,22 +88,21 @@ class DerivationTree:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on one ``derive`` call: nodes expanded, and backward-step depth.
+    """The cap on nodes expanded by one query: one ``derive`` call, or one
+    whole ``hl_member`` call over all its relabelings.
 
-    ``max_depth=None`` means no depth cap, and none is needed for
-    termination: each backward step leaves every premise at least one
-    connective short of its conclusion (the assert in ``Prover._expand``),
-    normalization only removes connectives, and ``Prover._prove`` decides
-    all-primitive sequents before its budget check.  So a sequent checked at
-    depth ``d`` still has a connective, and ``d <= cc(goal) - 1``.
+    There is no depth cap, because search terminates without one: each
+    backward step leaves every premise at least one connective short of its
+    conclusion (the assert in ``Prover._expand``), normalization only removes
+    connectives, and ``Prover._prove`` decides all-primitive sequents before
+    its budget check.  So a branch takes at most ``cc(goal)`` backward steps.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
-    max_depth: int | None = None  # None: no depth cap
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or (self.max_depth is not None and self.max_depth <= 0):
-            raise ValueError("budget components must be positive")
+        if self.max_nodes <= 0:
+            raise ValueError("the node budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ class Prover:
         start_pruned = self._tally.pruned
         self._node_cap = self.nodes_expanded + budget.max_nodes
         if is_balanced(s):
-            tree = self._prove(s, 0, budget.max_depth)
+            tree = self._prove(s)
         else:
             tree = None
             self._tally.pruned += 1
@@ -208,7 +207,7 @@ class Prover:
             return BudgetExceeded(stats)
         return NotDerivable(stats)
 
-    def _prove(self, s: Sequent, depth: int, max_depth: int | None) -> DerivationTree | None:
+    def _prove(self, s: Sequent) -> DerivationTree | None:
         nseq, steps = normalize_trace(s)
         quick = self._primitive_answer(nseq)
         if quick is not None:
@@ -219,12 +218,12 @@ class Prover:
             if cached is False:
                 return None
             return _wrap_trace(cached, steps)
-        if (max_depth is not None and depth > max_depth) or self.nodes_expanded >= self._node_cap:
+        if self.nodes_expanded >= self._node_cap:
             self._budget_hits += 1
             return None
         self.nodes_expanded += 1
         hits_before = self._budget_hits
-        tree = self._expand(nseq, depth, max_depth)
+        tree = self._expand(nseq)
         if tree is not None:
             self.memo[key] = tree
             return _wrap_trace(tree, steps)
@@ -252,7 +251,7 @@ class Prover:
             return DerivationTree(nseq, AXIOM)
         return False
 
-    def _expand(self, nseq: Sequent, depth: int, max_depth: int | None) -> DerivationTree | None:
+    def _expand(self, nseq: Sequent) -> DerivationTree | None:
         """Try division elimination at each division pivot in edge order, then
         product introduction; return the first derivation.  The axiom never
         applies here: ``_prove`` has already decided every all-primitive
@@ -282,7 +281,7 @@ class Prover:
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
                 ]
                 assert sum(connective_count(p) for p in premise_seqs) < cc
-                subtrees = self._prove_all(premise_seqs, depth, max_depth)
+                subtrees = self._prove_all(premise_seqs)
                 if subtrees is None:
                     continue
                 main = subtrees[0]
@@ -306,7 +305,7 @@ class Prover:
             ):
                 premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
                 assert sum(connective_count(p) for p in premise_seqs) < cc
-                subtrees = self._prove_all(premise_seqs, depth, max_depth)
+                subtrees = self._prove_all(premise_seqs)
                 if subtrees is None:
                     continue
                 return DerivationTree(
@@ -314,12 +313,12 @@ class Prover:
                 )
         return None
 
-    def _prove_all(self, premise_seqs, depth, max_depth):
+    def _prove_all(self, premise_seqs):
         # Cheapest goals first to fail fast; trees reassembled in rule order.
         order = sorted(range(len(premise_seqs)), key=lambda i: connective_count(premise_seqs[i]))
         found: dict[int, DerivationTree] = {}
         for i in order:
-            sub = self._prove(premise_seqs[i], depth + 1, max_depth)
+            sub = self._prove(premise_seqs[i])
             if sub is None:
                 return None
             found[i] = sub

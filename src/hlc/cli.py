@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 affirmative result, 1 negative result, 2 usage or format error,
-3 inconclusive (budget exceeded, or a model check outside the exact fragment).
-``HLC_BUDGET_NODES`` and ``HLC_BUDGET_DEPTH`` override the default search
-budget when the corresponding flags are absent.
+3 inconclusive (the node budget ran out, or a model check fell outside the
+exact fragment).  ``--budget-nodes`` is the one search setting: it caps the
+nodes expanded by one query, that is one ``derive``, or one membership
+question of ``member`` or ``suite`` over all its relabelings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .fmt import (
     parse_valuation_lines,
     print_graph,
     print_hl_grammar,
+    print_type,
     tree_to_json,
 )
 from .grammars import MemberWitness, hl_member, hrg_generate, is_wgnf, wgnf_to_hl
@@ -65,24 +66,12 @@ def _positive(raw, source: str) -> int:
     return value
 
 
-def _limit(flag_value: int | None, flag: str, env: str) -> int | None:
-    """The flag's value, else the environment's (unset or empty: None); a
-    value that is not a positive integer is a usage error."""
-    if flag_value is not None:
-        return _positive(flag_value, flag)
-    raw = os.environ.get(env)
-    return _positive(raw, env) if raw else None
-
-
 def _budget(args) -> SearchBudget:
-    nodes = _limit(args.budget_nodes, "--budget-nodes", "HLC_BUDGET_NODES")
-    depth = _limit(args.budget_depth, "--budget-depth", "HLC_BUDGET_DEPTH")
-    return SearchBudget(max_nodes=nodes or DEFAULT_MAX_NODES, max_depth=depth)
+    return SearchBudget(max_nodes=_positive(args.budget_nodes, "--budget-nodes"))
 
 
-def _add_budget_flags(sub) -> None:
-    sub.add_argument("--budget-nodes", type=int, default=None)
-    sub.add_argument("--budget-depth", type=int, default=None)
+def _add_budget_flag(sub) -> None:
+    sub.add_argument("--budget-nodes", type=int, default=DEFAULT_MAX_NODES)
 
 
 def cmd_derive(args) -> int:
@@ -119,7 +108,7 @@ def cmd_member(args) -> int:
             return EXIT_USAGE
         print("member")
         for e in sorted(result.assignment):
-            print(f"  edge {e} : {result.assignment[e]!r}")
+            print(f"  edge {e} : {print_type(result.assignment[e])}")
         if args.emit_tree:
             Path(args.emit_tree).write_text(json.dumps(tree_to_json(result.tree), indent=1))
         return EXIT_YES
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="search for a derivation of a sequent file")
     p.add_argument("sequent")
     p.add_argument("--emit-tree", metavar="OUT.json")
-    _add_budget_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("member", help="grammar membership for a graph")
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--emit-tree", metavar="OUT.json")
     p.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("hrg-generate", help="bounded exhaustive generation")
@@ -304,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="REPORT.json")
-    _add_budget_flags(p)
+    _add_budget_flag(p)
     p.set_defaults(fn=cmd_suite)
 
     return parser

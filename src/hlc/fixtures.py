@@ -363,12 +363,17 @@ def all_binary_graphs(
     allow_isolated: bool = False,
 ) -> list[Hypergraph]:
     """Canonical representatives of binary graphs with the given edge counts,
-    no external nodes, and (by default) no isolated nodes."""
+    no external nodes, and (by default) no isolated nodes.
+
+    Only sorted edge tuples are built: sorting an edge tuple keeps its graph
+    up to isomorphism and makes the tuple lexicographically no larger, so the
+    first tuple met for each key is the same sorted one that the ordered
+    tuples of ``itertools.product`` would meet first."""
     out: dict[object, Hypergraph] = {}
     for k in edge_counts:
         for m in range(2, 2 * k + 1):
             pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
-            for combo in itertools.product(pairs, repeat=k):
+            for combo in itertools.combinations_with_replacement(pairs, k):
                 covered = {v for pair in combo for v in pair}
                 if not allow_isolated and len(covered) != m:
                     continue

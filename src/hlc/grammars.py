@@ -185,6 +185,11 @@ def hl_member(
     stats).  Candidate order is seeded-shuffled so that accepted graphs are
     usually found long before the assignment space is exhausted; a NotMember
     answer always means the space was exhausted without a budget event.
+
+    ``budget`` bounds the whole query: each ``derive`` gets the nodes the
+    earlier relabelings left.  A node budget is hit only when it is spent, so
+    the first hit ends the query, as does a balanced relabeling met with no
+    nodes left.
     """
     report = validate_hl_grammar(g)
     if report is not None:
@@ -205,23 +210,24 @@ def hl_member(
         rng.shuffle(options)
         candidates.append([(t, primitive_counts(t)) for t in options])
     target = dict(primitive_counts(g.distinguished))
+    cap = (budget or SearchBudget()).max_nodes
     pruned = 0
-    total_nodes = 0
-    budget_hits = 0
+    nodes = 0
     for assignment in _relabelings(edges, candidates, target):
         if assignment is None:
             pruned += 1
             continue
+        if nodes == cap:
+            return BudgetExceeded(SearchStats(nodes, 1, len(prover.memo), pruned))
         seq = Sequent(relabel(graph, assignment), g.distinguished)
-        result = prover.derive(seq, budget)
+        result = prover.derive(seq, SearchBudget(max_nodes=cap - nodes))
         if isinstance(result, DerivationTree):
             return MemberWitness(assignment=assignment, relabeled=seq, tree=result)
-        total_nodes += result.stats.nodes_expanded
-        budget_hits += result.stats.budget_hits
-    stats = SearchStats(total_nodes, budget_hits, len(prover.memo), pruned)
-    if budget_hits:
-        return BudgetExceeded(stats)
-    return NotMember(stats)
+        nodes += result.stats.nodes_expanded
+        if isinstance(result, BudgetExceeded):
+            stats = SearchStats(nodes, result.stats.budget_hits, len(prover.memo), pruned)
+            return BudgetExceeded(stats)
+    return NotMember(SearchStats(nodes, 0, len(prover.memo), pruned))
 
 
 def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:

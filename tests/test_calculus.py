@@ -244,20 +244,25 @@ def test_nonminimal_mode_reaches_isolated_node_instances():
     assert check_derivation(relaxed) is None
 
 
-def test_depth_budget(prover):
+def test_node_budget_on_a_serial_chain():
     # A left-nested division chain exposes one division per contraction, so
-    # the subgoals are strictly serial and a depth cap of one cannot finish.
+    # the subgoals are strictly serial.  The node budget alone bounds the
+    # search: the chain is derived with exactly the nodes it needs, and one
+    # node fewer spends the whole budget.
     t = P2
     for _ in range(3):
         t = Division(t, string_graph([dollar(2), Q2]))
     seq = Sequent(string_graph([t, Q2, Q2, Q2]), P2)
-    result = Prover().derive(seq, SearchBudget(max_nodes=10**6, max_depth=1))
-    assert isinstance(result, BudgetExceeded)
-    assert isinstance(Prover().derive(seq, SearchBudget(max_depth=8)), DerivationTree)
+    full = Prover()
+    assert isinstance(full.derive(seq), DerivationTree)
+    needed = full.nodes_expanded
+    assert needed >= 3
+    short = Prover().derive(seq, SearchBudget(max_nodes=needed - 1))
+    assert isinstance(short, BudgetExceeded)
+    assert short.stats.nodes_expanded == needed - 1 and short.stats.budget_hits >= 1
+    assert isinstance(Prover().derive(seq, SearchBudget(max_nodes=needed)), DerivationTree)
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        SearchBudget(max_depth=0)
 
 
 def test_derive_times_right_with_empty_pattern(prover):

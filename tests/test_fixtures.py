@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from hlc.calculus import DerivationTree, check_derivation
+from hlc.canon import canonical_key
 from hlc.fixtures import (
     all_binary_graphs,
     build_hgr1,
@@ -138,6 +140,31 @@ def test_all_binary_graphs_census():
     two = all_binary_graphs((2,))
     # Parallel, antiparallel, head-to-head, tail-to-tail, chain, disjoint.
     assert len(two) == 6
+
+
+def _ordered_tuple_census(edge_counts):
+    """The census as every ordered edge tuple builds it (test-only copy)."""
+    out = {}
+    for k in edge_counts:
+        for m in range(2, 2 * k + 1):
+            pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
+            for combo in itertools.product(pairs, repeat=k):
+                if len({v for pair in combo for v in pair}) != m:
+                    continue
+                g = build_graph(range(m), [(STAR, pair) for pair in combo], ext=())
+                out.setdefault(canonical_key(g), g)
+    return sorted(out.values(), key=canonical_key)
+
+
+def test_census_of_edge_multisets_equals_ordered_tuple_census():
+    def shape(g):
+        return g.nodes, g.edges, g.ext, [(g.att[e], g.lab[e]) for e in g.edges]
+
+    multisets = all_binary_graphs((1, 2, 3))
+    ordered = _ordered_tuple_census((1, 2, 3))
+    assert len(multisets) == len(ordered)
+    for g, h in zip(multisets, ordered):
+        assert shape(g) == shape(h)
 
 
 def test_random_l1_graphs_are_in_l1():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -111,13 +112,23 @@ def test_member_prunes_unbalanced_relabelings():
 
 
 def test_member_sums_budget_hits():
-    prover = CountingProver()
+    """One node budget is shared by all the relabelings of a query: an
+    inconclusive answer has spent exactly that budget, summed over its
+    ``derive`` calls, and names at least one budget hit."""
     graph = build_graph([0, 1, 2], [(STAR, (0, 1)), (STAR, (1, 2)), (STAR, (2, 0))], ())
-    result = hl_member(build_hgr1(), graph, SearchBudget(max_nodes=1), prover=prover)
-    assert isinstance(result, BudgetExceeded)
-    per_relabeling = [r.stats.budget_hits for r in prover.results]
-    assert sum(1 for hits in per_relabeling if hits) > 1
-    assert result.stats.budget_hits == sum(per_relabeling)
+    full = CountingProver()
+    assert isinstance(hl_member(build_hgr1(), graph, prover=full), MemberWitness)
+    needed = full.nodes_expanded
+    assert full.calls > 1
+    for max_nodes in range(1, needed):
+        prover = CountingProver()
+        result = hl_member(build_hgr1(), graph, SearchBudget(max_nodes), prover=prover)
+        assert isinstance(result, BudgetExceeded)
+        assert result.stats.budget_hits >= 1
+        assert result.stats.nodes_expanded == max_nodes
+        assert prover.nodes_expanded == max_nodes
+    witness = hl_member(build_hgr1(), graph, SearchBudget(needed))
+    assert isinstance(witness, MemberWitness)
 
 
 def test_sgr_membership(prover):
@@ -235,6 +246,33 @@ def test_hrg_member_examples():
     assert not hrg_member(tree_hrg, mutant)
     unknown = build_graph([0], [(RankedLabel("dog", 1), (0,))], (0,))
     assert not hrg_member(tree_hrg, unknown)
+
+
+def _anbn_hrg(*, erasing: bool) -> HRG:
+    """``S -> a S b | a b`` over string graphs, which is not in WGNF; with
+    ``erasing``, ``a b`` becomes ``a T b`` with a rank-1 ``T`` on the middle
+    node and an erasing production ``T -> (one node, no edges)``."""
+    s, a, b, t = (RankedLabel(n, r) for n, r in (("S", 2), ("a", 2), ("b", 2), ("T", 1)))
+    productions = [Production(s, string_graph([a, s, b]))]
+    if erasing:
+        middle = build_graph([0, 1, 2], [(a, (0, 1)), (t, (1,)), (b, (1, 2))], (0, 2))
+        productions += [Production(s, middle), Production(t, build_graph([0], [], (0,)))]
+    else:
+        productions.append(Production(s, string_graph([a, b])))
+    nonterminals = (s, t) if erasing else (s,)
+    return HRG(nonterminals, (a, b), tuple(productions), s)
+
+
+@pytest.mark.parametrize("erasing", [False, True])
+def test_hrg_member_outside_wgnf_matches_anbn(erasing):
+    hrg = _anbn_hrg(erasing=erasing)
+    assert validate_hrg(hrg) is None and not is_wgnf(hrg)
+    for n in range(7):
+        for word in itertools.product("ab", repeat=n):
+            w = "".join(word)
+            k = n // 2
+            expected = n > 0 and w == "a" * k + "b" * k
+            assert hrg_member(hrg, sgr_string_graph(w)) == expected, w
 
 
 def test_is_wgnf():
