@@ -13,9 +13,11 @@ finite; a failure answer is exact unless a budget was hit along the way.
 Every derivable sequent is balanced (see :mod:`hlc.hltypes`), so an
 unbalanced goal is refuted at once, and rule instances are enumerated with
 the typed slot check of :mod:`hlc.matching`, which never builds one with an
-unbalanced premise; the stats count both as ``pruned``.  Division pivots are
-tried lazily in edge order, so the search stops at the first pivot that
-yields a derivation and never enumerates the contexts of later ones.
+unbalanced premise.  The stats count the unbalanced goal and the slot
+assignments that check skipped as ``pruned``, and the partial maps its
+closed-slot cut removed as ``closed``.  Division pivots are tried lazily in
+edge order, so the search stops at the first pivot that yields a derivation
+and never enumerates the contexts of later ones.
 Results are memoized by the canonical key of the normalized sequent
 (:meth:`hlc.hltypes.Sequent.canon_key`) and shared across calls on the same
 :class:`Prover`.
@@ -112,8 +114,11 @@ class SearchStats:
     memo_size: int
     # Candidates the primitive-count check discarded unsearched: in
     # Prover.derive an unbalanced goal plus the slot assignments the typed
-    # check in matching skipped; in hl_member, relabelings.
+    # check in matching skipped at a leaf; in hl_member, relabelings.
     pruned: int = 0
+    # Partial maps the closed-slot cut in matching removed, each with every
+    # leaf below it (Tally.closed); hl_member sums it over its relabelings.
+    closed: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ class Prover:
             raise ValueError(f"invalid sequent: {report}")
         budget = budget or SearchBudget()
         start_nodes, start_hits = self.nodes_expanded, self._budget_hits
-        start_pruned = self._tally.pruned
+        start_pruned, start_closed = self._tally.pruned, self._tally.closed
         self._node_cap = self.nodes_expanded + budget.max_nodes
         if is_balanced(s):
             tree = self._prove(s)
@@ -200,6 +205,7 @@ class Prover:
             budget_hits=self._budget_hits - start_hits,
             memo_size=len(self.memo),
             pruned=self._tally.pruned - start_pruned,
+            closed=self._tally.closed - start_closed,
         )
         if tree is not None:
             return tree

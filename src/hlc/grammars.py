@@ -182,9 +182,10 @@ def hl_member(
     derivability makes isomorphic relabelings cheap.  A relabeling whose
     primitive counts differ from the distinguished type's is unbalanced, so
     underivable, and is skipped before any sequent is built (``pruned`` in the
-    stats).  Candidate order is seeded-shuffled so that accepted graphs are
-    usually found long before the assignment space is exhausted; a NotMember
-    answer always means the space was exhausted without a budget event.
+    stats; ``closed`` sums the closed-slot cuts of every ``derive``).
+    Candidate order is seeded-shuffled so that accepted graphs are usually
+    found long before the assignment space is exhausted; a NotMember answer
+    always means the space was exhausted without a budget event.
 
     ``budget`` bounds the whole query: each ``derive`` gets the nodes the
     earlier relabelings left.  A node budget is hit only when it is spent, so
@@ -212,22 +213,23 @@ def hl_member(
     target = dict(primitive_counts(g.distinguished))
     cap = (budget or SearchBudget()).max_nodes
     pruned = 0
-    nodes = 0
+    nodes = closed = 0
     for assignment in _relabelings(edges, candidates, target):
         if assignment is None:
             pruned += 1
             continue
         if nodes == cap:
-            return BudgetExceeded(SearchStats(nodes, 1, len(prover.memo), pruned))
+            return BudgetExceeded(SearchStats(nodes, 1, len(prover.memo), pruned, closed))
         seq = Sequent(relabel(graph, assignment), g.distinguished)
         result = prover.derive(seq, SearchBudget(max_nodes=cap - nodes))
         if isinstance(result, DerivationTree):
             return MemberWitness(assignment=assignment, relabeled=seq, tree=result)
         nodes += result.stats.nodes_expanded
+        closed += result.stats.closed
         if isinstance(result, BudgetExceeded):
-            stats = SearchStats(nodes, result.stats.budget_hits, len(prover.memo), pruned)
+            stats = SearchStats(nodes, result.stats.budget_hits, len(prover.memo), pruned, closed)
             return BudgetExceeded(stats)
-    return NotMember(SearchStats(nodes, 0, len(prover.memo), pruned))
+    return NotMember(SearchStats(nodes, 0, len(prover.memo), pruned, closed))
 
 
 def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:

@@ -62,8 +62,8 @@ cut.  When the two are equal, the next node is tried only inside a slotless
 cluster or on a needy isolated node: anywhere else it leaves every need in
 place (splitting a cluster with slots can only add slotless pieces) with one
 node fewer to meet them.  The embeddings skipped are exactly those that would
-reach no slot assignment, so neither the instances, their order nor the
-typed tally change.
+reach no slot assignment, so this cut changes neither the instances, their
+order nor the typed tally; the closed-slot cut below changes the tally only.
 
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
@@ -90,6 +90,36 @@ later cluster can join it, so one mismatch skips a whole subtree of
 assignments; the tally counts every assignment skipped.  ``models`` leaves
 ``typed`` unset, because its host labels are alphabet symbols, which count
 nothing; ``hlc match`` lists every decomposition, balanced or not.
+
+**Closed slots.**  A typed search also cuts a partial map, leaf or not, once
+the sum of one of its slots is final and wrong.  Let ``R`` be the free
+pattern nodes still to place.  A slot is *closed* when no node of ``R`` is
+attached to it, and a placed pattern node ``b`` is a *sealer* when every slot
+attached to it is closed and, around a pivot, ``b`` is consumed (in a
+decomposition any such ``b`` will do).  ``R`` only shrinks, so a closed slot
+stays closed and a sealer stays a sealer.  Every cluster made later is a
+piece of a split at a later node ``r`` of ``R``, and each piece touches
+``r``, since the cluster split was connected through it; a closed slot is
+attached to no node of ``R``, so no piece offers it.  The clusters offering
+a closed slot in any leaf are therefore among those offering it now.  A
+cluster that touches the image of a sealer ``b`` is *sealed*.  Should a
+later node ``r`` land in its interior, the piece holding its edge at ``b``
+touches both ``b`` and ``r``: no slot is attached to both, and the piece may
+not stay outside either (``b`` is consumed, or there is no outside), so it
+has no slot.  Every piece split off it later again touches ``b`` and a node
+of ``R``, so a slotless cluster remains, and the leaf yields nothing.  A
+sealed cluster is thus intact, with the slots it has now, in every leaf that
+yields.  Hence, when every cluster offering a closed slot is sealed and
+offers only that slot, the slot's sum is final (an isolated node apportioned
+to it weighs nothing), and if it differs from the slot's target, no leaf at
+or below the partial map yields, and the map is cut.  The closed slots and
+the sealers depend only on the depth, so each search lists them once per
+depth and checks only at the depths where they change, after the needs cut;
+each cluster keeps the pattern nodes whose images it touches.  A cut removes
+only subtrees whose every slot assignment the typed check would skip, so the
+instances and their order stay the same.  ``Tally.closed`` counts the
+partial maps cut, and ``Tally.pruned`` the assignments skipped at the leaves
+that remain.  An untyped search makes no such check.
 """
 
 from __future__ import annotations
@@ -140,9 +170,10 @@ def _subgraph(
 
 @dataclass
 class Tally:
-    """Slot assignments the typed check skipped (see the module docstring)."""
+    """What the typed check skipped (see the module docstring)."""
 
-    pruned: int = 0
+    pruned: int = 0  # slot assignments skipped at a leaf
+    closed: int = 0  # partial maps cut because a closed slot's final sum is wrong
 
 
 def _places(edge_counts, target_counts) -> dict:
@@ -252,8 +283,28 @@ class _Cluster(NamedTuple):
     first: int  # the smallest edge
     edges: frozenset[int]
     interior: set[int]  # incident host nodes outside the image
+    hits: set[int]  # the pattern nodes whose images it touches
     slots: list  # the pattern edges that may take the cluster; None: outside
     weight: int  # summed packed counts of the edge labels (0 untyped)
+
+
+def _seals(nodes, slot_att, rest: set, consumed) -> tuple[list[int], frozenset[int]]:
+    """The closed slots and the sealers while the free pattern nodes ``rest``
+    are still to place (see the module docstring): a slot is closed when no
+    node of ``rest`` is attached to it, and a sealer is a placed node whose
+    every slot is closed and which, around a pivot (``consumed`` set), is
+    consumed."""
+    closed, open_nodes = [], set()
+    for m, att_m in slot_att:
+        if rest.isdisjoint(att_m):
+            closed.append(m)
+        else:
+            open_nodes |= att_m
+    sealers = frozenset(
+        v for v in nodes
+        if v not in rest and v not in open_nodes and (consumed is None or v in consumed)
+    )
+    return closed, sealers
 
 
 class _Search:
@@ -261,7 +312,9 @@ class _Search:
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs):
+    def __init__(
+        self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, targets, typed
+    ):
         self.host = host
         self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
@@ -272,9 +325,19 @@ class _Search:
         self.banned = {v: self.host_ext for v in consumed_dom}
         self.needy = needy  # host nodes that must end up in the image
         self.packs = packs  # host edge -> packed counts of its label (0 untyped)
+        self.targets, self.typed = targets, typed
         self.free = [v for v in sorted(pattern.nodes) if v not in fixed]
         self.placed: list[int] = []  # the host node of each free node placed
         self.preimage = {t: v for v, t in fixed.items()}  # over the image so far
+        # depth -> (closed slots, sealers) where that pair changes (typed only)
+        self.seals: dict[int, tuple[list[int], frozenset[int]]] = {}
+        if typed is not None:
+            previous = None
+            for k in range(len(self.free) + 1):
+                pair = _seals(pattern.nodes, self.slot_att, set(self.free[k:]), self.consumed)
+                if pair != previous and pair[0]:
+                    self.seals[k] = pair
+                previous = pair
 
     def run(self) -> Iterator[list[_Cluster]]:
         """Yield the clusters, sorted, of every injective extension of the
@@ -307,13 +370,19 @@ class _Search:
         """Cut the partial map with these clusters, push its frame, or report
         that it is a leaf to yield.  Each later node meets at most one need,
         so more needs than nodes left cut, and as many restrict the next node
-        to the interiors of slotless clusters and the needy nodes."""
+        to the interiors of slotless clusters and the needy nodes.  A typed
+        search then cuts, at the depths in ``seals``, a partial map with a
+        closed slot whose final sum misses its target."""
         preimage = self.preimage
         slotless = [c for c in clusters if not c.slots]
         lonely = self.needy - preimage.keys()
         needs = len(slotless) + len(lonely)
         left = len(self.free) - len(self.placed)
         if needs > left:
+            return False
+        seals = self.seals.get(len(self.placed))
+        if seals is not None and self._closed_sum_differs(clusters, *seals):
+            self.typed.closed += 1
             return False
         if not left:
             return True
@@ -323,6 +392,29 @@ class _Search:
             allowed = lonely.union(*(c.interior for c in slotless))
             nodes = [t for t in nodes if t in allowed]
         stack.append((clusters, iter([t for t in nodes if t not in preimage and t not in banned])))
+        return False
+
+    def _closed_sum_differs(
+        self, clusters: list[_Cluster], closed: list[int], sealers: frozenset[int]
+    ) -> bool:
+        """Whether some closed slot whose every offering cluster is sealed and
+        single-slot sums to other than its target: such a sum is final in every
+        leaf that yields (see the module docstring)."""
+        sums = dict.fromkeys(closed, 0)
+        for c in clusters:
+            slots = c.slots
+            if len(slots) == 1 and not sealers.isdisjoint(c.hits):
+                if slots[0] in sums:
+                    sums[slots[0]] += c.weight
+            else:
+                for m in slots:
+                    sums.pop(m, None)  # a choice or a split may yet move this sum
+                if not sums:
+                    return False
+        targets = self.targets
+        for m, total in sums.items():
+            if total != targets[m]:
+                return True
         return False
 
     def split(self, edges) -> list[_Cluster]:
@@ -360,7 +452,7 @@ class _Search:
                 slots = [m for m, att_m in self.slot_att if hits <= att_m]
             if self.consumed is not None and self.consumed.isdisjoint(hits):
                 slots.append(None)
-            out.append(_Cluster(start, frozenset(found), interior, slots, weight))
+            out.append(_Cluster(start, frozenset(found), interior, hits, slots, weight))
         return out
 
 
@@ -406,7 +498,9 @@ def _instances(
         places = _places(edge_counts.values(), target_counts.values())
         packs = {e: _pack(counts, places) for e, counts in edge_counts.items()}
         targets = {m: _pack(counts, places) for m, counts in target_counts.items()}
-    search = _Search(host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs)
+    search = _Search(
+        host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, targets, typed
+    )
     for clusters in search.run():
         lonely = []  # isolated nodes outside the image, which a part may take
         if nonminimal:
@@ -458,8 +552,9 @@ def enumerate_decompositions(
 
     Decompositions with isomorphic parts may repeat (see the module
     docstring).  With a ``typed`` tally, only decompositions whose every part
-    balances against its pattern edge's label are built, and the skipped slot
-    assignments are counted in ``typed.pruned``.
+    balances against its pattern edge's label are built; the slot assignments
+    skipped at a leaf are counted in ``typed.pruned``, and the partial maps
+    the closed-slot cut removes in ``typed.closed``.
     """
     if host.rank != pattern.rank:
         return
@@ -488,8 +583,9 @@ def enumerate_context_extractions(
     contexts are exactly those whose reassembly reproduces the host; contexts
     with isomorphic parts and contracted graphs may repeat (the prover's memo
     absorbs them).  With a ``typed`` tally, only extractions whose every part
-    balances against its denominator edge's label are built, and the skipped
-    slot assignments are counted in ``typed.pruned``.
+    balances against its denominator edge's label are built; the slot
+    assignments skipped at a leaf are counted in ``typed.pruned``, and the
+    partial maps the closed-slot cut removes in ``typed.closed``.
     """
     d = div_type.denominator
     hole = dollar_edge(d)

@@ -10,11 +10,13 @@ from hlc.hltypes import (
     Product,
     Sequent,
     connective_count,
+    dollar_edge,
     is_balanced,
     primitive_counts,
 )
 from hlc.lambek import enumerate_lambek_corpus, lambek_derive, translate_lsequent
 from hlc.matching import enumerate_context_extractions
+from tests.test_matching import pruned_at_uncut_leaves
 
 S2 = Primitive("s", 2)
 P2 = Primitive("p", 2)
@@ -83,21 +85,34 @@ def test_balanced_but_underivable_is_still_searched():
 
 def test_pruned_counts_extractions_with_an_unbalanced_part():
     # One expansion, whose premises are all primitive and decided outright,
-    # so every prune comes from the typed slot check at the one pivot.
+    # so every prune and every cut comes from the typed search at the one pivot.
     seq = Sequent(string_graph([SGR_Q, P2, S2]), S2)
     d = SGR_Q.denominator
+    hole = dollar_edge(d)
+    extractions = list(enumerate_context_extractions(seq.antecedent, 0, SGR_Q))
     unbalanced = sum(
         any(
             primitive_counts(extr.parts[de]) != primitive_counts(d.lab[de])
             for de in extr.parts
         )
-        for extr in enumerate_context_extractions(seq.antecedent, 0, SGR_Q)
+        for extr in extractions
     )
     result = Prover().derive(seq)
     assert isinstance(result, NotDerivable)
     assert result.stats.nodes_expanded == 1
     assert unbalanced > 0
-    assert result.stats.pruned == unbalanced
+    # The slot check sees only the leaves the closed-slot cut keeps.
+    assert result.stats.pruned == pruned_at_uncut_leaves(
+        seq.antecedent, d, sorted(e for e in d.edges if e != hole),
+        dict(zip(d.att[hole], seq.antecedent.att[0])),
+        [(extr.phi, extr.parts) for extr in extractions],
+        pivot=0, consumed_dom=[v for v in d.nodes if v not in d.ext],
+    )
+    # The s slot closes once the node between s and p is placed, which may go
+    # only to host node 2 (it is consumed, and node 3 is external).  The one
+    # cluster offering s is the p edge, which cannot fill it, and the hole's
+    # consumed node seals it: that one partial map is cut.
+    assert result.stats.closed == 1
 
 
 def test_axiom_is_balanced():

@@ -109,6 +109,8 @@ def test_member_prunes_unbalanced_relabelings():
     total = len(hgr2.correspondence) ** len(graph.edges)
     assert result.stats.pruned + prover.calls == total
     assert result.stats.nodes_expanded == sum(r.stats.nodes_expanded for r in prover.results)
+    assert result.stats.closed == sum(r.stats.closed for r in prover.results)
+    assert result.stats.closed > 0
 
 
 def test_member_sums_budget_hits():

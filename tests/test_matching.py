@@ -430,24 +430,47 @@ def _balanced(parts, labels):
     return all(primitive_counts(parts[k]) == primitive_counts(labels[k]) for k in parts)
 
 
+def pruned_at_uncut_leaves(host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom):
+    """What ``Tally.pruned`` counts: of the untyped ``(phi, parts)``
+    instances, those with an unbalanced part whose embedding the reference
+    closed-slot cut keeps (a cut embedding is never offered to the slot check)."""
+    known, cut, count = {}, {}, 0
+    for phi, parts in instances:
+        if _balanced(parts, pattern.lab):
+            continue
+        key = tuple(sorted(phi.items()))
+        if key not in cut:
+            cut[key] = _reference_closed_cut(
+                host, pattern, slot_order, fixed, phi,
+                pivot=pivot, consumed_dom=consumed_dom, known=known,
+            )
+        count += not cut[key]
+    return count
+
+
 def _check_typed_decompositions(host, pattern, nonminimal):
     """Typed keys are the untyped keys of all-balanced instances, and the tally
-    counts exactly the untyped instances with an unbalanced part."""
+    counts exactly the untyped instances with an unbalanced part whose
+    embedding the closed-slot cut keeps."""
     kw = {"nonminimal": nonminimal}
     untyped = list(enumerate_decompositions(host, pattern, **kw))
     tally = Tally()
     typed = list(enumerate_decompositions(host, pattern, typed=tally, **kw))
     kept = [dec for dec in untyped if _balanced(dec.parts, pattern.lab)]
     assert [dec.part_edges for dec in typed] == [dec.part_edges for dec in kept]
-    assert tally.pruned == len(untyped) - len(kept)
+    assert tally.pruned == pruned_at_uncut_leaves(
+        host, pattern, sorted(pattern.edges), dict(zip(pattern.ext, host.ext)),
+        [(dec.node_map, dec.parts) for dec in untyped], pivot=None, consumed_dom=[],
+    )
     assert decomposition_keys(host, pattern, typed=Tally(), **kw) == {
         tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
     }
-    return len(kept), tally.pruned
+    return len(kept), tally.pruned, tally.closed
 
 
 def _check_typed_extractions(host, pivot, div_type, nonminimal):
     d = div_type.denominator
+    hole = dollar_edge(d)
     kw = {"nonminimal": nonminimal}
     untyped = list(enumerate_context_extractions(host, pivot, div_type, **kw))
     tally = Tally()
@@ -456,12 +479,16 @@ def _check_typed_extractions(host, pivot, div_type, nonminimal):
     )
     kept = [x for x in untyped if _balanced(x.parts, d.lab)]
     assert [(x.phi, x.part_edges) for x in typed] == [(x.phi, x.part_edges) for x in kept]
-    assert tally.pruned == len(untyped) - len(kept)
+    assert tally.pruned == pruned_at_uncut_leaves(
+        host, d, sorted(e for e in d.edges if e != hole), dict(zip(d.att[hole], host.att[pivot])),
+        [(x.phi, x.parts) for x in untyped],
+        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext],
+    )
     assert extraction_keys(host, pivot, div_type, typed=Tally(), **kw) == {
         (canonical_key(x.contracted), tuple(canonical_key(x.parts[de]) for de in sorted(x.parts)))
         for x in kept
     }
-    return len(kept), tally.pruned
+    return len(kept), tally.pruned, tally.closed
 
 
 def test_typed_decompositions_match_filtered_untyped():
@@ -469,7 +496,7 @@ def test_typed_decompositions_match_filtered_untyped():
     kept = pruned = 0
     for nonminimal in (False, True):
         for host, pattern in [*string_hosts(rng, 40), *rank1_hosts(rng, 30)]:
-            k, s = _check_typed_decompositions(host, pattern, nonminimal)
+            k, s, _ = _check_typed_decompositions(host, pattern, nonminimal)
             kept, pruned = kept + k, pruned + s
     assert kept > 0 and pruned > 0
 
@@ -479,13 +506,23 @@ def test_typed_extractions_match_filtered_untyped():
     kept = pruned = 0
     for nonminimal in (False, True):
         for host, pivot, d in [*string_division_hosts(rng, 25), *rank1_division_hosts(rng, 25)]:
-            k, s = _check_typed_extractions(host, pivot, d, nonminimal)
+            k, s, _ = _check_typed_extractions(host, pivot, d, nonminimal)
             kept, pruned = kept + k, pruned + s
-    # Mapping the p node to 1 closes the p slot at the first cluster, which
-    # cannot fill it, while each of the two later clusters has two slots: the
-    # check skips all four of their assignments at once.
+    # Both leaves (the p node on 1 or on 2) are cut before the slot check: the
+    # p slot is offered only by the single-slot clusters at the p node's
+    # image, which the p node, a sealer, seals, and their q edges cannot fill
+    # it.  The slot check used to skip the four assignments of the first.
     host = build_graph([0, 1, 2], [(DIV_PQ, (0,)), (Q1, (1,)), (Q1, (2,)), (Q1, (2,))], ())
-    assert _check_typed_extractions(host, 0, DIV_PQ, False)[1] >= 4
+    assert _check_typed_extractions(host, 0, DIV_PQ, False) == (0, 0, 2)
+    # With nodes 1 and 2 on host 1 and 2, the s slot is closed and the cluster
+    # of t and p through host node 3 offers only s.  Node 2 is on closed slots
+    # only, but it is external, so it seals nothing: node 3 on host 3 splits
+    # the cluster, t goes to the t slot, and p, touching no consumed node,
+    # stays outside.  Had node 2 sealed it, s would sum t + p + s and be cut.
+    d = build_graph([0, 1, 2, 3], [(dollar(1), (0,)), (S, (1, 2)), (T, (1, 3))], (2, 3))
+    div = Division(Q, d)
+    host = build_graph([0, 1, 2, 3], [(div, (0,)), (T, (1, 3)), (P, (3, 2)), (S, (1, 2))], ())
+    assert _check_typed_extractions(host, 0, div, False) == (1, 0, 5)
     assert kept > 0 and pruned > 0
 
 
@@ -585,6 +622,53 @@ def _reference_clusters(host, image, pivot):
         yield frozenset(edges), frozenset(hits), interior
 
 
+def _reference_closed_cut(host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, known):
+    """Whether the closed-slot cut removes a prefix of the full embedding
+    ``phi``, stated afresh: at each depth where the closed slots or the
+    sealers change, the prefix's clusters are found from scratch, and a closed
+    slot whose every offering cluster has that one slot and touches a sealer's
+    image must sum, in count dicts, to its label's counts."""
+    free = sorted(v for v in pattern.nodes if v not in fixed)
+    host_ext = frozenset(host.ext)
+    previous = None
+    for k in range(len(free) + 1):
+        rest = set(free[k:])
+        closed = [m for m in slot_order if rest.isdisjoint(pattern.att[m])]
+        sealers = {
+            b for b in pattern.nodes
+            if b not in rest
+            and (pivot is None or b in consumed_dom)
+            and all(m in closed for m in slot_order if b in pattern.att[m])
+        }
+        changed, previous = (closed, sealers) != previous, (closed, sealers)
+        if not changed or not closed:
+            continue
+        prefix = {v: t for v, t in phi.items() if v not in rest}
+        seal_img = {prefix[b] for b in sealers}
+        consumed_img = {prefix[v] for v in consumed_dom if v in prefix}
+        att_sets = {m: {prefix[u] for u in pattern.att[m] if u in prefix} for m in slot_order}
+        sums = {m: {} for m in closed}
+        for edges, hits, interior in _reference_clusters(host, set(prefix.values()), pivot):
+            slots = []
+            if host_ext.isdisjoint(interior):
+                slots = [m for m in slot_order if hits <= att_sets[m]]
+            if pivot is not None and hits.isdisjoint(consumed_img):
+                slots.append(None)
+            for m in slots:
+                if m not in sums:
+                    continue
+                if len(slots) > 1 or hits.isdisjoint(seal_img):
+                    sums[m] = None
+                elif sums[m] is not None:
+                    add_counts(sums[m], _reference_edge_counts(host, edges, known))
+        if any(
+            total is not None and total != dict(primitive_counts(pattern.lab[m]))
+            for m, total in sums.items()
+        ):
+            return True
+    return False
+
+
 def _reference_instances(
     host, pattern, slot_order, fixed, *, pivot, consumed_dom, nonminimal, typed, walked,
     choices, yielding,
@@ -623,6 +707,11 @@ def _reference_instances(
             clusters.append((edges, interior))
             slot_lists.append(slots)
         else:
+            if typed is not None and _reference_closed_cut(
+                host, pattern, slot_order, fixed, phi,
+                pivot=pivot, consumed_dom=consumed_dom, known=known,
+            ):
+                continue
             slot_lists += [lonely_slots] * len(lonely)
             weights = None
             if typed is not None:
@@ -672,9 +761,10 @@ def _item_fields(item):
 
 def test_incremental_search_equals_reference(monkeypatch):
     """Both enumerators yield the reference's items in the reference's order,
-    with the same tally; the packed typed check agrees with the reference's
-    count dicts.  Slot assignment runs once per reference embedding whose
-    every cluster has a slot, so no leaf is wasted."""
+    with the same ``pruned``; the packed typed check agrees with the
+    reference's count dicts.  Slot assignment runs once per reference
+    embedding whose every cluster has a slot and whose prefixes the
+    reference closed-slot cut keeps, so no leaf is wasted."""
     choice_runs = [0]
 
     def counted(choices):
@@ -704,7 +794,7 @@ def test_incremental_search_equals_reference(monkeypatch):
         *wide_division_hosts(rng, 8),
     ]:
         cases.append((enumerate_context_extractions, host, (pivot, d)))
-    totals = {"items": 0, "pruned": 0, "leaves": 0, "yielding": 0}
+    totals = {"items": 0, "pruned": 0, "closed": 0, "leaves": 0, "yielding": 0}
     for enumerate_, host, args in cases:
         for k in range(3):
             padded = with_isolated_nodes(host, k)
@@ -721,13 +811,40 @@ def test_incremental_search_equals_reference(monkeypatch):
                     assert runs[1] == runs[0]
                     totals["items"] += len(runs[0][0])
                     totals["pruned"] += runs[0][1] or 0
+                    totals["closed"] += tally.closed if typed else 0
                     totals["leaves"] += runs[0][2]
                     totals["yielding"] += yielding[0]
                     yielding[0] = 0
-    assert totals["items"] > 1000 and totals["pruned"] > 100
+    assert totals["items"] > 1000 and totals["pruned"] > 100 and totals["closed"] > 0
     # The reference walked embeddings that the incremental search never reaches,
     # and some leaves that reach slot assignment yield nothing.
     assert len(walked) > totals["leaves"] > totals["yielding"] > 0
+
+
+def test_closed_slots_leave_one_leaf_per_extraction(monkeypatch):
+    """``q^30 s p^30 |- s`` takes 30 division eliminations, and the
+    closed-slot cut leaves each extraction one leaf to decide: the first whose
+    s part balances, which yields the derivation's instance."""
+    from hlc.calculus import DerivationTree, Prover, check_derivation
+    from hlc.fixtures import build_sgr
+    from hlc.hltypes import Sequent
+
+    runs = [0]
+    choices = matching._choices
+
+    def counted(*args):
+        runs[0] += 1
+        return choices(*args)
+
+    monkeypatch.setattr(matching, "_choices", counted)
+    sgr = build_sgr()
+    q, p, s = (t for _, t in sgr.correspondence)
+    prover = Prover()
+    tree = prover.derive(Sequent(string_graph([q] * 30 + [s] + [p] * 30), sgr.distinguished))
+    assert isinstance(tree, DerivationTree)
+    assert check_derivation(tree) is None
+    assert runs[0] == 30
+    assert prover._tally.closed > 0
 
 
 def _brute_choices(slot_lists, weights, targets):
