@@ -22,6 +22,7 @@ from typing import Iterator
 from .calculus import (
     BudgetExceeded,
     DerivationTree,
+    NotDerivable,
     Prover,
     SearchBudget,
     SearchStats,
@@ -128,6 +129,7 @@ class MemberWitness:
     assignment: dict[int, HLType]  # edge -> chosen type
     relabeled: Sequent
     tree: DerivationTree
+    stats: SearchStats  # summed over the relabelings tried, as in NotMember
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,8 @@ def hl_member(
     derivability makes isomorphic relabelings cheap.  A relabeling whose
     primitive counts differ from the distinguished type's is unbalanced, so
     underivable, and is skipped before any sequent is built (``pruned`` in the
-    stats; ``closed`` sums the closed-slot cuts of every ``derive``).
+    stats; ``nodes_expanded`` and ``closed`` sum those of every ``derive``,
+    a witness's stats included).
     Candidate order is seeded-shuffled so that accepted graphs are usually
     found long before the assignment space is exhausted; a NotMember answer
     always means the space was exhausted without a budget event.
@@ -222,13 +225,15 @@ def hl_member(
             return BudgetExceeded(SearchStats(nodes, 1, len(prover.memo), pruned, closed))
         seq = Sequent(relabel(graph, assignment), g.distinguished)
         result = prover.derive(seq, SearchBudget(max_nodes=cap - nodes))
+        last = prover.last_stats
+        nodes += last.nodes_expanded
+        closed += last.closed
+        if isinstance(result, NotDerivable):
+            continue
+        stats = SearchStats(nodes, last.budget_hits, len(prover.memo), pruned, closed)
         if isinstance(result, DerivationTree):
-            return MemberWitness(assignment=assignment, relabeled=seq, tree=result)
-        nodes += result.stats.nodes_expanded
-        closed += result.stats.closed
-        if isinstance(result, BudgetExceeded):
-            stats = SearchStats(nodes, result.stats.budget_hits, len(prover.memo), pruned, closed)
-            return BudgetExceeded(stats)
+            return MemberWitness(assignment=assignment, relabeled=seq, tree=result, stats=stats)
+        return BudgetExceeded(stats)
     return NotMember(SearchStats(nodes, 0, len(prover.memo), pruned, closed))
 
 

@@ -126,11 +126,15 @@ class Product(HLType):
 
 
 def dollar_edge(d: Hypergraph) -> int:
-    """The unique ``$``-labeled edge of a denominator."""
-    found = [e for e in d.edges if is_dollar(d.lab[e])]
-    if len(found) != 1:
-        raise ValueError(f"denominator must have exactly one $ edge, found {len(found)}")
-    return found[0]
+    """The unique ``$``-labeled edge of a denominator, cached on it."""
+    cached = d.__dict__.get("_hole")
+    if cached is None:
+        found = [e for e in d.edges if is_dollar(d.lab[e])]
+        if len(found) != 1:
+            raise ValueError(f"denominator must have exactly one $ edge, found {len(found)}")
+        cached = found[0]
+        object.__setattr__(d, "_hole", cached)
+    return cached
 
 
 def validate_type(t: object) -> str | None:
@@ -295,6 +299,15 @@ def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:
     object.__setattr__(g, "_cc", cc)
     object.__setattr__(g, "_pc", pc)
     return cc, pc
+
+
+def set_counts(g: Hypergraph, cc: int, pc: Counts | None = None) -> None:
+    """Cache on a fresh graph the connective count ``cc`` and, unless ``None``,
+    the primitive counts ``pc`` that its builder knows, so that neither is
+    found by a walk of its edges."""
+    object.__setattr__(g, "_cc", cc)
+    if pc is not None:
+        object.__setattr__(g, "_pc", pc)
 
 
 def primitive_counts(x: object) -> Counts:

@@ -68,18 +68,22 @@ order nor the typed tally; the closed-slot cut below changes the tally only.
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
 (``#H_d = #lab(d)``, see :mod:`hlc.hltypes`).  A caller that passes a
-:class:`Tally` as ``typed`` gets only such instances.  Each call numbers the
-primitives of the host labels and of the slot labels, and packs a count
-vector ``c`` into the integer ``sum(c_i * B**i)``, with ``B = 2M + 1`` and
-``M`` the larger of the summed absolute counts over all host edges and the
-largest absolute count of a slot label.  Packing is additive, so a cluster's
-weight is the sum of its edges' packed labels, one addition per edge walked,
-and a slot's sum is the packed sum of its clusters' counts.  Packing is also
-injective wherever it is compared: a slot's sum counts a subset of the host
-edges and a target is one slot label, so every component of either lies in
-``[-M, M]``, and every component of their difference ``d`` in
-``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its lowest
-nonzero component would be ``d_k = -sum(d_i * B**(i-k) for i > k)``, a
+:class:`Tally` as ``typed`` gets only such instances.  Each host numbers the
+``k`` primitives of its labels, once, and packs a count vector ``c`` into the
+integer ``sum(c_i * B**i)``, with ``B = 2M + 1`` and ``M`` the summed absolute
+counts over all host edges.  Packing is additive, so a cluster's weight is the
+sum of its edges' packed labels, one addition per edge walked, and a slot's
+sum is the packed sum of its clusters' counts.  A slot's sum counts a subset
+of the host edges, so each of its components lies in ``[-M, M]`` and its size
+is at most ``M * (B**k - 1) / (B - 1) < B**k``.  A slot label whose every
+primitive is the host's and every count lies in ``[-M, M]`` packs the same
+way.  Any other label counts what no slot sum can: a primitive the host lacks
+sums to zero in every slot, and a count beyond ``M`` is out of reach.  Such a
+label packs to ``B**k``, which no slot sum reaches.  Packing is also injective
+wherever it is compared: a slot's sum and a target in range have every
+component in ``[-M, M]``, and every component of their difference ``d`` lies
+in ``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its
+lowest nonzero component would be ``d_j = -sum(d_i * B**(i-j) for i > j)``, a
 nonzero multiple of ``B`` of size at most ``2M < B``, which cannot be.  So a
 packed sum equals a packed target exactly when the counts are equal.  A slot
 assignment is kept only when the clusters in every slot sum to that slot's
@@ -120,6 +124,14 @@ only subtrees whose every slot assignment the typed check would skip, so the
 instances and their order stay the same.  ``Tally.closed`` counts the
 partial maps cut, and ``Tally.pruned`` the assignments skipped at the leaves
 that remain.  An untyped search makes no such check.
+
+**Setup and counts.**  What a search needs of the host (its external nodes,
+its isolated nodes and its packed labels) and of the pattern (the slot
+attachments, the free nodes and the closed-slot schedule) depends on that
+graph alone, so it is found once and cached on the graph, as its incidences
+are.  Each part and contracted graph is built with its connective count, and
+with its primitive counts when typed (see ``Prover._expand``), so the prover
+never walks a fresh premise to count it.
 """
 
 from __future__ import annotations
@@ -129,7 +141,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .graphs import Hypergraph
-from .hltypes import Division, dollar_edge, primitive_counts
+from .hltypes import Division, connective_count, dollar_edge, primitive_counts, set_counts
 
 
 @dataclass(frozen=True)
@@ -154,18 +166,29 @@ class ContextExtraction:
 
 
 def _subgraph(
-    host: Hypergraph, edges: frozenset[int], ext: tuple[int, ...], extra_nodes: set[int]
+    host: Hypergraph,
+    edges: frozenset[int],
+    ext: tuple[int, ...],
+    extra_nodes: set[int],
+    counts=None,
 ) -> Hypergraph:
+    """The part of the host on ``edges``, with its connective count set, and
+    its primitive counts when the caller knows them as ``counts``."""
+    ccs = _host(host).ccs
     nodes = set(ext) | extra_nodes
+    cc = 0
     for e in edges:
         nodes.update(host.att[e])
-    return Hypergraph(
+        cc += ccs[e]
+    part = Hypergraph(
         nodes=tuple(sorted(nodes)),
         edges=tuple(sorted(edges)),
         att={e: host.att[e] for e in edges},
         lab={e: host.lab[e] for e in edges},
         ext=ext,
     )
+    set_counts(part, cc, counts)
+    return part
 
 
 @dataclass
@@ -176,28 +199,71 @@ class Tally:
     closed: int = 0  # partial maps cut because a closed slot's final sum is wrong
 
 
-def _places(edge_counts, target_counts) -> dict:
-    """The place value of each primitive for :func:`_pack`: ``B**i`` for the
-    ``i``-th key in sorted order, with ``B = 2M + 1`` and ``M`` the larger of
-    the summed absolute counts of ``edge_counts`` and the largest absolute
-    count of ``target_counts`` (see the module docstring)."""
+def _places(edge_counts) -> tuple[dict, int]:
+    """The place value of each primitive for :func:`_pack`, ``B**i`` for the
+    ``i``-th key in sorted order, and ``M``: ``B = 2M + 1``, with ``M`` the
+    summed absolute counts of ``edge_counts`` (see the module docstring)."""
     keys: set = set()
     bound = 0
     for counts in edge_counts:
         for key, n in counts:
             keys.add(key)
             bound += abs(n)
-    for counts in target_counts:
-        for key, n in counts:
-            keys.add(key)
-            bound = max(bound, abs(n))
     base = 2 * bound + 1
-    return {key: base**i for i, key in enumerate(sorted(keys))}
+    return {key: base**i for i, key in enumerate(sorted(keys))}, bound
 
 
 def _pack(counts, places: dict) -> int:
     """A count vector as one integer, ``sum(n * places[key])``."""
     return sum(n * places[key] for key, n in counts)
+
+
+class _Host(NamedTuple):
+    """What every search in a host needs of it, found once (see the module
+    docstring)."""
+
+    ext: frozenset[int]
+    isolated: list[int]  # nodes no edge touches, external ones aside
+    places: dict  # primitive key -> place value
+    bound: int  # M: no slot sum has a component beyond it
+    unreachable: int  # B**k, which no slot sum reaches
+    packs: dict[int, int]  # edge -> packed counts of its label
+    ccs: dict[int, int]  # edge -> connective count of its label
+
+
+def _host(host: Hypergraph) -> _Host:
+    """The host's :class:`_Host`, cached on it."""
+    cached = host.__dict__.get("_match_host")
+    if cached is None:
+        ext = frozenset(host.ext)
+        incidences = host._incidence_map()
+        edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
+        places, bound = _places(edge_counts.values())
+        cached = _Host(
+            ext=ext,
+            isolated=[v for v in host.nodes if v not in incidences and v not in ext],
+            places=places,
+            bound=bound,
+            unreachable=(2 * bound + 1) ** len(places),
+            packs={e: _pack(counts, places) for e, counts in edge_counts.items()},
+            ccs={e: connective_count(host.lab[e]) for e in host.edges},
+        )
+        object.__setattr__(host, "_match_host", cached)
+    return cached
+
+
+def _target(counts, facts: _Host) -> int:
+    """A slot label's counts packed in the host's places, or
+    ``facts.unreachable`` when no slot sum can count the same (see the
+    module docstring)."""
+    places, bound = facts.places, facts.bound
+    total = 0
+    for key, n in counts:
+        place = places.get(key)
+        if place is None or abs(n) > bound:
+            return facts.unreachable
+        total += n * place
+    return total
 
 
 def _choices(
@@ -285,7 +351,7 @@ class _Cluster(NamedTuple):
     interior: set[int]  # incident host nodes outside the image
     hits: set[int]  # the pattern nodes whose images it touches
     slots: list  # the pattern edges that may take the cluster; None: outside
-    weight: int  # summed packed counts of the edge labels (0 untyped)
+    weight: int  # summed packed counts of the edge labels
 
 
 def _seals(nodes, slot_att, rest: set, consumed) -> tuple[list[int], frozenset[int]]:
@@ -307,37 +373,63 @@ def _seals(nodes, slot_att, rest: set, consumed) -> tuple[list[int], frozenset[i
     return closed, sealers
 
 
+class _Role(NamedTuple):
+    """What every search of a pattern in one role needs of it, found once
+    (see the module docstring)."""
+
+    slot_att: list[tuple[int, frozenset[int]]]  # slot -> its attachment nodes
+    free: list[int]  # the pattern nodes to place, in order
+    consumed: frozenset[int] | None  # around a pivot, the nodes the region swallows
+    # depth -> (closed slots, sealers) where that pair changes
+    seals: dict[int, tuple[list[int], frozenset[int]]]
+
+
+def _role(pattern: Hypergraph, slot_order, fixed, pivot, consumed_dom) -> _Role:
+    """The pattern's :class:`_Role`, cached on it under everything it
+    depends on."""
+    roles = pattern.__dict__.get("_match_roles")
+    if roles is None:
+        roles = {}
+        object.__setattr__(pattern, "_match_roles", roles)
+    key = (tuple(slot_order), tuple(fixed), tuple(consumed_dom), pivot is not None)
+    cached = roles.get(key)
+    if cached is None:
+        slot_att = [(m, frozenset(pattern.att[m])) for m in slot_order]
+        # Around a pivot, a cluster touching no consumed node may stay outside.
+        consumed = frozenset(consumed_dom) if pivot is not None else None
+        free = [v for v in sorted(pattern.nodes) if v not in fixed]
+        seals = {}
+        previous = None
+        for k in range(len(free) + 1):
+            pair = _seals(pattern.nodes, slot_att, set(free[k:]), consumed)
+            if pair != previous and pair[0]:
+                seals[k] = pair
+            previous = pair
+        cached = roles[key] = _Role(slot_att, free, consumed, seals)
+    return cached
+
+
 class _Search:
     """The embedding search of one ``_instances`` call (see the module
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(
-        self, host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, targets, typed
-    ):
+    def __init__(self, host, facts, role, fixed, pivot, consumed_dom, needy, targets, typed):
         self.host = host
         self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
-        self.host_ext = frozenset(host.ext)
-        self.slot_att = [(m, frozenset(pattern.att[m])) for m in slot_order]
-        # Around a pivot, a cluster touching no consumed node may stay outside.
-        self.consumed = frozenset(consumed_dom) if pivot is not None else None
-        self.banned = {v: self.host_ext for v in consumed_dom}
+        self.host_ext = facts.ext
+        self.slot_att = role.slot_att
+        self.consumed = role.consumed
+        self.banned = {v: facts.ext for v in consumed_dom}
         self.needy = needy  # host nodes that must end up in the image
-        self.packs = packs  # host edge -> packed counts of its label (0 untyped)
+        self.packs = facts.packs  # host edge -> packed counts of its label
         self.targets, self.typed = targets, typed
-        self.free = [v for v in sorted(pattern.nodes) if v not in fixed]
+        self.free = role.free
         self.placed: list[int] = []  # the host node of each free node placed
         self.preimage = {t: v for v, t in fixed.items()}  # over the image so far
-        # depth -> (closed slots, sealers) where that pair changes (typed only)
-        self.seals: dict[int, tuple[list[int], frozenset[int]]] = {}
-        if typed is not None:
-            previous = None
-            for k in range(len(self.free) + 1):
-                pair = _seals(pattern.nodes, self.slot_att, set(self.free[k:]), self.consumed)
-                if pair != previous and pair[0]:
-                    self.seals[k] = pair
-                previous = pair
+        # The closed-slot cut runs only in a typed search.
+        self.seals = role.seals if typed is not None else {}
 
     def run(self) -> Iterator[list[_Cluster]]:
         """Yield the clusters, sorted, of every injective extension of the
@@ -477,30 +569,24 @@ def _instances(
     cluster that does not touch the image of ``consumed_dom``; those images
     may not be host external nodes.
     """
-    host_ext = frozenset(host.ext)
-    if any(fixed.get(v) in host_ext for v in consumed_dom):
+    facts = _host(host)
+    if any(fixed.get(v) in facts.ext for v in consumed_dom):
         return
     if len(set(fixed.values())) != len(fixed):
         return
-    incidences = host._incidence_map()
-    isolated = [v for v in host.nodes if v not in incidences and v not in host_ext]
+    isolated = facts.isolated
     # In a minimal decomposition every isolated node must be an image, since
     # no part may take it, yet every node is in one.
     needy = frozenset(isolated) if pivot is None and not nonminimal else frozenset()
     lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
     edge_ids = sorted(slot_order)
     targets = None
-    if typed is None:
-        packs = dict.fromkeys(host.edges, 0)
-    else:
-        edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
-        target_counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
-        places = _places(edge_counts.values(), target_counts.values())
-        packs = {e: _pack(counts, places) for e, counts in edge_counts.items()}
-        targets = {m: _pack(counts, places) for m, counts in target_counts.items()}
-    search = _Search(
-        host, pattern, slot_order, fixed, pivot, consumed_dom, needy, packs, targets, typed
-    )
+    counts = dict.fromkeys(edge_ids)  # the counts of each part, when typed
+    if typed is not None:
+        counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
+        targets = {m: _target(c, facts) for m, c in counts.items()}
+    role = _role(pattern, slot_order, fixed, pivot, consumed_dom)
+    search = _Search(host, facts, role, fixed, pivot, consumed_dom, needy, targets, typed)
     for clusters in search.run():
         lonely = []  # isolated nodes outside the image, which a part may take
         if nonminimal:
@@ -530,7 +616,11 @@ def _instances(
             frozen = {m: frozenset(part_edges[m]) for m in edge_ids}
             parts = {
                 m: _subgraph(
-                    host, frozen[m], tuple(phi[u] for u in pattern.att[m]), extra_nodes[m]
+                    host,
+                    frozen[m],
+                    tuple(phi[u] for u in pattern.att[m]),
+                    extra_nodes[m],
+                    counts[m],
                 )
                 for m in edge_ids
             }
@@ -596,6 +686,12 @@ def enumerate_context_extractions(
     consumed_dom = [v for v in d.nodes if v not in d.ext]
     fixed = dict(zip(d.att[hole], host.att[pivot]))
     fresh = max(host.edges, default=-1) + 1
+    # The contracted graph trades the pivot and the parts for the numerator;
+    # typed, its primitive counts are the host's (see ``Prover._expand``).
+    shift = connective_count(host) - connective_count(div_type) + connective_count(
+        div_type.numerator
+    )
+    host_counts = primitive_counts(host) if typed is not None else None
     for phi, parts, part_edges, outside, consumed in _instances(
         host, d, d_edges, fixed,
         pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, typed=typed,
@@ -610,6 +706,11 @@ def enumerate_context_extractions(
             att=att,
             lab=lab,
             ext=host.ext,
+        )
+        set_counts(
+            contracted,
+            shift - sum(connective_count(part) for part in parts.values()),
+            host_counts,
         )
         yield ContextExtraction(
             pivot=pivot,

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from hlc import matching
+from hlc import hltypes, matching
 from hlc.canon import canonical_key, isomorphic
 from hlc.graphs import (
     Hypergraph,
@@ -16,7 +16,14 @@ from hlc.graphs import (
     string_graph,
     validate,
 )
-from hlc.hltypes import Division, Primitive, add_counts, dollar_edge, primitive_counts
+from hlc.hltypes import (
+    Division,
+    Primitive,
+    Product,
+    add_counts,
+    dollar_edge,
+    primitive_counts,
+)
 from hlc.matching import Tally, enumerate_context_extractions, enumerate_decompositions
 
 P = Primitive("p", 2)
@@ -844,7 +851,215 @@ def test_closed_slots_leave_one_leaf_per_extraction(monkeypatch):
     assert isinstance(tree, DerivationTree)
     assert check_derivation(tree) is None
     assert runs[0] == 30
-    assert prover._tally.closed > 0
+    assert prover.last_stats.closed > 0
+
+
+def _copy(g):
+    """A cold copy of ``g``: the same graph, with nothing cached on it."""
+    return Hypergraph(nodes=g.nodes, edges=g.edges, att=dict(g.att), lab=dict(g.lab), ext=g.ext)
+
+
+def _built_graphs(item):
+    parts = list(item.parts.values())
+    return parts if isinstance(item, matching.Decomposition) else [*parts, item.contracted]
+
+
+def _typed_and_untyped_items(rng):
+    """(typed, item) over the test hosts, extractions and decompositions,
+    with and without isolated nodes and ``nonminimal``."""
+    cases = [(enumerate_decompositions, h, (m,)) for h, m in string_hosts(rng, 20)]
+    cases += [(enumerate_decompositions, h, (m,)) for h, m in rank1_hosts(rng, 20)]
+    for host, pivot, d in [
+        *string_division_hosts(rng, 20),
+        *rank1_division_hosts(rng, 20),
+        *wide_division_hosts(rng, 8),
+    ]:
+        cases.append((enumerate_context_extractions, host, (pivot, d)))
+    for enumerate_, host, args in cases:
+        for k in range(2):
+            padded = with_isolated_nodes(host, k)
+            for nonminimal in (False, True):
+                for typed in (False, True):
+                    tally = Tally() if typed else None
+                    for item in enumerate_(padded, *args, nonminimal=nonminimal, typed=tally):
+                        yield typed, item
+
+
+def test_built_graphs_carry_their_counts():
+    """Every part and contracted graph is built with its connective count, and
+    typed with its primitive counts, equal to a recount of a cold copy."""
+    seen = {"typed": 0, "untyped": 0, "contracted": 0, "connectives": 0}
+    for typed, item in _typed_and_untyped_items(random.Random(41)):
+        for g in _built_graphs(item):
+            cc, pc = hltypes._graph_counts(_copy(g))
+            assert g.__dict__["_cc"] == cc
+            if typed:
+                assert g.__dict__["_pc"] == pc
+            seen["typed" if typed else "untyped"] += 1
+            seen["connectives"] += cc > 0
+        seen["contracted"] += isinstance(item, matching.ContextExtraction)
+    assert min(seen.values()) > 100
+
+
+def _items_and_tally(calls):
+    """The items and the tally of each ``(enumerate_, host, args, typed)`` call."""
+    out = []
+    for enumerate_, host, args, typed in calls:
+        tally = Tally() if typed else None
+        items = [_item_fields(item) for item in enumerate_(host, *args, typed=tally)]
+        out.append((items, tally and (tally.pruned, tally.closed)))
+    return out
+
+
+def test_cached_setup_equals_cold_setup():
+    """A host searched twice, and one graph used both as a product body and
+    as a denominator, give the items and tallies of cold copies."""
+    rng = random.Random(43)
+    d = string_graph([dollar(2), P, Q])
+    div = Division(Q, d)
+    warm, cold = [], []
+    for _ in range(12):
+        labels = [rng.choice([P, Q]) for _ in range(rng.randint(1, 4))]
+        where = rng.randint(0, len(labels))
+        host = string_graph(labels[:where] + [div] + labels[where:])
+        plain = string_graph(labels + [rng.choice([P, Q])])
+        for typed in (True, False, True):
+            warm += [
+                (enumerate_context_extractions, host, (where, div), typed),
+                (enumerate_decompositions, plain, (d,), typed),
+                (enumerate_decompositions, host, (d,), typed),
+            ]
+            cold_div = Division(Q, _copy(d))
+            cold_host = string_graph(labels[:where] + [cold_div] + labels[where:])
+            cold += [
+                (enumerate_context_extractions, cold_host, (where, cold_div), typed),
+                (enumerate_decompositions, _copy(plain), (_copy(d),), typed),
+                (enumerate_decompositions, _copy(host), (_copy(d),), typed),
+            ]
+    warm_runs, cold_runs = _items_and_tally(warm), _items_and_tally(cold)
+    assert warm_runs == cold_runs
+    assert len(d.__dict__["_match_roles"]) == 2  # one role per use of d
+    assert sum(len(items) for items, _ in warm_runs) > 50
+    assert sum(sum(tally) for _, tally in warm_runs if tally) > 0
+
+
+def _old_places(edge_counts, target_counts):
+    """The packing before its bound became the host's alone: the slot labels'
+    primitives join the host's, and ``M`` also covers their largest count."""
+    keys: set = set()
+    bound = 0
+    for counts in edge_counts:
+        for key, n in counts:
+            keys.add(key)
+            bound += abs(n)
+    for counts in target_counts:
+        for key, n in counts:
+            keys.add(key)
+            bound = max(bound, abs(n))
+    base = 2 * bound + 1
+    return {key: base**i for i, key in enumerate(sorted(keys))}
+
+
+def test_unreachable_targets_match_the_old_packing(monkeypatch):
+    """Slot labels with a primitive the host lacks, or with a count beyond the
+    host's bound, pack to the unreachable target, and every search gives the
+    items and tally it gave when such labels widened the packing instead."""
+    p3 = Product(string_graph([P, P, P]))
+    rng = random.Random(47)
+    calls = []  # (enumerate_, host, args, slot labels)
+    fills = {P: [[P]], Q: [[Q]], R: [[P], [Q]], p3: [[P, P, P], [P, P], [P]]}
+    for _ in range(80):
+        labels = [rng.choice([P, Q, R, p3]) for _ in range(rng.randint(1, 2))]
+        pattern = string_graph(labels)
+        # Fill each slot with a string of the host's labels, often a balanced one.
+        host = string_graph([a for label in labels for a in rng.choice(fills[label])])
+        calls.append((enumerate_decompositions, host, (pattern,), pattern.lab.values()))
+    for _ in range(80):
+        # R over R counts no R, so a host without another R edge lacks it.
+        div = Division(R, string_graph([dollar(2), R, rng.choice([P, Q, p3])]))
+        labels = [rng.choice([P, Q, R]) for _ in range(rng.randint(0, 3))]
+        where = rng.randint(0, len(labels))
+        host = string_graph(labels[:where] + [div] + labels[where:])
+        calls.append((enumerate_context_extractions, host, (where, div), div.denominator.lab.values()))
+    # Q then an edge counting -1 p: the host sums to 5 - 1 = 4 in places 1 (p)
+    # and 5 (q), which a p^4 label would pack to were its count not beyond M = 2.
+    minus_p = Division(S, string_graph([dollar(2), P, S]))
+    p4 = Product(string_graph([P, P, P, P]))
+    calls.append((enumerate_decompositions, string_graph([Q, minus_p]), (handle(p4),), [p4]))
+    unreachable = [0]
+    target = matching._target
+
+    def counted(counts, facts):
+        packed = target(counts, facts)
+        unreachable[0] += packed == facts.unreachable
+        return packed
+
+    monkeypatch.setattr(matching, "_target", counted)
+    new = _items_and_tally([(e, _copy(h), args, True) for e, h, args, _ in calls])
+    monkeypatch.setattr(matching, "_target", target)
+    slot_counts = {}
+
+    def old_host(host):
+        edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
+        places = _old_places(edge_counts.values(), slot_counts[id(host)])
+        incidences = host._incidence_map()
+        return matching._Host(
+            ext=frozenset(host.ext),
+            isolated=[v for v in host.nodes if v not in incidences and v not in host.ext],
+            places=places,
+            bound=float("inf"),  # every slot label packs in the old places
+            unreachable=None,
+            packs={e: matching._pack(c, places) for e, c in edge_counts.items()},
+            ccs={e: hltypes.connective_count(host.lab[e]) for e in host.edges},
+        )
+
+    monkeypatch.setattr(matching, "_host", old_host)
+    old_calls = []
+    for enumerate_, host, args, labels in calls:
+        host = _copy(host)
+        slot_counts[id(host)] = [primitive_counts(label) for label in labels]
+        old_calls.append((enumerate_, host, args, True))
+    assert _items_and_tally(old_calls) == new
+    assert unreachable[0] > 50
+    assert sum(len(items) for items, _ in new) > 20
+    assert sum(sum(tally) for _, tally in new) > 20
+
+
+def test_matching_premises_are_never_recounted(monkeypatch):
+    """In ``q^n s p^n |- s`` and its perturbations, no part or contracted
+    graph that matching builds is walked by ``_graph_counts``."""
+    from hlc import calculus
+    from hlc.fixtures import build_sgr
+    from hlc.hltypes import Sequent
+
+    walked, built = [], []
+    graph_counts = hltypes._graph_counts
+
+    def recording(g):
+        walked.append(g)
+        return graph_counts(g)
+
+    def collecting(enumerate_):
+        def run(*args, **kw):
+            for item in enumerate_(*args, **kw):
+                built.extend(_built_graphs(item))
+                yield item
+
+        return run
+
+    monkeypatch.setattr(hltypes, "_graph_counts", recording)
+    for name in ("enumerate_context_extractions", "enumerate_decompositions"):
+        monkeypatch.setattr(calculus, name, collecting(getattr(calculus, name)))
+    sgr = build_sgr()
+    q, p, s = (t for _, t in sgr.correspondence)
+    types = {"q": q, "p": p, "s": s}
+    verdicts = []
+    for word in ("q" * 8 + "s" + "p" * 8, "qqqqqpsqppppp"):  # q^8 s p^8, and a swap
+        sequent = Sequent(string_graph([types[c] for c in word]), sgr.distinguished)
+        verdicts.append(type(calculus.Prover().derive(sequent)))
+    assert verdicts == [calculus.DerivationTree, calculus.NotDerivable]
+    assert len(built) > 50 and walked
+    assert not {id(g) for g in built} & {id(g) for g in walked}
 
 
 def _brute_choices(slot_lists, weights, targets):
@@ -887,10 +1102,12 @@ def test_choices_equal_filtered_product():
 
 def test_packing_is_injective_within_its_bound():
     keys = [("p", c, 2) for c in "abc"]
-    for bound in (1, 2, 3):
+    for bound in (3, 4):
         # Host edges whose absolute counts sum to ``bound`` set M = bound.
-        edges = [frozenset({(keys[0], 1)})] * bound
-        places = matching._places(edges, [frozenset({(keys[1], -1), (keys[2], 1)})])
+        edges = [frozenset({(keys[0], 1)})] * (bound - 2)
+        edges += [frozenset({(keys[1], -1)}), frozenset({(keys[2], 1)})]
+        places, m = matching._places(edges)
+        assert m == bound
         assert sorted(places.values()) == [1, 2 * bound + 1, (2 * bound + 1) ** 2]
         cube = list(itertools.product(range(-bound, bound + 1), repeat=len(keys)))
         vectors = [frozenset((k, n) for k, n in zip(keys, c) if n) for c in cube]
