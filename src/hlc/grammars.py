@@ -36,7 +36,9 @@ from .hltypes import (
     Primitive,
     Sequent,
     add_counts,
+    connective_count,
     primitive_counts,
+    set_counts,
     validate_type,
 )
 
@@ -185,7 +187,9 @@ def hl_member(
     primitive counts differ from the distinguished type's is unbalanced, so
     underivable, and is skipped before any sequent is built (``pruned`` in the
     stats; ``nodes_expanded`` and ``closed`` sum those of every ``derive``,
-    a witness's stats included).
+    a witness's stats included).  A balanced relabeling is built with its
+    counts, the distinguished type's primitive counts and the sum of its
+    types' connective counts, so ``derive`` does not walk it to find them.
     Candidate order is seeded-shuffled so that accepted graphs are usually
     found long before the assignment space is exhausted; a NotMember answer
     always means the space was exhausted without a budget event.
@@ -213,7 +217,8 @@ def hl_member(
         options = list(g.types_for(graph.lab[e]))
         rng.shuffle(options)
         candidates.append([(t, primitive_counts(t)) for t in options])
-    target = dict(primitive_counts(g.distinguished))
+    target_counts = primitive_counts(g.distinguished)
+    target = dict(target_counts)
     cap = (budget or SearchBudget()).max_nodes
     pruned = 0
     nodes = closed = 0
@@ -223,7 +228,9 @@ def hl_member(
             continue
         if nodes == cap:
             return BudgetExceeded(SearchStats(nodes, 1, len(prover.memo), pruned, closed))
-        seq = Sequent(relabel(graph, assignment), g.distinguished)
+        relabeled = relabel(graph, assignment)
+        set_counts(relabeled, sum(map(connective_count, assignment.values())), target_counts)
+        seq = Sequent(relabeled, g.distinguished)
         result = prover.derive(seq, SearchBudget(max_nodes=cap - nodes))
         last = prover.last_stats
         nodes += last.nodes_expanded

@@ -220,17 +220,40 @@ def replace(g: Hypergraph, e0: int, h: Hypergraph) -> Hypergraph:
 
 
 def replace_all(g: Hypergraph, assignment: Mapping[int, Hypergraph]) -> Hypergraph:
-    """Simultaneously replace several distinct edges; order does not matter."""
-    targets = list(assignment)
-    if len(set(targets)) != len(targets):
-        raise ValueError("replace_all: edges must be distinct")
-    for e in targets:
+    """Simultaneously replace several distinct edges; order does not matter.
+
+    Built in one pass, with the identifiers that replacing the edges one at a
+    time in increasing order would give: the fresh nodes and edges of each
+    replacement graph are numbered on from the largest node and edge of ``g``,
+    replacement by replacement in that order.
+    """
+    for e in assignment:
         if e not in g.lab:
             raise KeyError(f"replace_all: unknown edge {e}")
-    out = g
-    for e in sorted(targets):
-        out = replace(out, e, assignment[e])
-    return out
+    if not assignment:
+        return g
+    att = {e: g.att[e] for e in g.edges if e not in assignment}
+    lab = {e: g.lab[e] for e in att}
+    fresh = next_node = max(g.nodes, default=-1) + 1
+    next_edge = max(g.edges, default=-1) + 1
+    for e0 in sorted(assignment):
+        h = assignment[e0]
+        target = g.att[e0]
+        if len(target) != h.rank:
+            raise ValueError(
+                f"replace: rank mismatch (edge rank {len(target)}, graph rank {h.rank})"
+            )
+        node_map: dict[int, int] = dict(zip(h.ext, target))
+        for v in h.nodes:  # sorted by construction
+            if v not in node_map:
+                node_map[v] = next_node
+                next_node += 1
+        for e in h.edges:
+            att[next_edge] = tuple(node_map[v] for v in h.att[e])
+            lab[next_edge] = h.lab[e]
+            next_edge += 1
+    nodes = set(g.nodes).union(range(fresh, next_node))
+    return Hypergraph(tuple(sorted(nodes)), tuple(att), att, lab, g.ext)
 
 
 def isolated_node_count(g: Hypergraph) -> int:

@@ -13,18 +13,26 @@ which is a first-class result and never conflated with falsehood.
 Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
 
 * ``t`` enumerable (division-free, primitives included): ``[[t]]`` is finite
-  and :func:`denotation_enumerate` lists it exactly, up to isomorphism, by
-  substituting members of the body labels' denotations into the body.  So
-  ``g`` belongs iff its canonical key is among the listed graphs' keys.  Each
-  such denotation is enumerated once per valuation and cached on it, keyed by
-  the type's canonical key.  Membership is up to isomorphism throughout: a
-  valuation's own graphs stand for their isomorphism classes.
+  and :func:`denotation_enumerate` lists it exactly, up to isomorphism.  A
+  product's body is first flattened: each product-labelled edge is replaced
+  by that product's body until every edge is primitive, since hyperedge
+  replacement is associative (``×(G[e := ×(H)])`` and ``×(G[e := H])`` have
+  the same members up to isomorphism).  The valuation's graphs for each
+  body edge's primitive are then substituted as listed, isomorphic copies
+  included, and only the substituted graphs are deduplicated by canonical
+  key.  So ``g`` belongs iff its canonical key is among the listed graphs'
+  keys.  Each such denotation is enumerated once per valuation and cached
+  on it, keyed by the type's canonical key.  Membership is up to
+  isomorphism throughout: a valuation's own graphs stand for their
+  isomorphism classes.
 * ``t`` a product with a division in its body: ``[[t]]`` may be infinite, so
   ``g`` belongs iff some nonminimal decomposition of ``g`` along the body
   puts every part in its label's denotation.
 * ``t`` a division ``N ÷ D``: ``g`` belongs iff filling D's hole with ``g``
-  and its other edges with every choice from their (enumerable, cached)
-  denotations always gives a member of ``[[N]]``.
+  and its other edges with every choice from their (enumerable) denotations
+  always gives a member of ``[[N]]``.  A primitive edge draws from the
+  valuation's list as it stands, a product edge from its cached
+  denotation.
 """
 
 from __future__ import annotations
@@ -114,18 +122,33 @@ def _dedupe(graphs) -> tuple[Hypergraph, ...]:
     return tuple(out[key] for key in sorted(out))
 
 
+def _flatten(body: Hypergraph) -> Hypergraph:
+    """``body`` with every product-labelled edge replaced by that product's
+    body, round after round, until no edge is product-labelled."""
+    while True:
+        nested = {e: body.lab[e].body for e in body.edges if isinstance(body.lab[e], Product)}
+        if not nested:
+            return body
+        body = replace_all(body, nested)
+
+
 def denotation_enumerate(w: Valuation, t: HLType):
     """The exact denotation of an enumerable type, as a tuple of one
     representative per isomorphism class in canonical order;
-    ``NOT_ENUMERABLE`` for types containing a division."""
+    ``NOT_ENUMERABLE`` for types containing a division.
+
+    Each class is represented by the first of its members met: for a
+    primitive, the first in the valuation's list; for a product, the first
+    that substituting the valuation's graphs into the flattened body gives,
+    picks taken in ``itertools.product`` order over the body's sorted
+    edges."""
     if not is_enumerable(t):
         return NOT_ENUMERABLE
     if isinstance(t, Primitive):
         return _dedupe(w.graphs(t))
-    body = t.body
-    edges = sorted(body.edges)
-    pools = [_denotation(w, body.lab[e])[0] for e in edges]
-    picks = itertools.product(*pools)
+    body = _flatten(t.body)
+    edges = body.edges
+    picks = itertools.product(*(w.graphs(body.lab[e]) for e in edges))
     return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
 
 
@@ -166,7 +189,10 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
     d = t.denominator
     hole = dollar_edge(d)
     others = sorted(e for e in d.edges if e != hole)
-    pools = [_denotation(w, d.lab[e])[0] for e in others]
+    pools = [
+        w.graphs(lab) if isinstance(lab, Primitive) else _denotation(w, lab)[0]
+        for lab in (d.lab[e] for e in others)
+    ]
     for pick in itertools.product(*pools):
         filled = replace_all(d, {hole: g, **dict(zip(others, pick))})
         if not _contains(w, t.numerator, filled):

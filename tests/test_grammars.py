@@ -113,6 +113,40 @@ def test_member_prunes_unbalanced_relabelings():
     assert result.stats.closed > 0
 
 
+def test_member_never_recounts_a_relabeled_goal(monkeypatch):
+    """``hl_member`` builds each relabeled goal with the counts it has already
+    summed, so neither ``derive``'s balance check nor the search walks it; the
+    walked goal copies still get the counts that a walk gives."""
+    from hlc import hltypes
+
+    goals, walked = [], []
+    graph_counts = hltypes._graph_counts
+
+    def recording(g):
+        walked.append(g)
+        return graph_counts(g)
+
+    class GoalRecorder(Prover):
+        def derive(self, s, budget=None):
+            goals.append(s.antecedent)
+            return super().derive(s, budget)
+
+    monkeypatch.setattr(hltypes, "_graph_counts", recording)
+    census = all_binary_graphs((1, 2))
+    words = ("b", "ab", "abb", "aab")
+    cases = [(build_sgr(), sgr_string_graph(w), w in ("b", "abb")) for w in words]
+    cases += [(build_hgr1(), g, in_l1(g)) for g in census]
+    cases += [(build_hgr2(), g, in_l1(g) and is_bipartite(g)) for g in census]
+    for grammar, graph, expected in cases:
+        result = hl_member(grammar, graph, prover=GoalRecorder())
+        assert isinstance(result, MemberWitness) == expected
+    assert len(goals) > 20
+    assert not {id(g) for g in goals} & {id(g) for g in walked}
+    for g in goals:
+        copy = build_graph(g.nodes, [(g.lab[e], g.att[e]) for e in g.edges], g.ext)
+        assert (g.__dict__["_cc"], g.__dict__["_pc"]) == graph_counts(copy)
+
+
 def test_member_sums_budget_hits():
     """One node budget is shared by all the relabelings of a query: an
     inconclusive answer has spent exactly that budget, summed over its

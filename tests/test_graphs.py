@@ -159,6 +159,74 @@ def test_replace_all_matches_both_orders():
     assert isomorphic(both, order_b) is not None
 
 
+def _fold_replace_all(g, assignment):
+    """One ``replace`` per edge, in increasing edge order: the identifiers
+    that ``replace_all`` promises."""
+    out = g
+    for e in sorted(assignment):
+        out = replace(out, e, assignment[e])
+    return out
+
+
+def _random_graph(rng, rank, labels, *, max_edges=3, extra_nodes=True):
+    n = max(rank, *(l.rank for l in labels)) + (rng.randint(0, 2) if extra_nodes else 0)
+    nodes = rng.sample(range(n + 3), n)  # ids with gaps, not 0..n-1
+    edges = []
+    for _ in range(rng.randint(0, max_edges)):
+        label = rng.choice(labels)
+        edges.append((label, tuple(rng.sample(nodes, label.rank))))
+    g = build_graph(nodes, edges, tuple(rng.sample(nodes, rank)))
+    # Edge ids with gaps, so that the largest edge is not always the last one.
+    ids = sorted(rng.sample(range(2 * len(g.edges) + 1), len(g.edges)))
+    return Hypergraph(
+        g.nodes,
+        tuple(ids),
+        {i: g.att[e] for i, e in zip(ids, g.edges)},
+        {i: g.lab[e] for i, e in zip(ids, g.edges)},
+        g.ext,
+    )
+
+
+def test_replace_all_equals_the_fold_over_replace():
+    rng = random.Random(11)
+    labels = [A, B, RankedLabel("u", 1), RankedLabel("t", 3)]
+    seen = {"edgeless": 0, "no extra nodes": 0, "largest edge emptied": 0}
+    for _ in range(600):
+        g = _random_graph(rng, rng.randint(0, 3), labels, max_edges=4)
+        if not g.edges:
+            continue
+        targets = rng.sample(g.edges, rng.randint(1, len(g.edges)))
+        assignment = {}
+        for e in targets:
+            h = _random_graph(
+                rng, len(g.att[e]), labels,
+                max_edges=rng.choice([0, 2]), extra_nodes=rng.random() < 0.7,
+            )
+            assignment[e] = h
+            seen["edgeless"] += not h.edges
+            seen["no extra nodes"] += len(h.nodes) == h.rank
+            seen["largest edge emptied"] += e == max(g.edges) and not h.edges
+        got = replace_all(g, assignment)
+        want = _fold_replace_all(g, assignment)
+        assert got.nodes == want.nodes
+        assert got.edges == want.edges
+        assert dict(got.att) == dict(want.att)
+        assert dict(got.lab) == dict(want.lab)
+        assert got.ext == want.ext
+        assert validate(got) is None
+    assert min(seen.values()) >= 20, seen
+    g = string_graph([A, B])
+    assert replace_all(g, {}) is g
+
+
+def test_replace_all_errors():
+    g = string_graph([A, B])
+    with pytest.raises(KeyError, match="replace_all: unknown edge 7"):
+        replace_all(g, {0: string_graph([B]), 7: string_graph([B])})
+    with pytest.raises(ValueError, match=r"replace: rank mismatch \(edge rank 2, graph rank 1\)"):
+        replace_all(g, {0: string_graph([B]), 1: handle(RankedLabel("u", 1))})
+
+
 def test_isolated_node_count():
     assert isolated_node_count(handle(RankedLabel("p", 1))) == 0
     assert isolated_node_count(build_graph([0, 1, 2], [], ())) == 3

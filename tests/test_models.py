@@ -6,7 +6,7 @@ import random
 from hlc.calculus import DerivationTree
 from hlc.canon import canonical_key
 from hlc.fixtures import build_sgr
-from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace_all, string_graph
+from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace, replace_all, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent, dollar_edge
 from hlc.lambek import enumerate_lambek_corpus, translate_lsequent
 from hlc.matching import enumerate_decompositions
@@ -319,3 +319,131 @@ def test_membership_matches_reference_on_lambek_corpus():
     assert verdicts == {"True", "False", "UNDECIDED"}
     for kind in ("product with a division in its body", "division over an enumerable product"):
         assert {(kind, True), (kind, False)} <= kinds, kinds
+
+
+def _fold(g, assignment):
+    """``replace_all`` as one ``replace`` per edge, in increasing edge order."""
+    for e in sorted(assignment):
+        g = replace(g, e, assignment[e])
+    return g
+
+
+def _deduped(graphs):
+    out = {}
+    for g in graphs:
+        out.setdefault(canonical_key(g), g)
+    return tuple(out[key] for key in sorted(out))
+
+
+def folded_denotation(w: Valuation, t, cache: dict):
+    """The enumeration without flattening, kept as the reference for
+    :func:`denotation_enumerate`: a product's body edges draw from the
+    deduplicated denotations of their labels, a nested product's included,
+    and each pick is substituted edge by edge.  Returns the graphs and their
+    canonical keys, cached in ``cache`` by the type's canonical key."""
+    key = t.canon_key()
+    if key not in cache:
+        if isinstance(t, Primitive):
+            graphs = _deduped(w.graphs(t))
+        else:
+            body = t.body
+            edges = sorted(body.edges)
+            pools = [folded_denotation(w, body.lab[e], cache)[0] for e in edges]
+            picks = itertools.product(*pools)
+            graphs = _deduped(_fold(body, dict(zip(edges, pick))) for pick in picks)
+        cache[key] = (graphs, frozenset(map(canonical_key, graphs)))
+    return cache[key]
+
+
+def folded_contains(w: Valuation, t, g, cache: dict) -> bool:
+    """Membership as :func:`hlc.models.denotation_contains` decides it, with
+    every enumeration from :func:`folded_denotation`."""
+    if g.rank != t.rank:
+        return False
+    if is_enumerable(t):
+        return canonical_key(g) in folded_denotation(w, t, cache)[1]
+    if isinstance(t, Product):
+        body = t.body
+        return any(
+            all(folded_contains(w, body.lab[m], dec.parts[m], cache) for m in body.edges)
+            for dec in enumerate_decompositions(g, body, nonminimal=True)
+        )
+    d = t.denominator
+    hole = dollar_edge(d)
+    others = sorted(e for e in d.edges if e != hole)
+    pools = [folded_denotation(w, d.lab[e], cache)[0] for e in others]
+    return all(
+        folded_contains(w, t.numerator, _fold(d, {hole: g, **dict(zip(others, pick))}), cache)
+        for pick in itertools.product(*pools)
+    )
+
+
+def folded_holds(w: Valuation, s: Sequent):
+    lhs = Product(s.antecedent)
+    if not is_enumerable(lhs) or not contains_decidable(s.succedent):
+        return UNDECIDED
+    cache: dict = {}
+    return all(
+        folded_contains(w, s.succedent, g, cache) for g in folded_denotation(w, lhs, cache)[0]
+    )
+
+
+def _renumbered(rng: random.Random, g):
+    """An isomorphic copy of ``g`` with fresh node and edge ids in shuffled order."""
+    ids = rng.sample(range(10, 10 + 2 * len(g.nodes)), len(g.nodes))
+    f = dict(zip(g.nodes, ids))
+    edges = [(g.lab[e], [f[v] for v in g.att[e]]) for e in g.edges]
+    rng.shuffle(edges)
+    return build_graph(ids, edges, [f[v] for v in g.ext])
+
+
+def _with_copies(rng: random.Random, w: Valuation) -> Valuation:
+    """``w`` with a renumbered copy of some of its graphs listed beside them."""
+    assignment = []
+    for p, graphs in w.assignment:
+        copies = [_renumbered(rng, g) for g in graphs if rng.random() < 0.5]
+        assignment.append((p, graphs + tuple(copies)))
+    return Valuation(alphabet=w.alphabet, assignment=tuple(assignment))
+
+
+def _nested(t) -> bool:
+    return isinstance(t, Product) and any(isinstance(t.body.lab[e], Product) for e in t.body.edges)
+
+
+def test_enumeration_matches_folded_reference_on_lambek_corpus():
+    """Flattened enumeration from the valuation's own lists gives the same
+    isomorphism classes, one representative each in canonical order, and the
+    same verdicts as the enumeration over nested, deduplicated pools."""
+    rng = random.Random(5)
+    corpus = list(enumerate_lambek_corpus())
+    verdicts: set[str] = set()
+    seen = {"nested": 0, "copies": 0, "members": 0}
+    for ants, succ in rng.sample(corpus, 200):
+        s = translate_lsequent(ants, succ)
+        labels = [s.antecedent.lab[e] for e in s.antecedent.edges]
+        # The succedent as the one label of an antecedent nests products deeper.
+        enumerable = [Product(s.antecedent), s.succedent, Product(handle(s.succedent))] + labels
+        enumerable = [t for t in enumerable if isinstance(t, Product) and is_enumerable(t)]
+        for _ in range(2):
+            w = random_valuation(rng, sequent_primitives(s), max_edges=1)
+            if rng.random() < 0.5:
+                w = _with_copies(rng, w)
+                seen["copies"] += any(len(gs) > len(_deduped(gs)) for _, gs in w.assignment)
+            cache: dict = {}
+            for t in enumerable:
+                got = denotation_enumerate(w, t)
+                keys = [canonical_key(g) for g in got]
+                assert keys == sorted(set(keys))
+                assert set(keys) == folded_denotation(w, t, cache)[1], (s, t)
+                seen["nested"] += _nested(t)
+                seen["members"] += len(keys)
+            verdict = sequent_holds(w, s)
+            assert verdict is folded_holds(w, s), s
+            verdicts.add(repr(verdict))
+            if contains_decidable(s.succedent):
+                for g in random_graphs(rng, s.succedent.rank, w.alphabet, count=2):
+                    member = denotation_contains(w, s.succedent, g)
+                    assert member is folded_contains(w, s.succedent, g, cache), (s, g)
+                    verdicts.add(f"member {member}")
+    assert {"True", "False", "member True", "member False"} <= verdicts, verdicts
+    assert min(seen.values()) >= 20, seen
