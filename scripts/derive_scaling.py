@@ -65,13 +65,20 @@ def _source_dirty() -> bool:
     return status.returncode == 0 and bool(status.stdout.strip())
 
 
+def source_provenance() -> dict:
+    """``perfbench/run.py``'s provenance of this checkout, its revision marked
+    when ``src`` has uncommitted changes."""
+    record = provenance(ROOT)
+    if record["git_revision"] and _source_dirty():
+        record["git_revision"] += " plus uncommitted changes"
+    return record
+
+
 def main(argv: list[str]) -> int:
     if not argv or not all(arg.isdigit() and int(arg) > 0 for arg in argv):
         print("usage: derive_scaling.py N [N ...]  (positive integers)", file=sys.stderr)
         return 2
-    record = provenance(ROOT)
-    if record["git_revision"] and _source_dirty():
-        record["git_revision"] += " plus uncommitted changes"
+    record = source_provenance()
     record["runs"] = [time_derive(int(arg)) for arg in argv]
     print(json.dumps(record, indent=1))
     return 0

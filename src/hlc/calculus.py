@@ -10,14 +10,15 @@ conclude, and both rules are enumerated exhaustively via :mod:`hlc.matching`.
 
 Every backward step removes exactly one connective, so the search space is
 finite; a failure answer is exact unless a budget was hit along the way.
-Every derivable sequent is balanced (see :mod:`hlc.hltypes`), so an
-unbalanced goal is refuted at once, and rule instances are enumerated with
-the typed slot check of :mod:`hlc.matching`, which never builds one with an
-unbalanced premise.  The stats count the unbalanced goal and the slot
-assignments that check skipped as ``pruned``, and the partial maps its
-closed-slot cut removed as ``closed``.  Division pivots are tried lazily in
-edge order, so the search stops at the first pivot that yields a derivation
-and never enumerates the contexts of later ones.
+Every derivable sequent is balanced, in its primitive counts and in its
+node count (see :mod:`hlc.hltypes`), so an unbalanced goal is refuted at
+once, and rule instances are enumerated with the typed slot check of
+:mod:`hlc.matching`, which never builds one with an unbalanced premise.
+The stats count the unbalanced goal and the slot assignments that check
+skipped as ``pruned``, and the partial maps its closed-slot cut removed as
+``closed``.  Division pivots are tried lazily in edge order, so the search
+stops at the first pivot that yields a derivation and never enumerates the
+contexts of later ones.
 Results are memoized by the canonical key of the normalized sequent
 (:meth:`hlc.hltypes.Sequent.canon_key`) and shared across calls on the same
 :class:`Prover`.
@@ -34,9 +35,12 @@ from .hltypes import (
     Primitive,
     Product,
     Sequent,
+    add_counts,
     connective_count,
     dollar_edge,
     is_balanced,
+    primitive_counts,
+    set_counts,
     validate_sequent,
 )
 from .matching import Tally, enumerate_context_extractions, enumerate_decompositions
@@ -112,9 +116,10 @@ class SearchStats:
     nodes_expanded: int
     budget_hits: int
     memo_size: int
-    # Candidates the primitive-count check discarded unsearched: in
-    # Prover.derive an unbalanced goal plus the slot assignments the typed
-    # check in matching skipped at a leaf; in hl_member, relabelings.
+    # Candidates the count check (primitive and node counts) discarded
+    # unsearched: in Prover.derive an unbalanced goal plus the slot
+    # assignments the typed check in matching skipped at a leaf; in
+    # hl_member, relabelings.
     pruned: int = 0
     # Partial maps the closed-slot cut in matching removed, each with every
     # leaf below it (Tally.closed); hl_member sums it over its relabelings.
@@ -133,7 +138,11 @@ class BudgetExceeded:
 
 def normalize_trace(s: Sequent) -> tuple[Sequent, list[tuple[str, int | None, Sequent]]]:
     """Apply the reversible rules eagerly; return the normal form and the
-    applied steps (for rebuilding the corresponding derivation segment)."""
+    applied steps (for rebuilding the corresponding derivation segment).
+
+    Each graph built is given its counts (see :mod:`hlc.hltypes`): ×L keeps
+    them and removes one connective; ÷R counts ``#D + #G`` and
+    ``cc(D) + cc(G)``."""
     steps: list[tuple[str, int | None, Sequent]] = []
     current = s
     while True:
@@ -141,13 +150,19 @@ def normalize_trace(s: Sequent) -> tuple[Sequent, list[tuple[str, int | None, Se
         prod_edge = next((e for e in g.edges if isinstance(g.lab[e], Product)), None)
         if prod_edge is not None:
             steps.append((TIMES_LEFT, prod_edge, current))
-            current = Sequent(replace(g, prod_edge, g.lab[prod_edge].body), current.succedent)
+            expanded = replace(g, prod_edge, g.lab[prod_edge].body)
+            set_counts(expanded, connective_count(g) - 1, primitive_counts(g))
+            current = Sequent(expanded, current.succedent)
             continue
         if isinstance(current.succedent, Division):
             div = current.succedent
             steps.append((DIV_RIGHT, None, current))
             d = div.denominator
-            current = Sequent(replace(d, dollar_edge(d), g), div.numerator)
+            filled = replace(d, dollar_edge(d), g)
+            counts = dict(primitive_counts(d))
+            add_counts(counts, primitive_counts(g))
+            set_counts(filled, connective_count(d) + connective_count(g), frozenset(counts.items()))
+            current = Sequent(filled, div.numerator)
             continue
         return current, steps
 
@@ -269,14 +284,17 @@ class Prover:
         they yield is balanced.  The conclusion is balanced too (``derive``
         refutes an unbalanced goal, normalization keeps balance, and every
         premise searched is balanced), and then so is the main premise of
-        division elimination: with ``#H_d = #lab(d)``,
-        ``#contracted = #g − (#N − Σ #lab(d)) − Σ #H_d + #N = #g``.
+        division elimination: the region it replaces counts
+        ``#D + #(N ÷ D) + Σ (#H_d − #lab(d))`` (``#D`` holds the ``int(D)``
+        nodes that the region consumes), which is ``#N`` when every
+        ``#H_d = #lab(d)``, and the fresh edge counts ``#N``, so
+        ``#contracted = #g``.
         No premise list needs a balance filter here.
 
         The enumerators build each premise graph with its counts: a part's
-        primitive counts are its label's, its connective count is the sum over
-        its edges, and the contracted graph's are, by the same formula,
-        ``#g`` and ``cc(g) − cc(N ÷ D) − Σ cc(H_d) + cc(N)``.  So the assert
+        counts are its label's, its connective count is the sum over its
+        edges, and the contracted graph's are, by the same formula, ``#g``
+        and ``cc(g) − cc(N ÷ D) − Σ cc(H_d) + cc(N)``.  So the assert
         below and the sort in ``_prove_all`` cost O(1) per premise.
         """
         g, succ = nseq.antecedent, nseq.succedent

@@ -33,6 +33,7 @@ from .hltypes import (
     Counts,
     Division,
     HLType,
+    NODES,
     Primitive,
     Sequent,
     add_counts,
@@ -143,7 +144,7 @@ def _relabelings(
     edges: list[int], candidates: list[list[tuple[HLType, Counts]]], target: dict
 ) -> Iterator[dict[int, HLType] | None]:
     """Every relabeling of ``edges`` by their ``candidates``, in
-    ``itertools.product`` order, or ``None`` for one whose primitive counts
+    ``itertools.product`` order, or ``None`` for one whose summed counts
     differ from ``target``.  The running count sum keeps the balance check
     O(1) per relabeling."""
     n = len(edges)
@@ -184,12 +185,13 @@ def hl_member(
 
     Tries every relabeling of the edges by corresponding types; memoized
     derivability makes isomorphic relabelings cheap.  A relabeling whose
-    primitive counts differ from the distinguished type's is unbalanced, so
+    counts (the graph's interior nodes plus its types', see
+    :mod:`hlc.hltypes`) differ from the distinguished type's is unbalanced, so
     underivable, and is skipped before any sequent is built (``pruned`` in the
     stats; ``nodes_expanded`` and ``closed`` sum those of every ``derive``,
     a witness's stats included).  A balanced relabeling is built with its
-    counts, the distinguished type's primitive counts and the sum of its
-    types' connective counts, so ``derive`` does not walk it to find them.
+    counts, the distinguished type's and the sum of its types' connective
+    counts, so ``derive`` does not walk it to find them.
     Candidate order is seeded-shuffled so that accepted graphs are usually
     found long before the assignment space is exhausted; a NotMember answer
     always means the space was exhausted without a budget event.
@@ -218,7 +220,11 @@ def hl_member(
         rng.shuffle(options)
         candidates.append([(t, primitive_counts(t)) for t in options])
     target_counts = primitive_counts(g.distinguished)
+    # The types must count the distinguished type's nodes less the graph's own.
     target = dict(target_counts)
+    target[NODES] = target.get(NODES, 0) - (len(graph.nodes) - len(graph.ext))
+    if not target[NODES]:
+        del target[NODES]
     cap = (budget or SearchBudget()).max_nodes
     pruned = 0
     nodes = closed = 0

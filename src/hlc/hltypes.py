@@ -9,28 +9,32 @@ types; its rank is the rank of the body.
 Types are compared (and hashed) up to isomorphism of their component graphs:
 two divisions with isomorphic denominators are the same type.
 
-**Primitive counts.**  Every type, label and graph carries a signed count per
-primitive (:func:`primitive_counts`): a primitive ``p`` counts +1 for ``p``;
-``N ÷ D`` counts ``#N − #D``; ``×(M)`` counts ``#M``; a graph counts the sum
-over its edge labels, where alphabet symbols and ``$`` count nothing.  A
-sequent ``G ⊢ A`` is *balanced* when ``#G = #A``.  Every derivable sequent is
-balanced (van Benthem's count invariant, lifted to hypergraphs), because the
-axiom is balanced and every rule concludes a balanced sequent from balanced
-premises:
+**Counts.**  Every type, label and graph carries a signed count per
+primitive and one *node count* (:func:`primitive_counts`).  A primitive ``p``
+counts +1 for ``p`` and no nodes; ``N ÷ D`` counts ``#N − #D``; ``×(M)``
+counts ``#M``; a graph counts the sum over its edge labels, where alphabet
+symbols and ``$`` count nothing, plus ``int(G) = |V(G)| − |ext(G)|`` nodes.
+The node count is one more coordinate of the same vector, under the reserved
+key :data:`NODES`.  A sequent ``G ⊢ A`` is *balanced* when ``#G = #A``.
+Every derivable sequent is balanced (van Benthem's count invariant, lifted to
+hypergraphs, with a node coordinate), because the axiom is balanced and every
+rule concludes a balanced sequent from balanced premises.  Substituting ``H``
+for an edge ``e`` of ``G`` fuses ``ext(H)`` with ``att(e)`` and keeps the
+interior nodes of ``H`` apart, so ``#G[e := H] = #G − #lab(e) + #H``: both
+sequences are repetition-free (:func:`hlc.graphs.validate`), so fusion
+identifies exactly ``|ext(H)|`` nodes.  Per rule:
 
-* axiom ``p-handle ⊢ p``: the handle has one edge, labeled ``p``.
-* ×L, from ``G[e := M] ⊢ A`` to ``G ⊢ A`` with ``lab(e) = ×(M)``: replacing
-  ``e`` removes ``#×(M) = #M`` and adds ``#M``, so both antecedents count the
-  same.
+* axiom ``p-handle ⊢ p``: one edge, labeled ``p``, and no interior node.
+* ×L, from ``G[e := M] ⊢ A`` to ``G ⊢ A`` with ``lab(e) = ×(M)``:
+  ``#G[e := M] = #G − #×(M) + #M = #G``.
 * ×R, from ``H_m ⊢ lab(m)`` for every edge ``m`` of ``M`` to
-  ``M[m := H_m] ⊢ ×(M)``: the composite's edges are those of the ``H_m``, so it
-  counts ``Σ #H_m = Σ #lab(m) = #M = #×(M)``.
-* ÷R, from ``D[$ := G] ⊢ N`` to ``G ⊢ N ÷ D``: ``#D[$ := G] = #D + #G``, which
-  is ``#N`` exactly when ``#G = #N − #D``.
+  ``M[m := H_m] ⊢ ×(M)``: ``#M[m := H_m] = #M + Σ (#H_m − #lab(m)) = #×(M)``.
+* ÷R, from ``D[$ := G] ⊢ N`` to ``G ⊢ N ÷ D``: ``#D[$ := G] = #D + #G``
+  (``$`` counts nothing), which is ``#N`` exactly when ``#G = #N − #D``.
 * ÷L, from ``H ⊢ A`` (``H`` with an ``N``-labeled edge ``e``) and
   ``H_d ⊢ lab(d)`` for every non-``$`` edge ``d`` of ``D``, to
   ``H[e := D[$ := N ÷ D, d := H_d]] ⊢ A``: the conclusion counts
-  ``#H − #N + (#N − #D) + Σ #H_d = #H + Σ (#H_d − #lab(d))``, which is ``#A``.
+  ``#H − #N + #D + (#N − #D) + Σ (#H_d − #lab(d)) = #H``, which is ``#A``.
 
 So an unbalanced sequent is underivable without any search, and the
 imbalance of a conclusion is the sum of its premises' imbalances.
@@ -271,8 +275,9 @@ def connective_count(x: object) -> int:
     return 0  # ranked labels and $
 
 
-Counts = frozenset[tuple[tuple, int]]  # (primitive canon key, nonzero count) pairs
+Counts = frozenset[tuple[tuple, int]]  # (primitive canon key or NODES, nonzero count) pairs
 NO_COUNTS: Counts = frozenset()
+NODES = ("nodes",)  # the node count's key, which no primitive's canon key equals
 
 
 def add_counts(acc: dict, counts: Counts, sign: int = 1) -> None:
@@ -288,9 +293,11 @@ def add_counts(acc: dict, counts: Counts, sign: int = 1) -> None:
 
 def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:
     """One pass over the edges that caches both the connective count and the
-    primitive counts of a graph."""
+    counts of a graph, its ``int(G)`` interior nodes included."""
     cc = 0
     acc: dict = {}
+    if len(g.nodes) != len(g.ext):
+        acc[NODES] = len(g.nodes) - len(g.ext)
     for e in g.edges:
         lab = g.lab[e]
         cc += connective_count(lab)
@@ -303,16 +310,17 @@ def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:
 
 def set_counts(g: Hypergraph, cc: int, pc: Counts | None = None) -> None:
     """Cache on a fresh graph the connective count ``cc`` and, unless ``None``,
-    the primitive counts ``pc`` that its builder knows, so that neither is
-    found by a walk of its edges."""
+    the counts ``pc`` (node count included) that its builder knows, so that
+    neither is found by a walk of its edges."""
     object.__setattr__(g, "_cc", cc)
     if pc is not None:
         object.__setattr__(g, "_pc", pc)
 
 
 def primitive_counts(x: object) -> Counts:
-    """Signed count per primitive of a type, label, or graph (see the module
-    docstring); cached on the value, like :func:`connective_count`."""
+    """Signed count per primitive, and node count under :data:`NODES`, of a
+    type, label, or graph (see the module docstring); cached on the value,
+    like :func:`connective_count`."""
     if isinstance(x, Hypergraph):
         cached = x.__dict__.get("_pc")
         if cached is None:
@@ -336,6 +344,6 @@ def primitive_counts(x: object) -> Counts:
 
 
 def is_balanced(s: Sequent) -> bool:
-    """Antecedent and succedent have equal primitive counts; every derivable
-    sequent is balanced."""
+    """Antecedent and succedent have equal counts, node count included; every
+    derivable sequent is balanced."""
     return primitive_counts(s.antecedent) == primitive_counts(s.succedent)

@@ -67,14 +67,22 @@ order nor the typed tally; the closed-slot cut below changes the tally only.
 
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
-(``#H_d = #lab(d)``, see :mod:`hlc.hltypes`).  A caller that passes a
-:class:`Tally` as ``typed`` gets only such instances.  Each host numbers the
-``k`` primitives of its labels, once, and packs a count vector ``c`` into the
-integer ``sum(c_i * B**i)``, with ``B = 2M + 1`` and ``M`` the summed absolute
-counts over all host edges.  Packing is additive, so a cluster's weight is the
-sum of its edges' packed labels, one addition per edge walked, and a slot's
-sum is the packed sum of its clusters' counts.  A slot's sum counts a subset
-of the host edges, so each of its components lies in ``[-M, M]`` and its size
+(``#H_d = #lab(d)``, see :mod:`hlc.hltypes`), in its primitive counts and in
+its node count.  A caller that passes a :class:`Tally` as ``typed`` gets
+only such instances.  A part's interior nodes are those of its clusters,
+plus the isolated nodes apportioned to it, since a cluster may join a slot
+only if every image node it touches is one of the slot's attachment nodes.
+So a part counts the sum over its clusters, each weighing its edges' labels
+plus its interior nodes, plus one node per isolated node it takes.  Each
+host numbers the node count and the primitives of its labels, ``k`` keys,
+once, and packs a count vector ``c`` into the integer ``sum(c_i * B**i)``,
+with the node count at ``i = 0``, ``B = 2M + 1``, and ``M`` the summed
+absolute counts over all host edges plus the host's number of nodes.
+Packing is additive, so a cluster's weight is the sum of its edges' packed
+labels, one addition per edge walked, plus its number of interior nodes, an
+isolated node weighs 1, and a slot's sum is the packed sum of its clusters'
+and nodes' counts.  A slot's sum counts a subset of the host edges and of
+the host nodes, so each of its components lies in ``[-M, M]`` and its size
 is at most ``M * (B**k - 1) / (B - 1) < B**k``.  A slot label whose every
 primitive is the host's and every count lies in ``[-M, M]`` packs the same
 way.  Any other label counts what no slot sum can: a primitive the host lacks
@@ -86,12 +94,12 @@ in ``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its
 lowest nonzero component would be ``d_j = -sum(d_i * B**(i-j) for i > j)``, a
 nonzero multiple of ``B`` of size at most ``2M < B``, which cannot be.  So a
 packed sum equals a packed target exactly when the counts are equal.  A slot
-assignment is kept only when the clusters in every slot sum to that slot's
-label.  A cluster with a single slot makes no choice, so its weight enters
-that slot's sum up front, and a slot that only such clusters offer is
-checked before anything is chosen.  Any other slot is checked as soon as no
-later cluster can join it, so one mismatch skips a whole subtree of
-assignments; the tally counts every assignment skipped.  ``models`` leaves
+assignment is kept only when the clusters and nodes in every slot sum to
+that slot's label.  A cluster with a single slot makes no choice, so its
+weight enters that slot's sum up front, and a slot that only such clusters
+offer is checked before anything is chosen.  Any other slot is checked as
+soon as no later cluster can join it, so one mismatch skips a whole subtree
+of assignments; the tally counts every assignment skipped.  ``models`` leaves
 ``typed`` unset, because its host labels are alphabet symbols, which count
 nothing; ``hlc match`` lists every decomposition, balanced or not.
 
@@ -114,14 +122,20 @@ has no slot.  Every piece split off it later again touches ``b`` and a node
 of ``R``, so a slotless cluster remains, and the leaf yields nothing.  A
 sealed cluster is thus intact, with the slots it has now, in every leaf that
 yields.  Hence, when every cluster offering a closed slot is sealed and
-offers only that slot, the slot's sum is final (an isolated node apportioned
-to it weighs nothing), and if it differs from the slot's target, no leaf at
-or below the partial map yields, and the map is cut.  The closed slots and
-the sealers depend only on the depth, so each search lists them once per
-depth and checks only at the depths where they change, after the needs cut;
-each cluster keeps the pattern nodes whose images it touches.  A cut removes
-only subtrees whose every slot assignment the typed check would skip, so the
-instances and their order stay the same.  ``Tally.closed`` counts the
+offers only that slot, the slot's sum is final but for the isolated nodes
+apportioned to it.  By default there are none: a decomposition must place
+every isolated node in its image, and a division context leaves them
+outside.  With ``nonminimal`` set, any of the host's ``n`` isolated nodes
+may join the slot, so its sum in a leaf is the current sum plus ``j`` nodes,
+``0 <= j <= n`` (``n = 0`` by default).  That sum is a slot sum, so in
+range, and the node count's place is 1: by injectivity it equals the target
+only if the target minus the current sum is such a ``j``.  If it is not, no
+leaf at or below the partial map yields, and the map is cut.  The closed
+slots and the sealers depend only on the depth, so each search lists them
+once per depth and checks only at the depths where they change, after the
+needs cut; each cluster keeps the pattern nodes whose images it touches.  A
+cut removes only subtrees whose every slot assignment the typed check would
+skip, so the instances and their order stay the same.  ``Tally.closed`` counts the
 partial maps cut, and ``Tally.pruned`` the assignments skipped at the leaves
 that remain.  An untyped search makes no such check.
 
@@ -130,8 +144,11 @@ its isolated nodes and its packed labels) and of the pattern (the slot
 attachments, the free nodes and the closed-slot schedule) depends on that
 graph alone, so it is found once and cached on the graph, as its incidences
 are.  Each part and contracted graph is built with its connective count, and
-with its primitive counts when typed (see ``Prover._expand``), so the prover
-never walks a fresh premise to count it.
+with its counts when typed (see ``Prover._expand``), so the prover never
+walks a fresh premise to count it.  A typed part counts what its label does.
+The contracted graph counts what the host does: the region it loses holds
+the ``int(D)`` nodes that the embedding consumes, and ``#(N ÷ D)`` already
+subtracts them.
 """
 
 from __future__ import annotations
@@ -141,7 +158,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .graphs import Hypergraph
-from .hltypes import Division, connective_count, dollar_edge, primitive_counts, set_counts
+from .hltypes import Division, NODES, connective_count, dollar_edge, primitive_counts, set_counts
 
 
 @dataclass(frozen=True)
@@ -173,7 +190,7 @@ def _subgraph(
     counts=None,
 ) -> Hypergraph:
     """The part of the host on ``edges``, with its connective count set, and
-    its primitive counts when the caller knows them as ``counts``."""
+    its counts when the caller knows them as ``counts``."""
     ccs = _host(host).ccs
     nodes = set(ext) | extra_nodes
     cc = 0
@@ -199,18 +216,23 @@ class Tally:
     closed: int = 0  # partial maps cut because a closed slot's final sum is wrong
 
 
-def _places(edge_counts) -> tuple[dict, int]:
-    """The place value of each primitive for :func:`_pack`, ``B**i`` for the
-    ``i``-th key in sorted order, and ``M``: ``B = 2M + 1``, with ``M`` the
-    summed absolute counts of ``edge_counts`` (see the module docstring)."""
+def _places(edge_counts, nodes: int) -> tuple[dict, int]:
+    """The place value of each count key for :func:`_pack`, 1 for
+    :data:`~hlc.hltypes.NODES` and ``B**i`` for the ``i``-th primitive in
+    sorted order, and ``M``: ``B = 2M + 1``, with ``M`` the summed absolute
+    counts of ``edge_counts`` plus the host's ``nodes`` (see the module
+    docstring)."""
     keys: set = set()
-    bound = 0
+    bound = nodes
     for counts in edge_counts:
         for key, n in counts:
             keys.add(key)
             bound += abs(n)
+    keys.discard(NODES)
     base = 2 * bound + 1
-    return {key: base**i for i, key in enumerate(sorted(keys))}, bound
+    places = {key: base ** (i + 1) for i, key in enumerate(sorted(keys))}
+    places[NODES] = 1
+    return places, bound
 
 
 def _pack(counts, places: dict) -> int:
@@ -238,7 +260,7 @@ def _host(host: Hypergraph) -> _Host:
         ext = frozenset(host.ext)
         incidences = host._incidence_map()
         edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
-        places, bound = _places(edge_counts.values())
+        places, bound = _places(edge_counts.values(), len(host.nodes))
         cached = _Host(
             ext=ext,
             isolated=[v for v in host.nodes if v not in incidences and v not in ext],
@@ -351,7 +373,7 @@ class _Cluster(NamedTuple):
     interior: set[int]  # incident host nodes outside the image
     hits: set[int]  # the pattern nodes whose images it touches
     slots: list  # the pattern edges that may take the cluster; None: outside
-    weight: int  # summed packed counts of the edge labels
+    weight: int  # summed packed counts of the edge labels, plus the interior
 
 
 def _seals(nodes, slot_att, rest: set, consumed) -> tuple[list[int], frozenset[int]]:
@@ -414,7 +436,7 @@ class _Search:
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(self, host, facts, role, fixed, pivot, consumed_dom, needy, targets, typed):
+    def __init__(self, host, facts, role, fixed, pivot, consumed_dom, needy, spare, targets, typed):
         self.host = host
         self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
@@ -423,6 +445,7 @@ class _Search:
         self.consumed = role.consumed
         self.banned = {v: facts.ext for v in consumed_dom}
         self.needy = needy  # host nodes that must end up in the image
+        self.spare = spare  # how many isolated nodes a part may take
         self.packs = facts.packs  # host edge -> packed counts of its label
         self.targets, self.typed = targets, typed
         self.free = role.free
@@ -490,8 +513,9 @@ class _Search:
         self, clusters: list[_Cluster], closed: list[int], sealers: frozenset[int]
     ) -> bool:
         """Whether some closed slot whose every offering cluster is sealed and
-        single-slot sums to other than its target: such a sum is final in every
-        leaf that yields (see the module docstring)."""
+        single-slot sums to what no ``spare`` or fewer isolated nodes can
+        raise to its target: such a sum is final in every leaf that yields
+        but for those nodes (see the module docstring)."""
         sums = dict.fromkeys(closed, 0)
         for c in clusters:
             slots = c.slots
@@ -503,9 +527,9 @@ class _Search:
                     sums.pop(m, None)  # a choice or a split may yet move this sum
                 if not sums:
                     return False
-        targets = self.targets
+        targets, spare = self.targets, self.spare
         for m, total in sums.items():
-            if total != targets[m]:
+            if not 0 <= targets[m] - total <= spare:  # a node packs to 1
                 return True
         return False
 
@@ -539,6 +563,7 @@ class _Search:
                             if f not in seen:
                                 seen.add(f)
                                 stack.append(f)
+            weight += len(interior)  # the part's interior nodes; a node packs to 1
             slots: list[int | None] = []
             if self.host_ext.isdisjoint(interior):
                 slots = [m for m, att_m in self.slot_att if hits <= att_m]
@@ -578,6 +603,7 @@ def _instances(
     # In a minimal decomposition every isolated node must be an image, since
     # no part may take it, yet every node is in one.
     needy = frozenset(isolated) if pivot is None and not nonminimal else frozenset()
+    spare = len(isolated) if nonminimal else 0
     lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
     edge_ids = sorted(slot_order)
     targets = None
@@ -586,13 +612,13 @@ def _instances(
         counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
         targets = {m: _target(c, facts) for m, c in counts.items()}
     role = _role(pattern, slot_order, fixed, pivot, consumed_dom)
-    search = _Search(host, facts, role, fixed, pivot, consumed_dom, needy, targets, typed)
+    search = _Search(host, facts, role, fixed, pivot, consumed_dom, needy, spare, targets, typed)
     for clusters in search.run():
         lonely = []  # isolated nodes outside the image, which a part may take
         if nonminimal:
             lonely = [v for v in isolated if v not in search.preimage]
         slot_lists = [c.slots for c in clusters] + [lonely_slots] * len(lonely)
-        weights = [c.weight for c in clusters] + [0] * len(lonely)
+        weights = [c.weight for c in clusters] + [1] * len(lonely)  # one node each
         phi = None
         for choice in _choices(slot_lists, weights, targets, typed):
             if phi is None:
@@ -687,7 +713,7 @@ def enumerate_context_extractions(
     fixed = dict(zip(d.att[hole], host.att[pivot]))
     fresh = max(host.edges, default=-1) + 1
     # The contracted graph trades the pivot and the parts for the numerator;
-    # typed, its primitive counts are the host's (see ``Prover._expand``).
+    # typed, its counts are the host's (see ``Prover._expand``).
     shift = connective_count(host) - connective_count(div_type) + connective_count(
         div_type.numerator
     )

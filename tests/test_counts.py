@@ -1,10 +1,14 @@
-"""The primitive-count invariant, checked against code that does not use it."""
+"""The count invariant, primitive and node counts, checked against code that
+does not use it."""
 
 from __future__ import annotations
 
-from hlc.calculus import NotDerivable, Prover
+from hlc.calculus import DerivationTree, NotDerivable, Prover, check_derivation
+from hlc.fixtures import all_binary_graphs, build_hgr1, build_hgr2, in_l1, is_bipartite
+from hlc.grammars import MemberWitness, hl_member
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, string_graph
 from hlc.hltypes import (
+    NODES,
     Division,
     Primitive,
     Product,
@@ -16,7 +20,7 @@ from hlc.hltypes import (
 )
 from hlc.lambek import enumerate_lambek_corpus, lambek_derive, translate_lsequent
 from hlc.matching import enumerate_context_extractions
-from tests.test_matching import pruned_at_uncut_leaves
+from tests.test_matching import pruned_at_uncut_leaves, recount
 
 S2 = Primitive("s", 2)
 P2 = Primitive("p", 2)
@@ -24,21 +28,32 @@ Q2 = Primitive("q", 2)
 SGR_Q = Division(S2, string_graph([dollar(2), S2, P2]))
 
 
-def counts(**by_name) -> dict:
-    return {("p", name, 2): n for name, n in by_name.items()}
+def counts(nodes: int = 0, **by_name) -> dict:
+    out = {("p", name, 2): n for name, n in by_name.items()}
+    if nodes:
+        out[NODES] = nodes
+    return out
 
 
 def test_counts_follow_the_definition():
     assert dict(primitive_counts(S2)) == counts(s=1)
-    # N ÷ D counts #N minus the non-$ labels of D.
-    assert dict(primitive_counts(SGR_Q)) == counts(p=-1)
+    # N ÷ D counts #N minus D: its non-$ labels and its two interior nodes.
+    assert dict(primitive_counts(SGR_Q)) == counts(p=-1, nodes=-2)
     body = string_graph([S2, P2, P2])
-    assert dict(primitive_counts(Product(body))) == counts(s=1, p=2)
+    assert dict(primitive_counts(Product(body))) == counts(s=1, p=2, nodes=2)
+    # The two interior nodes cancel SGR_Q's -2.
     assert dict(primitive_counts(string_graph([SGR_Q, S2, P2]))) == counts(s=1)
-    # Alphabet symbols and the hole count nothing.
-    assert primitive_counts(string_graph([RankedLabel("a", 2), dollar(2)])) == frozenset()
+    # Alphabet symbols and the hole count nothing; the middle node counts one.
+    assert dict(primitive_counts(string_graph([RankedLabel("a", 2), dollar(2)]))) == counts(
+        nodes=1
+    )
     # Opposite counts cancel instead of leaving zero entries behind.
-    assert primitive_counts(string_graph([SGR_Q, P2])) == frozenset()
+    assert dict(primitive_counts(string_graph([SGR_Q, P2]))) == counts(nodes=-1)
+    # Only the interior counts: external and isolated nodes alike.
+    lonely = build_graph([0, 1, 2, 3], [(S2, (0, 1))], (0, 3))
+    assert dict(primitive_counts(lonely)) == counts(s=1, nodes=2)
+    for x in (S2, SGR_Q, Product(body), body, lonely, string_graph([SGR_Q, P2])):
+        assert dict(primitive_counts(x)) == recount(x)
 
 
 def test_graph_counts_fill_connective_count_in_one_pass():
@@ -53,6 +68,43 @@ def test_every_corpus_tree_node_is_balanced(corpus):
     for tree in corpus:
         for node in tree.walk():
             assert is_balanced(node.conclusion), node.conclusion
+
+
+def _assert_counts_hold(tree) -> int:
+    """The invariant at every node of a tree, recounted from the definition:
+    ``int(H) + sum of the labels' counts = #A``, per primitive and in nodes."""
+    nodes = 0
+    for node in tree.walk():
+        seq = node.conclusion
+        assert recount(seq.antecedent) == recount(seq.succedent), seq
+        nodes += 1
+    return nodes
+
+
+def test_counts_hold_on_every_corpus_tree_node(corpus):
+    nodes = sum(_assert_counts_hold(tree) for tree in corpus)
+    assert nodes > 1000
+
+
+def test_counts_hold_on_every_three_edge_witness_node():
+    """Every node of every three-edge ``hgr1``/``hgr2`` witness tree, each
+    tree checked by ``check_derivation``, which knows nothing of counts."""
+    graphs = all_binary_graphs((3,))
+    witnesses = {"hgr1": 0, "hgr2": 0}
+    for name, grammar, oracle in (
+        ("hgr1", build_hgr1(), in_l1),
+        ("hgr2", build_hgr2(), lambda g: in_l1(g) and is_bipartite(g)),
+    ):
+        prover = Prover()
+        for g in graphs:
+            result = hl_member(grammar, g, prover=prover)
+            assert isinstance(result, MemberWitness) == oracle(g)
+            if isinstance(result, MemberWitness):
+                assert isinstance(result.tree, DerivationTree)
+                assert check_derivation(result.tree) is None
+                _assert_counts_hold(result.tree)
+                witnesses[name] += 1
+    assert witnesses["hgr1"] > witnesses["hgr2"] > 0
 
 
 def test_string_derivable_sequents_translate_to_balanced_ones():

@@ -147,6 +147,59 @@ def test_member_never_recounts_a_relabeled_goal(monkeypatch):
         assert (g.__dict__["_cc"], g.__dict__["_pc"]) == graph_counts(copy)
 
 
+def test_member_pass_never_recounts_a_normalized_goal(monkeypatch):
+    """Over the queries of one seed-0 ``member`` benchmark pass (one prover
+    per grammar), ``normalize_trace`` builds its product-elimination and
+    division-introduction graphs with their counts, so no ``_graph_counts``
+    walk comes from ``Prover._expand``; the counts it sets equal those a walk
+    of a cold copy gives."""
+    import sys
+
+    from hlc import calculus, hltypes
+    from hlc.suites import kite_graph
+
+    expand = calculus.Prover._expand.__code__
+    from_expand, normalized = [], []
+    graph_counts, normalize_trace = hltypes._graph_counts, calculus.normalize_trace
+
+    def recording(g):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not expand:
+            frame = frame.f_back
+        if frame is not None:
+            from_expand.append(g)
+        return graph_counts(g)
+
+    def collecting(s):
+        nseq, steps = normalize_trace(s)
+        if steps:
+            normalized.append(nseq.antecedent)
+        return nseq, steps
+
+    monkeypatch.setattr(hltypes, "_graph_counts", recording)
+    monkeypatch.setattr(calculus, "normalize_trace", collecting)
+    census = all_binary_graphs((1, 2, 3))
+    lonely = build_graph([0, 1, 2], [(STAR, (0, 1))], ())
+    sgr_words = {"a" * n + "b" * (n + 1) for n in range(4)}
+    words = ["".join(w) for n in range(1, 8) for w in itertools.product("ab", repeat=n)]
+    small = [g for g in census if len(g.edges) <= 2 or len(g.nodes) == 2]
+    cases = [
+        (build_sgr(), [(sgr_string_graph(w), w in sgr_words) for w in words]),
+        (build_hgr1(), [(g, in_l1(g)) for g in census + [kite_graph(), lonely]]),
+        (build_hgr2(), [(g, in_l1(g) and is_bipartite(g)) for g in small]),
+    ]
+    for grammar, queries in cases:
+        prover = Prover()
+        for graph, expected in queries:
+            result = hl_member(grammar, graph, prover=prover)
+            assert isinstance(result, MemberWitness) == expected
+    assert not from_expand
+    assert len(normalized) > 100
+    for g in normalized:
+        copy = build_graph(g.nodes, [(g.lab[e], g.att[e]) for e in g.edges], g.ext)
+        assert (g.__dict__["_cc"], g.__dict__["_pc"]) == graph_counts(copy)
+
+
 def test_member_sums_budget_hits():
     """One node budget is shared by all the relabelings of a query: an
     inconclusive answer has spent exactly that budget, summed over its

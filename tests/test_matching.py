@@ -17,6 +17,7 @@ from hlc.graphs import (
     validate,
 )
 from hlc.hltypes import (
+    NODES,
     Division,
     Primitive,
     Product,
@@ -433,11 +434,39 @@ def test_rank_mismatch_yields_nothing():
     assert list(enumerate_decompositions(host, pattern)) == []
 
 
+def recount(x) -> dict:
+    """The counts of a type, label or graph by their definition in
+    ``hlc.hltypes``, found afresh with nothing read from or written to a
+    cache: +1 per primitive ``p`` for ``p``, ``#N - #D`` for ``N / D``,
+    ``#M`` for ``x(M)``, and for a graph the sum over its labels plus
+    ``|V| - |ext|`` under ``NODES``.  Zero counts are left out."""
+    acc: dict = {}
+
+    def add(counts, sign=1):
+        for key, n in counts.items():
+            acc[key] = acc.get(key, 0) + sign * n
+
+    if isinstance(x, Hypergraph):
+        add({NODES: len(x.nodes) - len(x.ext)})
+        for e in x.edges:
+            add(recount(x.lab[e]))
+    elif isinstance(x, Primitive):
+        add({("p", x.name, x.rank): 1})
+    elif isinstance(x, Division):
+        add(recount(x.numerator))
+        add(recount(x.denominator), -1)
+    elif isinstance(x, Product):
+        add(recount(x.body))
+    return {key: n for key, n in acc.items() if n}
+
+
 def _balanced(parts, labels):
-    return all(primitive_counts(parts[k]) == primitive_counts(labels[k]) for k in parts)
+    return all(recount(parts[k]) == recount(labels[k]) for k in parts)
 
 
-def pruned_at_uncut_leaves(host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom):
+def pruned_at_uncut_leaves(
+    host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom, nonminimal=False
+):
     """What ``Tally.pruned`` counts: of the untyped ``(phi, parts)``
     instances, those with an unbalanced part whose embedding the reference
     closed-slot cut keeps (a cut embedding is never offered to the slot check)."""
@@ -449,7 +478,7 @@ def pruned_at_uncut_leaves(host, pattern, slot_order, fixed, instances, *, pivot
         if key not in cut:
             cut[key] = _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, known=known,
             )
         count += not cut[key]
     return count
@@ -468,6 +497,7 @@ def _check_typed_decompositions(host, pattern, nonminimal):
     assert tally.pruned == pruned_at_uncut_leaves(
         host, pattern, sorted(pattern.edges), dict(zip(pattern.ext, host.ext)),
         [(dec.node_map, dec.parts) for dec in untyped], pivot=None, consumed_dom=[],
+        nonminimal=nonminimal,
     )
     assert decomposition_keys(host, pattern, typed=Tally(), **kw) == {
         tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
@@ -489,7 +519,7 @@ def _check_typed_extractions(host, pivot, div_type, nonminimal):
     assert tally.pruned == pruned_at_uncut_leaves(
         host, d, sorted(e for e in d.edges if e != hole), dict(zip(d.att[hole], host.att[pivot])),
         [(x.phi, x.parts) for x in untyped],
-        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext],
+        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext], nonminimal=nonminimal,
     )
     assert extraction_keys(host, pivot, div_type, typed=Tally(), **kw) == {
         (canonical_key(x.contracted), tuple(canonical_key(x.parts[de]) for de in sorted(x.parts)))
@@ -536,16 +566,21 @@ def test_typed_extractions_match_filtered_untyped():
 # A test-only copy of the enumerator that the incremental search replaced:
 # every injective extension of the fixed map, each walked from the host's
 # first edge, stopped at the first slotless cluster, with the typed check
-# summing per-primitive count dicts instead of packed integers.
+# summing count dicts, recounted from the definition, instead of packed
+# integers.
 
 
-def _reference_edge_counts(host, edges, known):
-    counts = known.get(edges)
+def _reference_cluster_counts(host, edges, interior, known):
+    """A cluster's counts: its edges' labels and its interior nodes."""
+    key = (edges, len(interior))
+    counts = known.get(key)
     if counts is None:
         acc = {}
         for e in edges:
-            add_counts(acc, primitive_counts(host.lab[e]))
-        counts = known[edges] = tuple(acc.items())
+            add_counts(acc, recount(host.lab[e]).items())
+        if interior:
+            add_counts(acc, [(NODES, len(interior))])
+        counts = known[key] = tuple(acc.items())
     return counts
 
 
@@ -629,14 +664,19 @@ def _reference_clusters(host, image, pivot):
         yield frozenset(edges), frozenset(hits), interior
 
 
-def _reference_closed_cut(host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, known):
+def _reference_closed_cut(
+    host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, nonminimal, known
+):
     """Whether the closed-slot cut removes a prefix of the full embedding
     ``phi``, stated afresh: at each depth where the closed slots or the
     sealers change, the prefix's clusters are found from scratch, and a closed
     slot whose every offering cluster has that one slot and touches a sealer's
-    image must sum, in count dicts, to its label's counts."""
+    image must sum, in count dicts, to its label's counts, less the nodes of
+    as many isolated host nodes as ``nonminimal`` may apportion to it."""
     free = sorted(v for v in pattern.nodes if v not in fixed)
     host_ext = frozenset(host.ext)
+    incidences = host._incidence_map()
+    spare = sum(v not in incidences and v not in host_ext for v in host.nodes) if nonminimal else 0
     previous = None
     for k in range(len(free) + 1):
         rest = set(free[k:])
@@ -667,12 +707,14 @@ def _reference_closed_cut(host, pattern, slot_order, fixed, phi, *, pivot, consu
                 if len(slots) > 1 or hits.isdisjoint(seal_img):
                     sums[m] = None
                 elif sums[m] is not None:
-                    add_counts(sums[m], _reference_edge_counts(host, edges, known))
-        if any(
-            total is not None and total != dict(primitive_counts(pattern.lab[m]))
-            for m, total in sums.items()
-        ):
-            return True
+                    add_counts(sums[m], _reference_cluster_counts(host, edges, interior, known))
+        for m, total in sums.items():
+            if total is None:
+                continue
+            gap = recount(pattern.lab[m])
+            add_counts(gap, total.items(), -1)
+            if gap and (set(gap) != {NODES} or not 0 < gap[NODES] <= spare):
+                return True
     return False
 
 
@@ -689,7 +731,7 @@ def _reference_instances(
     edge_ids = sorted(slot_order)
     targets = None
     if typed is not None:
-        targets = {m: dict(primitive_counts(pattern.lab[m])) for m in edge_ids}
+        targets = {m: recount(pattern.lab[m]) for m in edge_ids}
     known: dict = {}
     forbidden = {v: host_ext for v in consumed_dom}
     for phi in _reference_injective_maps(host, fixed, sorted(pattern.nodes), forbidden):
@@ -716,14 +758,14 @@ def _reference_instances(
         else:
             if typed is not None and _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, known=known,
             ):
                 continue
             slot_lists += [lonely_slots] * len(lonely)
             weights = None
             if typed is not None:
-                weights = [_reference_edge_counts(host, c, known) for c, _ in clusters]
-                weights += [()] * len(lonely)
+                weights = [_reference_cluster_counts(host, c, i, known) for c, i in clusters]
+                weights += [((NODES, 1),)] * len(lonely)
             for k, choice in enumerate(choices(slot_lists, weights, targets, typed)):
                 if k == 0:
                     yielding[0] += 1  # an embedding that yields at least one item
@@ -867,11 +909,11 @@ def _built_graphs(item):
 def _typed_and_untyped_items(rng):
     """(typed, item) over the test hosts, extractions and decompositions,
     with and without isolated nodes and ``nonminimal``."""
-    cases = [(enumerate_decompositions, h, (m,)) for h, m in string_hosts(rng, 20)]
-    cases += [(enumerate_decompositions, h, (m,)) for h, m in rank1_hosts(rng, 20)]
+    cases = [(enumerate_decompositions, h, (m,)) for h, m in string_hosts(rng, 30)]
+    cases += [(enumerate_decompositions, h, (m,)) for h, m in rank1_hosts(rng, 30)]
     for host, pivot, d in [
-        *string_division_hosts(rng, 20),
-        *rank1_division_hosts(rng, 20),
+        *string_division_hosts(rng, 30),
+        *rank1_division_hosts(rng, 30),
         *wide_division_hosts(rng, 8),
     ]:
         cases.append((enumerate_context_extractions, host, (pivot, d)))
@@ -943,11 +985,11 @@ def test_cached_setup_equals_cold_setup():
     assert sum(sum(tally) for _, tally in warm_runs if tally) > 0
 
 
-def _old_places(edge_counts, target_counts):
+def _old_places(edge_counts, target_counts, nodes):
     """The packing before its bound became the host's alone: the slot labels'
     primitives join the host's, and ``M`` also covers their largest count."""
     keys: set = set()
-    bound = 0
+    bound = nodes
     for counts in edge_counts:
         for key, n in counts:
             keys.add(key)
@@ -956,8 +998,9 @@ def _old_places(edge_counts, target_counts):
         for key, n in counts:
             keys.add(key)
             bound = max(bound, abs(n))
+    keys.discard(NODES)
     base = 2 * bound + 1
-    return {key: base**i for i, key in enumerate(sorted(keys))}
+    return {NODES: 1, **{key: base ** (i + 1) for i, key in enumerate(sorted(keys))}}
 
 
 def test_unreachable_targets_match_the_old_packing(monkeypatch):
@@ -968,24 +1011,29 @@ def test_unreachable_targets_match_the_old_packing(monkeypatch):
     rng = random.Random(47)
     calls = []  # (enumerate_, host, args, slot labels)
     fills = {P: [[P]], Q: [[Q]], R: [[P], [Q]], p3: [[P, P, P], [P, P], [P]]}
-    for _ in range(80):
+    for _ in range(100):
         labels = [rng.choice([P, Q, R, p3]) for _ in range(rng.randint(1, 2))]
         pattern = string_graph(labels)
         # Fill each slot with a string of the host's labels, often a balanced one.
         host = string_graph([a for label in labels for a in rng.choice(fills[label])])
         calls.append((enumerate_decompositions, host, (pattern,), pattern.lab.values()))
-    for _ in range(80):
+    for _ in range(100):
         # R over R counts no R, so a host without another R edge lacks it.
         div = Division(R, string_graph([dollar(2), R, rng.choice([P, Q, p3])]))
         labels = [rng.choice([P, Q, R]) for _ in range(rng.randint(0, 3))]
         where = rng.randint(0, len(labels))
         host = string_graph(labels[:where] + [div] + labels[where:])
         calls.append((enumerate_context_extractions, host, (where, div), div.denominator.lab.values()))
-    # Q then an edge counting -1 p: the host sums to 5 - 1 = 4 in places 1 (p)
-    # and 5 (q), which a p^4 label would pack to were its count not beyond M = 2.
+    # Q then an edge counting -1 p and -2 nodes: with its middle node, the
+    # host sums to 225 - 15 - 1 = 209 in places 1 (nodes), 15 (p) and 225 (q),
+    # M = 7.  A label counting 13 p and 14 nodes (13 p edges in a string, and
+    # two isolated nodes) would pack to 14 + 13 * 15 = 209 too, were its
+    # counts not beyond M.
     minus_p = Division(S, string_graph([dollar(2), P, S]))
-    p4 = Product(string_graph([P, P, P, P]))
-    calls.append((enumerate_decompositions, string_graph([Q, minus_p]), (handle(p4),), [p4]))
+    p13 = Product(build_graph(range(16), [(P, (i, i + 1)) for i in range(13)], (0, 13)))
+    aliased = string_graph([Q, minus_p])
+    assert matching._pack(primitive_counts(p13), matching._host(_copy(aliased)).places) == 209
+    calls.append((enumerate_decompositions, aliased, (handle(p13),), [p13]))
     unreachable = [0]
     target = matching._target
 
@@ -1001,7 +1049,7 @@ def test_unreachable_targets_match_the_old_packing(monkeypatch):
 
     def old_host(host):
         edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
-        places = _old_places(edge_counts.values(), slot_counts[id(host)])
+        places = _old_places(edge_counts.values(), slot_counts[id(host)], len(host.nodes))
         incidences = host._incidence_map()
         return matching._Host(
             ext=frozenset(host.ext),
@@ -1101,14 +1149,17 @@ def test_choices_equal_filtered_product():
 
 
 def test_packing_is_injective_within_its_bound():
-    keys = [("p", c, 2) for c in "abc"]
-    for bound in (3, 4):
-        # Host edges whose absolute counts sum to ``bound`` set M = bound.
-        edges = [frozenset({(keys[0], 1)})] * (bound - 2)
-        edges += [frozenset({(keys[1], -1)}), frozenset({(keys[2], 1)})]
-        places, m = matching._places(edges)
+    keys = [NODES] + [("p", c, 2) for c in "abc"]
+    for bound in (4, 5):
+        # Host edges whose absolute counts sum to ``bound - 1``, and one node,
+        # set M = bound.
+        edges = [frozenset({(keys[1], 1)})] * (bound - 3)
+        edges += [frozenset({(keys[2], -1)}), frozenset({(keys[3], 1)})]
+        places, m = matching._places(edges, 1)
         assert m == bound
-        assert sorted(places.values()) == [1, 2 * bound + 1, (2 * bound + 1) ** 2]
+        base = 2 * bound + 1
+        assert places[NODES] == 1
+        assert sorted(places.values()) == [1, base, base**2, base**3]
         cube = list(itertools.product(range(-bound, bound + 1), repeat=len(keys)))
         vectors = [frozenset((k, n) for k, n in zip(keys, c) if n) for c in cube]
         packed = [matching._pack(v, places) for v in vectors]
