@@ -8,8 +8,18 @@ antecedent product labels and rewriting division succedents); on a normal
 sequent only the axiom, division elimination, and product introduction can
 conclude, and both rules are enumerated exhaustively via :mod:`hlc.matching`.
 
+The rules are those of the hypergraph Lambek calculus (arXiv 2112.11033),
+read through hyperedge replacement (Habel, *Hyperedge Replacement: Grammars
+and Languages*, LNCS 643, 1992): ``G[e := H]`` removes ``e``, fuses the
+external nodes of ``H`` with ``e``'s attachment nodes, and keeps every
+interior node of ``H``, isolated or not.  The rule instances are those of
+this replacement, so an isolated node of a goal may belong to any part of a
+product introduction or division elimination.
+
 Every backward step removes exactly one connective, so the search space is
-finite; a failure answer is exact unless a budget was hit along the way.
+finite; a failure answer is exact unless a budget was hit along the way:
+``NotDerivable`` means the search over every rule instance of this calculus
+came back empty.
 Every derivable sequent is balanced, in its primitive counts and in its
 node count (see :mod:`hlc.hltypes`), so an unbalanced goal is refuted at
 once, and rule instances are enumerated with the typed slot check of
@@ -193,8 +203,7 @@ class Prover:
     the stats of the latest ``derive``, whatever it returned.
     """
 
-    def __init__(self, *, nonminimal: bool = False):
-        self.nonminimal = nonminimal
+    def __init__(self):
         self.memo: dict[object, DerivationTree | bool] = {}
         self.nodes_expanded = 0
         self.last_stats: SearchStats | None = None
@@ -306,9 +315,7 @@ class Prover:
             d = lab.denominator
             hole = dollar_edge(d)
             d_edges = sorted(de for de in d.edges if de != hole)
-            for extr in enumerate_context_extractions(
-                g, e, lab, nonminimal=self.nonminimal, typed=self._tally
-            ):
+            for extr in enumerate_context_extractions(g, e, lab, typed=self._tally):
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
                 ]
@@ -332,9 +339,7 @@ class Prover:
         if isinstance(succ, Product):
             body = succ.body
             m_edges = sorted(body.edges)
-            for dec in enumerate_decompositions(
-                g, body, nonminimal=self.nonminimal, typed=self._tally
-            ):
+            for dec in enumerate_decompositions(g, body, typed=self._tally):
                 premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs)

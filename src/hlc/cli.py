@@ -169,7 +169,7 @@ def cmd_match(args) -> int:
     host = parse_graph(_read(args.host), mode="type")
     pattern = parse_graph(_read(args.pattern), mode="type")
     count = 0
-    for dec in enumerate_decompositions(host, pattern, nonminimal=args.nonminimal):
+    for dec in enumerate_decompositions(host, pattern):
         count += 1
         print(f"decomposition {count}:")
         print("  node map:", " ".join(f"{a}->{b}" for a, b in sorted(dec.node_map.items())))
@@ -272,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "match",
         help="print every decomposition of a host by a pattern; each differs from the "
-        "others in node map, part edges or apportioned nodes, but parts may be isomorphic",
+        "others in node map, part edges or how many isolated nodes each part takes, but "
+        "parts may be isomorphic",
     )
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--nonminimal", action="store_true")
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("model-check", help="truth of a sequent under a finite valuation")

@@ -222,9 +222,7 @@ def hl_member(
     target_counts = primitive_counts(g.distinguished)
     # The types must count the distinguished type's nodes less the graph's own.
     target = dict(target_counts)
-    target[NODES] = target.get(NODES, 0) - (len(graph.nodes) - len(graph.ext))
-    if not target[NODES]:
-        del target[NODES]
+    add_counts(target, [(NODES, len(graph.nodes) - len(graph.ext))], -1)
     cap = (budget or SearchBudget()).max_nodes
     pruned = 0
     nodes = closed = 0

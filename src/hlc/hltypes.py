@@ -288,7 +288,7 @@ def add_counts(acc: dict, counts: Counts, sign: int = 1) -> None:
         if total:
             acc[key] = total
         else:
-            del acc[key]
+            acc.pop(key, None)
 
 
 def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:

@@ -19,19 +19,24 @@ may also stay outside the region.  The two public functions only build their
 results from the instances.  Both are exhaustive up to part-isomorphism, and
 every instance reassembles to the host up to isomorphism.  Neither filters
 isomorphic repeats: every instance yielded differs from the others in its
-node map, its part edges or the nodes apportioned to its parts, though its
-parts may be isomorphic to another's.  The prover's memo absorbs such
-repeats, and ``hlc match`` lists them all.
+node map, its part edges or the number of isolated nodes apportioned to each
+part, though its parts may be isomorphic to another's.  The prover's memo
+absorbs such repeats, and ``hlc match`` lists them all.
 
 Fusion semantics force the search structure: substituting a graph for an edge
 fuses only its external nodes with the context, so the interior nodes of each
 part are private to it.  Host nodes outside the embedding image therefore tie
 the edges incident to them into clusters that must travel together, and a
-cluster with a host external node inside cannot join a part.  By default
-parts take the minimal node set (nodes incident to their edges plus their
-external nodes): an isolated host node outside the image stays outside a
-division context and rules out a decomposition.  Behind the ``nonminimal``
-flag such a node may instead join any part as an extra interior node.
+cluster with a host external node inside cannot join a part.  Replacement
+keeps every interior node of the substituted graph, isolated or not, so an
+isolated host node (no incident edge, not external) outside the image may
+join any part as an interior node, or, around a pivot, stay outside.  Such
+nodes are interchangeable: swapping two of them is an automorphism of the
+host that fixes the image.  So they are apportioned by count, one instance
+per count vector (``itertools.combinations_with_replacement`` over the
+slots): in node order, the first nodes go to the first slot that takes
+any, the next to the next, and so on, which keeps every instance up to
+part-isomorphism.
 
 **Incremental clusters.**  The embeddings are searched depth first: the free
 pattern nodes (those the external nodes or the hole do not fix) are placed in
@@ -51,19 +56,17 @@ clusters are sorted by their smallest edge, the order of a walk started in
 edge order.
 
 **Cut rule.**  An embedding yields nothing when one of its clusters has no
-slot, or, in a minimal decomposition, when an isolated host node lies
-outside its image.  Call each such cluster or node of a partial map a need.
-A slotless cluster stays a slotless cluster until a later node lands in its
-interior, and an isolated node stays outside the image until a later node
-lands on it.  Interiors are disjoint and hold no isolated node, so each later
-node meets at most one need, wherever it lands.  A partial map with more
-needs than nodes left to place therefore has no leaf that yields, and is
-cut.  When the two are equal, the next node is tried only inside a slotless
-cluster or on a needy isolated node: anywhere else it leaves every need in
-place (splitting a cluster with slots can only add slotless pieces) with one
-node fewer to meet them.  The embeddings skipped are exactly those that would
-reach no slot assignment, so this cut changes neither the instances, their
-order nor the typed tally; the closed-slot cut below changes the tally only.
+slot.  Call each such cluster of a partial map a need.  A slotless cluster
+stays a slotless cluster until a later node lands in its interior, and
+interiors are disjoint, so each later node meets at most one need, wherever
+it lands.  A partial map with more needs than nodes left to place therefore
+has no leaf that yields, and is cut.  When the two are equal, the next node
+is tried only inside a slotless cluster: anywhere else it leaves every need
+in place (splitting a cluster with slots can only add slotless pieces) with
+one node fewer to meet them.  The embeddings skipped are exactly those that
+would reach no slot assignment, so this cut changes neither the instances,
+their order nor the typed tally; the closed-slot cut below changes the tally
+only.
 
 **Typed slot check.**  In proof search every host label is a type, and a rule
 instance can be derived only if each part balances against its label
@@ -93,18 +96,23 @@ component in ``[-M, M]``, and every component of their difference ``d`` lies
 in ``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its
 lowest nonzero component would be ``d_j = -sum(d_i * B**(i-j) for i > j)``, a
 nonzero multiple of ``B`` of size at most ``2M < B``, which cannot be.  So a
-packed sum equals a packed target exactly when the counts are equal.  A slot
-assignment is kept only when the clusters and nodes in every slot sum to
-that slot's label.  A cluster with a single slot makes no choice, so its
-weight enters that slot's sum up front, and a slot that only such clusters
-offer is checked before anything is chosen.  Any other slot is checked as
-soon as no later cluster can join it, so one mismatch skips a whole subtree
-of assignments; the tally counts every assignment skipped.  ``models`` leaves
+packed sum equals a packed target exactly when the counts are equal.  With
+``L`` isolated nodes outside the image, a slot's clusters must therefore sum
+to its target less ``j`` nodes, ``0 <= j <= L``, which ``j`` of those nodes
+make up.  A slot assignment of the clusters is kept only when every slot's
+shortfall is such a ``j`` and the shortfalls add up to ``L`` (at most ``L``
+around a pivot, where the rest stay outside); it then has one balanced
+apportionment, the count vector of the shortfalls.  A cluster with a single
+slot makes no choice, so its weight enters that slot's sum up front, and a
+slot that only such clusters offer is checked before anything is chosen.
+Any other slot is checked as soon as no later cluster can join it, so one
+miss skips a whole subtree of assignments; the tally counts every cluster
+assignment skipped.  ``models`` leaves
 ``typed`` unset, because its host labels are alphabet symbols, which count
 nothing; ``hlc match`` lists every decomposition, balanced or not.
 
-**Closed slots.**  A typed search also cuts a partial map, leaf or not, once
-the sum of one of its slots is final and wrong.  Let ``R`` be the free
+**Closed slots.**  A typed search also cuts a partial map above the leaves
+once the sum of one of its slots is final and wrong.  Let ``R`` be the free
 pattern nodes still to place.  A slot is *closed* when no node of ``R`` is
 attached to it, and a placed pattern node ``b`` is a *sealer* when every slot
 attached to it is closed and, around a pivot, ``b`` is consumed (in a
@@ -123,21 +131,23 @@ of ``R``, so a slotless cluster remains, and the leaf yields nothing.  A
 sealed cluster is thus intact, with the slots it has now, in every leaf that
 yields.  Hence, when every cluster offering a closed slot is sealed and
 offers only that slot, the slot's sum is final but for the isolated nodes
-apportioned to it.  By default there are none: a decomposition must place
-every isolated node in its image, and a division context leaves them
-outside.  With ``nonminimal`` set, any of the host's ``n`` isolated nodes
-may join the slot, so its sum in a leaf is the current sum plus ``j`` nodes,
-``0 <= j <= n`` (``n = 0`` by default).  That sum is a slot sum, so in
+apportioned to it.  Any of the host's ``n`` isolated nodes may join the
+slot, so its sum in a leaf is the current sum plus ``j`` nodes,
+``0 <= j <= n``.  That sum is a slot sum, so in
 range, and the node count's place is 1: by injectivity it equals the target
 only if the target minus the current sum is such a ``j``.  If it is not, no
 leaf at or below the partial map yields, and the map is cut.  The closed
 slots and the sealers depend only on the depth, so each search lists them
 once per depth and checks only at the depths where they change, after the
-needs cut; each cluster keeps the pattern nodes whose images it touches.  A
-cut removes only subtrees whose every slot assignment the typed check would
-skip, so the instances and their order stay the same.  ``Tally.closed`` counts the
-partial maps cut, and ``Tally.pruned`` the assignments skipped at the leaves
-that remain.  An untyped search makes no such check.
+needs cut; each cluster keeps the pattern nodes whose images it touches.  At
+a leaf the slot check first compares every slot that only single-slot
+clusters offer, allowing for the ``L <= n`` isolated nodes outside the
+image.  That covers every slot the cut would check, so the cut stops one
+depth short.  A cut removes only
+subtrees whose every slot assignment the typed check would skip, so the
+instances and their order stay the same.  ``Tally.closed`` counts the partial
+maps cut, and ``Tally.pruned`` the cluster assignments skipped at the leaves.
+An untyped search makes no such check.
 
 **Setup and counts.**  What a search needs of the host (its external nodes,
 its isolated nodes and its packed labels) and of the pattern (the slot
@@ -212,7 +222,7 @@ def _subgraph(
 class Tally:
     """What the typed check skipped (see the module docstring)."""
 
-    pruned: int = 0  # slot assignments skipped at a leaf
+    pruned: int = 0  # cluster slot assignments skipped at a leaf
     closed: int = 0  # partial maps cut because a closed slot's final sum is wrong
 
 
@@ -293,20 +303,33 @@ def _choices(
     weights: list[int],
     targets: dict[int, int] | None,
     typed: Tally | None,
+    lonely_slots: list,
+    lonely: int,
 ) -> Iterator[tuple]:
-    """Slot choices, one slot per list, in ``itertools.product`` order.
+    """Slot choices, one slot per list in ``itertools.product`` order, each
+    followed by the slots of ``lonely`` interchangeable isolated nodes, taken
+    by count from ``lonely_slots`` (every slot, then ``None`` around a
+    pivot), in ``itertools.combinations_with_replacement`` order.
 
-    With ``typed`` set, a choice is kept only when, for every slot, the summed
-    ``weights`` of the lists choosing it equal ``targets[slot]`` (``None``
-    has no target); each skipped choice is added to ``typed.pruned``.  A list
+    With ``typed`` set, a choice of the lists is kept only when, for every
+    slot, the summed ``weights`` of the lists choosing it fall ``0..lonely``
+    nodes short of ``targets[slot]`` (``None`` has no target) and the
+    shortfalls add up to ``lonely`` (at most ``lonely`` when ``None`` takes
+    the rest).  It is followed by the one apportionment that makes them up;
+    each skipped choice is added to ``typed.pruned``.  A list
     with one slot is no choice: its weight goes into that slot's sum up
     front, and a slot that only such lists offer is checked before any
     choice is made.  Any other slot's sum is final once the last list with a
-    choice offering it is decided, so it is checked there, and a mismatch
-    skips the whole subtree of choices at once.
+    choice offering it is decided, so it is checked there, and a miss skips
+    the whole subtree of choices at once.
     """
+    if lonely and not lonely_slots:
+        return  # no part may take an isolated node
     if typed is None:
-        yield from itertools.product(*slot_lists)
+        apportionments = list(itertools.combinations_with_replacement(lonely_slots, lonely))
+        for choice in itertools.product(*slot_lists):
+            for extra in apportionments:
+                yield choice + extra
         return
     sums = dict.fromkeys(targets, 0)
     free = []  # (index, slots, weight) of each list with a choice to make
@@ -325,7 +348,7 @@ def _choices(
     settled = dict(sums)  # the slots only single-slot lists offer are final
     for t in last:
         settled[t] = targets[t]
-    if settled != targets:
+    if settled != targets and not all(0 <= targets[t] - settled[t] <= lonely for t in targets):
         typed.pruned += total
         return
     n = len(free)
@@ -336,12 +359,19 @@ def _choices(
     for slot, k in last.items():
         closes[k].append(slot)
     choice = [slots[0] if len(slots) == 1 else None for slots in slot_lists]
-    if not n:
-        yield tuple(choice)
-        return
     pick = [-1] * n
     k = 0
     while k >= 0:
+        if k == n:  # a full choice: make up the shortfalls
+            extra: list = []
+            for t in lonely_slots:
+                extra += [t] * (lonely - len(extra) if t is None else targets[t] - sums[t])
+            if len(extra) == lonely:
+                yield tuple(choice) + tuple(extra)
+            else:
+                typed.pruned += 1
+            k -= 1
+            continue
         i, slots, w = free[k]
         if pick[k] >= 0 and slots[pick[k]] is not None:
             sums[slots[pick[k]]] -= w
@@ -353,12 +383,10 @@ def _choices(
         slot = choice[i] = slots[pick[k]]
         if slot is not None:
             sums[slot] += w
-        if any(sums[t] != targets[t] for t in closes[k]):
+        if any(not 0 <= targets[t] - sums[t] <= lonely for t in closes[k]):
             typed.pruned += below[k + 1]
-        elif k + 1 < n:
-            k += 1
         else:
-            yield tuple(choice)
+            k += 1
 
 
 class _Cluster(NamedTuple):
@@ -422,7 +450,7 @@ def _role(pattern: Hypergraph, slot_order, fixed, pivot, consumed_dom) -> _Role:
         free = [v for v in sorted(pattern.nodes) if v not in fixed]
         seals = {}
         previous = None
-        for k in range(len(free) + 1):
+        for k in range(len(free)):  # at a leaf, _choices checks first
             pair = _seals(pattern.nodes, slot_att, set(free[k:]), consumed)
             if pair != previous and pair[0]:
                 seals[k] = pair
@@ -436,7 +464,7 @@ class _Search:
     docstring): depth first over the free pattern nodes, with the clusters of
     each partial map on its frame."""
 
-    def __init__(self, host, facts, role, fixed, pivot, consumed_dom, needy, spare, targets, typed):
+    def __init__(self, host, facts, role, fixed, pivot, consumed_dom, targets, typed):
         self.host = host
         self.att, self.incidences = host.att, host._incidence_map()
         self.pivot = pivot
@@ -444,8 +472,7 @@ class _Search:
         self.slot_att = role.slot_att
         self.consumed = role.consumed
         self.banned = {v: facts.ext for v in consumed_dom}
-        self.needy = needy  # host nodes that must end up in the image
-        self.spare = spare  # how many isolated nodes a part may take
+        self.spare = len(facts.isolated)  # how many isolated nodes a part may take
         self.packs = facts.packs  # host edge -> packed counts of its label
         self.targets, self.typed = targets, typed
         self.free = role.free
@@ -456,7 +483,7 @@ class _Search:
 
     def run(self) -> Iterator[list[_Cluster]]:
         """Yield the clusters, sorted, of every injective extension of the
-        fixed map that no cluster and no needy node rules out, in the order of
+        fixed map that no cluster rules out, in the order of
         the free nodes and, for each, of the host nodes."""
         preimage, placed, free = self.preimage, self.placed, self.free
         clusters = self.split(self.host.edges)
@@ -485,13 +512,12 @@ class _Search:
         """Cut the partial map with these clusters, push its frame, or report
         that it is a leaf to yield.  Each later node meets at most one need,
         so more needs than nodes left cut, and as many restrict the next node
-        to the interiors of slotless clusters and the needy nodes.  A typed
+        to the interiors of slotless clusters.  A typed
         search then cuts, at the depths in ``seals``, a partial map with a
         closed slot whose final sum misses its target."""
         preimage = self.preimage
         slotless = [c for c in clusters if not c.slots]
-        lonely = self.needy - preimage.keys()
-        needs = len(slotless) + len(lonely)
+        needs = len(slotless)
         left = len(self.free) - len(self.placed)
         if needs > left:
             return False
@@ -504,7 +530,7 @@ class _Search:
         banned = self.banned.get(self.free[len(self.placed)], ())
         nodes = self.host.nodes
         if needs == left:
-            allowed = lonely.union(*(c.interior for c in slotless))
+            allowed = set().union(*(c.interior for c in slotless))
             nodes = [t for t in nodes if t in allowed]
         stack.append((clusters, iter([t for t in nodes if t not in preimage and t not in banned])))
         return False
@@ -581,7 +607,6 @@ def _instances(
     *,
     pivot: int | None,
     consumed_dom: list[int],
-    nonminimal: bool,
     typed: Tally | None,
 ) -> Iterator[tuple]:
     """The instances of ``pattern`` in the host, with the ``slot_order``
@@ -599,11 +624,6 @@ def _instances(
         return
     if len(set(fixed.values())) != len(fixed):
         return
-    isolated = facts.isolated
-    # In a minimal decomposition every isolated node must be an image, since
-    # no part may take it, yet every node is in one.
-    needy = frozenset(isolated) if pivot is None and not nonminimal else frozenset()
-    spare = len(isolated) if nonminimal else 0
     lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
     edge_ids = sorted(slot_order)
     targets = None
@@ -612,15 +632,14 @@ def _instances(
         counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
         targets = {m: _target(c, facts) for m, c in counts.items()}
     role = _role(pattern, slot_order, fixed, pivot, consumed_dom)
-    search = _Search(host, facts, role, fixed, pivot, consumed_dom, needy, spare, targets, typed)
+    search = _Search(host, facts, role, fixed, pivot, consumed_dom, targets, typed)
     for clusters in search.run():
-        lonely = []  # isolated nodes outside the image, which a part may take
-        if nonminimal:
-            lonely = [v for v in isolated if v not in search.preimage]
-        slot_lists = [c.slots for c in clusters] + [lonely_slots] * len(lonely)
-        weights = [c.weight for c in clusters] + [1] * len(lonely)  # one node each
+        # The isolated nodes outside the image, which a part may take.
+        lonely = [v for v in facts.isolated if v not in search.preimage]
+        slot_lists = [c.slots for c in clusters]
+        weights = [c.weight for c in clusters]
         phi = None
-        for choice in _choices(slot_lists, weights, targets, typed):
+        for choice in _choices(slot_lists, weights, targets, typed, lonely_slots, len(lonely)):
             if phi is None:
                 phi = dict(fixed)
                 phi.update(zip(search.free, search.placed))
@@ -657,7 +676,6 @@ def enumerate_decompositions(
     host: Hypergraph,
     pattern: Hypergraph,
     *,
-    nonminimal: bool = False,
     typed: Tally | None = None,
 ) -> Iterator[Decomposition]:
     """All ways to split the host into parts matching the pattern's edges.
@@ -678,7 +696,7 @@ def enumerate_decompositions(
     fixed = dict(zip(pattern.ext, host.ext))
     for phi, parts, part_edges, _, _ in _instances(
         host, pattern, slot_order, fixed,
-        pivot=None, consumed_dom=[], nonminimal=nonminimal, typed=typed,
+        pivot=None, consumed_dom=[], typed=typed,
     ):
         yield Decomposition(node_map=dict(phi), parts=parts, part_edges=part_edges)
 
@@ -688,7 +706,6 @@ def enumerate_context_extractions(
     pivot: int,
     div_type: Division,
     *,
-    nonminimal: bool = False,
     typed: Tally | None = None,
 ) -> Iterator[ContextExtraction]:
     """All division contexts at ``pivot``, whose label must equal ``div_type``.
@@ -720,7 +737,7 @@ def enumerate_context_extractions(
     host_counts = primitive_counts(host) if typed is not None else None
     for phi, parts, part_edges, outside, consumed in _instances(
         host, d, d_edges, fixed,
-        pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, typed=typed,
+        pivot=pivot, consumed_dom=consumed_dom, typed=typed,
     ):
         att = {e: host.att[e] for e in outside}
         lab = {e: host.lab[e] for e in outside}

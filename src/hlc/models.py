@@ -26,8 +26,9 @@ Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
   isomorphism throughout: a valuation's own graphs stand for their
   isomorphism classes.
 * ``t`` a product with a division in its body: ``[[t]]`` may be infinite, so
-  ``g`` belongs iff some nonminimal decomposition of ``g`` along the body
-  puts every part in its label's denotation.
+  ``g`` belongs iff some decomposition of ``g`` along the body puts every
+  part in its label's denotation.  Decompositions apportion the isolated
+  nodes of ``g`` to parts by count, which suffices up to isomorphism.
 * ``t`` a division ``N ÷ D``: ``g`` belongs iff filling D's hole with ``g``
   and its other edges with every choice from their (enumerable) denotations
   always gives a member of ``[[N]]``.  A primitive edge draws from the
@@ -179,9 +180,7 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
     if isinstance(t, Product):
         body = t.body
         # A division in the body leaves [[t]] possibly infinite, so decompose.
-        # Nonminimal decompositions are required for exactness: denotation
-        # members may carry isolated interior nodes.
-        for dec in enumerate_decompositions(g, body, nonminimal=True):
+        for dec in enumerate_decompositions(g, body):
             if all(_contains(w, body.lab[m], dec.parts[m]) for m in body.edges):
                 return True
         return False

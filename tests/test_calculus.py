@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -230,18 +231,33 @@ def test_termination_measure_along_trees(corpus):
                 assert total < connective_count(node.conclusion)
 
 
-def test_nonminimal_mode_reaches_isolated_node_instances():
+def test_isolated_node_joins_a_part():
     # A lone isolated node is an instance of a pattern whose single rank-0
-    # edge expects a one-node graph; finding it requires apportioning the
-    # isolated host node into the part, which only the nonminimal mode does.
+    # edge expects a one-node graph: replacement keeps the interior node of
+    # the substituted graph, so the isolated host node joins the part.
     one_node = build_graph([0], [], ())
     inner = Product(one_node)
     pattern = build_graph([], [(inner, ())], ())
     seq = Sequent(one_node, Product(pattern))
-    assert isinstance(Prover().derive(seq), NotDerivable)
-    relaxed = Prover(nonminimal=True).derive(seq)
-    assert isinstance(relaxed, DerivationTree)
-    assert check_derivation(relaxed) is None
+    tree = Prover().derive(seq)
+    assert isinstance(tree, DerivationTree)
+    assert check_derivation(tree) is None
+
+
+def test_twelve_isolated_nodes_derive_in_one_instance():
+    # k isolated nodes |- x(M), M being k rank-0 edges labeled x(one node):
+    # each part takes one node, and the nodes are interchangeable, so the
+    # typed search meets one instance instead of one per node permutation.
+    k = 12
+    one_node = Product(build_graph([0], [], ()))
+    seq = Sequent(build_graph(range(k), [], ()), Product(build_graph([], [(one_node, ())] * k, ())))
+    prover = Prover()
+    start = time.perf_counter()
+    tree = prover.derive(seq)
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(tree, DerivationTree)
+    assert check_derivation(tree) is None
+    assert prover.last_stats.pruned == 0
 
 
 def test_node_budget_on_a_serial_chain():

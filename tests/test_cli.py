@@ -162,7 +162,7 @@ def test_match_command(workdir, capsys):
     host.write_text("nodes: 0 1 2 3\next: 0 2\nedge e0 p/2 : 0 1\nedge e1 q/2 : 1 2\n")
     pattern = workdir / "two.hgf"
     pattern.write_text("nodes: 0 1 2\next: 0 2\nedge m T/2 : 0 1\nedge n U/2 : 1 2\n")
-    assert main(["match", "--host", str(host), "--pattern", str(pattern), "--nonminimal"]) == 0
+    assert main(["match", "--host", str(host), "--pattern", str(pattern)]) == 0
     out = capsys.readouterr().out
     assert "2 decompositions" in out
     assert "host edges 0, nodes 0 1 3" in out and "host edges 1, nodes 1 2 3" in out

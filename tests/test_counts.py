@@ -13,6 +13,7 @@ from hlc.hltypes import (
     Primitive,
     Product,
     Sequent,
+    add_counts,
     connective_count,
     dollar_edge,
     is_balanced,
@@ -56,6 +57,15 @@ def test_counts_follow_the_definition():
         assert dict(primitive_counts(x)) == recount(x)
 
 
+def test_add_counts_drops_zeros():
+    acc: dict = {}
+    add_counts(acc, [(("x",), 0)])  # a zero for an absent key leaves nothing
+    assert acc == {}
+    add_counts(acc, [(("x",), 2), (NODES, 1)])
+    add_counts(acc, [(("x",), 2), (NODES, 0)], -1)
+    assert acc == {NODES: 1}
+
+
 def test_graph_counts_fill_connective_count_in_one_pass():
     g = string_graph([SGR_Q, Product(string_graph([S2, Q2])), P2])
     primitive_counts(g)
@@ -72,11 +82,16 @@ def test_every_corpus_tree_node_is_balanced(corpus):
 
 def _assert_counts_hold(tree) -> int:
     """The invariant at every node of a tree, recounted from the definition:
-    ``int(H) + sum of the labels' counts = #A``, per primitive and in nodes."""
+    ``int(H) + sum of the labels' counts = #A``, per primitive and in nodes.
+    No antecedent has an interior isolated node either, so none of these
+    proofs depends on a part's taking one."""
     nodes = 0
     for node in tree.walk():
         seq = node.conclusion
         assert recount(seq.antecedent) == recount(seq.succedent), seq
+        g = seq.antecedent
+        touched = {v for e in g.edges for v in g.att[e]}
+        assert touched.union(g.ext).issuperset(g.nodes), seq
         nodes += 1
     return nodes
 
@@ -157,7 +172,7 @@ def test_pruned_counts_extractions_with_an_unbalanced_part():
     assert result.stats.pruned == pruned_at_uncut_leaves(
         seq.antecedent, d, sorted(e for e in d.edges if e != hole),
         dict(zip(d.att[hole], seq.antecedent.att[0])),
-        [(extr.phi, extr.parts) for extr in extractions],
+        [(extr.phi, extr.part_edges, extr.parts) for extr in extractions],
         pivot=0, consumed_dom=[v for v in d.nodes if v not in d.ext],
     )
     # The s slot closes once the node between s and p is placed, which may go

@@ -97,10 +97,12 @@ def test_grammar_validation_is_cached_and_checked_before_search():
 
 def test_member_prunes_unbalanced_relabelings():
     hgr2 = build_hgr2()
+    # Three edges on three nodes: the two-edge graphs leave the closed-slot
+    # cut nothing above the leaves to cut.
     graph = next(
         g
-        for g in all_binary_graphs((2,))
-        if len(g.nodes) == 2 and in_l1(g) and not is_bipartite(g)
+        for g in all_binary_graphs((3,))
+        if len(g.nodes) == 3 and in_l1(g) and not is_bipartite(g)
     )
     prover = CountingProver()
     result = hl_member(hgr2, graph, prover=prover)

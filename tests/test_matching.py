@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from hlc import hltypes, matching
@@ -125,18 +126,16 @@ def decomposition_keys(host, pattern, **kw):
     }
 
 
-def _isolated_outside(host, phi, nonminimal):
-    """The host nodes a nonminimal oracle apportions: isolated, not images."""
-    if not nonminimal:
-        return []
+def _isolated_outside(host, phi):
+    """The host nodes an oracle apportions: isolated, not images."""
     image = set(phi.values())
     return [v for v in host.nodes if v not in image and not host.incidences(v)]
 
 
-def oracle_decomposition_keys(host, pattern, nonminimal=False):
-    """Try every injective node map and every labeled edge partition (and,
-    with ``nonminimal``, every way to give the isolated non-image host nodes
-    to parts); keep those whose reassembly reproduces the host."""
+def oracle_decomposition_keys(host, pattern):
+    """Try every injective node map, every labeled edge partition and every
+    way to give the isolated non-image host nodes, one by one, to parts; keep
+    those whose reassembly reproduces the host."""
     keys = set()
     if host.rank != pattern.rank:
         return keys
@@ -150,7 +149,7 @@ def oracle_decomposition_keys(host, pattern, nonminimal=False):
         phi.update(zip(free, images))
         if len(set(phi.values())) != len(phi):
             continue
-        lonely = _isolated_outside(host, phi, nonminimal)
+        lonely = _isolated_outside(host, phi)
         for assignment in itertools.product(pat_edges, repeat=len(host.edges) + len(lonely)):
             part_edges = {m: set() for m in pat_edges}
             for he, m in zip(sorted(host.edges), assignment):
@@ -274,13 +273,13 @@ def test_decompositions_match_oracle_rank1():
         assert decomposition_keys(host, pattern) == oracle_decomposition_keys(host, pattern)
 
 
-def test_nonminimal_decompositions_match_oracle():
+def test_decompositions_with_isolated_nodes_match_oracle():
     rng = random.Random(5)
     found = 0
     for host, pattern in [*string_hosts(rng, 25), *rank1_hosts(rng, 15)]:
         host = with_isolated_nodes(host, rng.randint(1, 2))
-        keys = decomposition_keys(host, pattern, nonminimal=True)
-        assert keys == oracle_decomposition_keys(host, pattern, nonminimal=True)
+        keys = decomposition_keys(host, pattern)
+        assert keys == oracle_decomposition_keys(host, pattern)
         found += bool(keys)
     assert found > 10
 
@@ -295,11 +294,11 @@ def extraction_keys(host, pivot, div_type, **kw):
     }
 
 
-def oracle_extraction_keys(host, pivot, div_type, nonminimal=False):
+def oracle_extraction_keys(host, pivot, div_type):
     """Try every hole-respecting injective map and every way to split the
-    remaining edges (and, with ``nonminimal``, the isolated non-image host
-    nodes) between denominator parts and the outside; keep those whose
-    reassembly reproduces the host."""
+    remaining edges and, one by one, the isolated non-image host nodes
+    between denominator parts and the outside; keep those whose reassembly
+    reproduces the host."""
     d = div_type.denominator
     hole = dollar_edge(d)
     d_edges = sorted(e for e in d.edges if e != hole)
@@ -314,7 +313,7 @@ def oracle_extraction_keys(host, pivot, div_type, nonminimal=False):
         phi.update(zip(free, images))
         if len(set(phi.values())) != len(phi):
             continue
-        lonely = _isolated_outside(host, phi, nonminimal)
+        lonely = _isolated_outside(host, phi)
         for assignment in itertools.product([*d_edges, None], repeat=len(others) + len(lonely)):
             part_edges = {de: set() for de in d_edges}
             outside = set()
@@ -387,13 +386,13 @@ def test_extractions_match_oracle_rank1():
         assert extraction_keys(host, pivot, d) == oracle_extraction_keys(host, pivot, d)
 
 
-def test_nonminimal_extractions_match_oracle():
+def test_extractions_with_isolated_nodes_match_oracle():
     rng = random.Random(13)
     found = 0
     for host, pivot, d in [*string_division_hosts(rng, 20), *rank1_division_hosts(rng, 15)]:
-        host = with_isolated_nodes(host, rng.randint(1, 2))
-        keys = extraction_keys(host, pivot, d, nonminimal=True)
-        assert keys == oracle_extraction_keys(host, pivot, d, nonminimal=True)
+        padded = with_isolated_nodes(host, rng.randint(1, 2))
+        keys = extraction_keys(padded, pivot, d)
+        assert keys == oracle_extraction_keys(padded, pivot, d)
         # Each isolated node can join a part or stay, so it multiplies the keys.
         found += len(keys) > len(extraction_keys(host, pivot, d))
     assert found > 10
@@ -417,15 +416,29 @@ def test_determinism_on_isomorphic_hosts():
     )
 
 
-def test_isolated_nodes_need_nonminimal():
+def test_isolated_node_joins_the_one_part():
     host = build_graph([0, 1, 2], [(P, (0, 1))], (0, 1))  # node 2 isolated
     pattern = build_graph([0, 1], [(Primitive("T", 2), (0, 1))], (0, 1))
-    assert list(enumerate_decompositions(host, pattern)) == []
-    relaxed = list(enumerate_decompositions(host, pattern, nonminimal=True))
-    assert len(relaxed) == 1
-    part = relaxed[0].parts[0]
-    assert 2 in part.nodes
-    assert isomorphic(reassemble_decomposition(pattern, relaxed[0]), host) is not None
+    decs = list(enumerate_decompositions(host, pattern))
+    assert len(decs) == 1
+    assert 2 in decs[0].parts[0].nodes
+    assert isomorphic(reassemble_decomposition(pattern, decs[0]), host) is not None
+
+
+def test_isolated_nodes_are_apportioned_by_count():
+    """``k`` isolated nodes against ``s`` rank-0 edges on no nodes: one
+    decomposition per count vector, C(k + s - 1, s - 1) of them, each of
+    which reassembles to the host."""
+    for k in range(5):
+        for s in range(1, 5):
+            host = build_graph(range(k), [], ())
+            pattern = build_graph([], [(Primitive(f"T{i}", 0), ()) for i in range(s)], ())
+            decs = list(enumerate_decompositions(host, pattern))
+            assert len(decs) == math.comb(k + s - 1, s - 1)
+            counts = {tuple(len(dec.parts[m].nodes) for m in sorted(pattern.edges)) for dec in decs}
+            assert len(counts) == len(decs)
+            for dec in decs:
+                assert isomorphic(reassemble_decomposition(pattern, dec), host) is not None
 
 
 def test_rank_mismatch_yields_nothing():
@@ -465,63 +478,61 @@ def _balanced(parts, labels):
 
 
 def pruned_at_uncut_leaves(
-    host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom, nonminimal=False
+    host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom
 ):
-    """What ``Tally.pruned`` counts: of the untyped ``(phi, parts)``
-    instances, those with an unbalanced part whose embedding the reference
-    closed-slot cut keeps (a cut embedding is never offered to the slot check)."""
-    known, cut, count = {}, {}, 0
-    for phi, parts in instances:
-        if _balanced(parts, pattern.lab):
-            continue
+    """What ``Tally.pruned`` counts: of the untyped ``(phi, part_edges,
+    parts)`` instances, grouped by embedding and part edges (one group per
+    slot assignment of the clusters, whatever the isolated nodes do), the
+    groups with no all-balanced instance whose embedding the reference
+    closed-slot cut keeps (a cut embedding is never offered to the slot
+    check)."""
+    known, cut, balanced = {}, {}, {}
+    for phi, part_edges, parts in instances:
         key = tuple(sorted(phi.items()))
+        group = (key, tuple(sorted(part_edges.items())))
+        balanced[group] = balanced.get(group, False) or _balanced(parts, pattern.lab)
         if key not in cut:
             cut[key] = _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, known=known,
             )
-        count += not cut[key]
-    return count
+    return sum(not ok and not cut[group[0]] for group, ok in balanced.items())
 
 
-def _check_typed_decompositions(host, pattern, nonminimal):
+def _check_typed_decompositions(host, pattern):
     """Typed keys are the untyped keys of all-balanced instances, and the tally
-    counts exactly the untyped instances with an unbalanced part whose
+    counts exactly the cluster assignments with no balanced instance whose
     embedding the closed-slot cut keeps."""
-    kw = {"nonminimal": nonminimal}
-    untyped = list(enumerate_decompositions(host, pattern, **kw))
+    untyped = list(enumerate_decompositions(host, pattern))
     tally = Tally()
-    typed = list(enumerate_decompositions(host, pattern, typed=tally, **kw))
+    typed = list(enumerate_decompositions(host, pattern, typed=tally))
     kept = [dec for dec in untyped if _balanced(dec.parts, pattern.lab)]
-    assert [dec.part_edges for dec in typed] == [dec.part_edges for dec in kept]
+    assert [_item_fields(dec) for dec in typed] == [_item_fields(dec) for dec in kept]
     assert tally.pruned == pruned_at_uncut_leaves(
         host, pattern, sorted(pattern.edges), dict(zip(pattern.ext, host.ext)),
-        [(dec.node_map, dec.parts) for dec in untyped], pivot=None, consumed_dom=[],
-        nonminimal=nonminimal,
+        [(dec.node_map, dec.part_edges, dec.parts) for dec in untyped],
+        pivot=None, consumed_dom=[],
     )
-    assert decomposition_keys(host, pattern, typed=Tally(), **kw) == {
+    assert decomposition_keys(host, pattern, typed=Tally()) == {
         tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
     }
     return len(kept), tally.pruned, tally.closed
 
 
-def _check_typed_extractions(host, pivot, div_type, nonminimal):
+def _check_typed_extractions(host, pivot, div_type):
     d = div_type.denominator
     hole = dollar_edge(d)
-    kw = {"nonminimal": nonminimal}
-    untyped = list(enumerate_context_extractions(host, pivot, div_type, **kw))
+    untyped = list(enumerate_context_extractions(host, pivot, div_type))
     tally = Tally()
-    typed = list(
-        enumerate_context_extractions(host, pivot, div_type, typed=tally, **kw)
-    )
+    typed = list(enumerate_context_extractions(host, pivot, div_type, typed=tally))
     kept = [x for x in untyped if _balanced(x.parts, d.lab)]
-    assert [(x.phi, x.part_edges) for x in typed] == [(x.phi, x.part_edges) for x in kept]
+    assert [_item_fields(x) for x in typed] == [_item_fields(x) for x in kept]
     assert tally.pruned == pruned_at_uncut_leaves(
         host, d, sorted(e for e in d.edges if e != hole), dict(zip(d.att[hole], host.att[pivot])),
-        [(x.phi, x.parts) for x in untyped],
-        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext], nonminimal=nonminimal,
+        [(x.phi, x.part_edges, x.parts) for x in untyped],
+        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext],
     )
-    assert extraction_keys(host, pivot, div_type, typed=Tally(), **kw) == {
+    assert extraction_keys(host, pivot, div_type, typed=Tally()) == {
         (canonical_key(x.contracted), tuple(canonical_key(x.parts[de]) for de in sorted(x.parts)))
         for x in kept
     }
@@ -531,9 +542,9 @@ def _check_typed_extractions(host, pivot, div_type, nonminimal):
 def test_typed_decompositions_match_filtered_untyped():
     rng = random.Random(3)
     kept = pruned = 0
-    for nonminimal in (False, True):
+    for pad in (0, 1):
         for host, pattern in [*string_hosts(rng, 40), *rank1_hosts(rng, 30)]:
-            k, s, _ = _check_typed_decompositions(host, pattern, nonminimal)
+            k, s, _ = _check_typed_decompositions(with_isolated_nodes(host, pad), pattern)
             kept, pruned = kept + k, pruned + s
     assert kept > 0 and pruned > 0
 
@@ -541,25 +552,26 @@ def test_typed_decompositions_match_filtered_untyped():
 def test_typed_extractions_match_filtered_untyped():
     rng = random.Random(6)
     kept = pruned = 0
-    for nonminimal in (False, True):
+    for pad in (0, 1):
         for host, pivot, d in [*string_division_hosts(rng, 25), *rank1_division_hosts(rng, 25)]:
-            k, s, _ = _check_typed_extractions(host, pivot, d, nonminimal)
+            k, s, _ = _check_typed_extractions(with_isolated_nodes(host, pad), pivot, d)
             kept, pruned = kept + k, pruned + s
-    # Both leaves (the p node on 1 or on 2) are cut before the slot check: the
-    # p slot is offered only by the single-slot clusters at the p node's
-    # image, which the p node, a sealer, seals, and their q edges cannot fill
-    # it.  The slot check used to skip the four assignments of the first.
+    # Both leaves (the p node on 1 or on 2) fail the slot check's up-front
+    # comparison: the p slot is offered only by the single-slot clusters at
+    # the p node's image, and their q edges cannot fill it.  The closed-slot
+    # cut stops above the leaves, so their six assignments count as pruned.
     host = build_graph([0, 1, 2], [(DIV_PQ, (0,)), (Q1, (1,)), (Q1, (2,)), (Q1, (2,))], ())
-    assert _check_typed_extractions(host, 0, DIV_PQ, False) == (0, 0, 2)
+    assert _check_typed_extractions(host, 0, DIV_PQ) == (0, 6, 0)
     # With nodes 1 and 2 on host 1 and 2, the s slot is closed and the cluster
     # of t and p through host node 3 offers only s.  Node 2 is on closed slots
     # only, but it is external, so it seals nothing: node 3 on host 3 splits
     # the cluster, t goes to the t slot, and p, touching no consumed node,
     # stays outside.  Had node 2 sealed it, s would sum t + p + s and be cut.
+    # The other leaves are decided by the slot check.
     d = build_graph([0, 1, 2, 3], [(dollar(1), (0,)), (S, (1, 2)), (T, (1, 3))], (2, 3))
     div = Division(Q, d)
     host = build_graph([0, 1, 2, 3], [(div, (0,)), (T, (1, 3)), (P, (3, 2)), (S, (1, 2))], ())
-    assert _check_typed_extractions(host, 0, div, False) == (1, 0, 5)
+    assert _check_typed_extractions(host, 0, div) == (1, 5, 0)
     assert kept > 0 and pruned > 0
 
 
@@ -584,49 +596,38 @@ def _reference_cluster_counts(host, edges, interior, known):
     return counts
 
 
-def _reference_choices(slot_lists, weights, targets, typed):
+def _brute_choices(slot_lists, weights, targets, lonely_slots=(), lonely=0):
+    """Every choice in product order, each followed by every apportionment of
+    ``lonely`` isolated nodes to ``lonely_slots`` in
+    ``combinations_with_replacement`` order, whose per-slot sums of count
+    dicts (an isolated node counts one node) equal the ``targets``; and the
+    number of choices that have an apportionment but no kept one."""
+    apportionments = list(itertools.combinations_with_replacement(lonely_slots, lonely))
+    kept, skipped = [], 0
+    for choice in itertools.product(*slot_lists):
+        hit = False
+        for extra in apportionments:
+            sums = {t: {} for t in targets}
+            for slot, w in zip(choice + extra, [*weights, *[((NODES, 1),)] * lonely]):
+                if slot is not None:
+                    add_counts(sums[slot], w)
+            if sums == targets:
+                kept.append(choice + extra)
+                hit = True
+        skipped += bool(apportionments) and not hit
+    return kept, skipped
+
+
+def _reference_choices(slot_lists, weights, targets, typed, lonely_slots, lonely):
     if typed is None:
-        yield from itertools.product(*slot_lists)
-        return
-    n = len(slot_lists)
-    below = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        below[i] = below[i + 1] * len(slot_lists[i])
-    last = {}
-    for i, slots in enumerate(slot_lists):
-        for slot in slots:
-            if slot is not None:
-                last[slot] = i
-    if any(targets[slot] for slot in targets if slot not in last):
-        typed.pruned += below[0]
-        return
-    closes = [[] for _ in range(n)]
-    for slot, i in last.items():
-        closes[i].append(slot)
-    if not n:
-        yield ()
-        return
-    sums = {slot: {} for slot in targets}
-    pick = [-1] * n
-    i = 0
-    while i >= 0:
-        slots, w = slot_lists[i], weights[i]
-        if pick[i] >= 0 and w and slots[pick[i]] is not None:
-            add_counts(sums[slots[pick[i]]], w, -1)
-        pick[i] += 1
-        if pick[i] == len(slots):
-            pick[i] = -1
-            i -= 1
-            continue
-        slot = slots[pick[i]]
-        if w and slot is not None:
-            add_counts(sums[slot], w)
-        if any(sums[t] != targets[t] for t in closes[i]):
-            typed.pruned += below[i + 1]
-        elif i + 1 < n:
-            i += 1
-        else:
-            yield tuple(lists[k] for lists, k in zip(slot_lists, pick))
+        return (
+            choice + extra
+            for choice in itertools.product(*slot_lists)
+            for extra in itertools.combinations_with_replacement(lonely_slots, lonely)
+        )
+    kept, skipped = _brute_choices(slot_lists, weights, targets, lonely_slots, lonely)
+    typed.pruned += skipped
+    return iter(kept)
 
 
 def _reference_injective_maps(host, fixed, dom, forbidden):
@@ -665,20 +666,21 @@ def _reference_clusters(host, image, pivot):
 
 
 def _reference_closed_cut(
-    host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, nonminimal, known
+    host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, known
 ):
-    """Whether the closed-slot cut removes a prefix of the full embedding
-    ``phi``, stated afresh: at each depth where the closed slots or the
-    sealers change, the prefix's clusters are found from scratch, and a closed
-    slot whose every offering cluster has that one slot and touches a sealer's
-    image must sum, in count dicts, to its label's counts, less the nodes of
-    as many isolated host nodes as ``nonminimal`` may apportion to it."""
+    """Whether the closed-slot cut removes a proper prefix of the full
+    embedding ``phi``, stated afresh: at each depth above the leaf where the
+    closed slots or the sealers change, the prefix's clusters are found from
+    scratch, and a closed slot whose every offering cluster has that one slot
+    and touches a sealer's image must sum, in count dicts, to its label's
+    counts, less the nodes of at most as many isolated host nodes as the host
+    has."""
     free = sorted(v for v in pattern.nodes if v not in fixed)
     host_ext = frozenset(host.ext)
     incidences = host._incidence_map()
-    spare = sum(v not in incidences and v not in host_ext for v in host.nodes) if nonminimal else 0
+    spare = sum(v not in incidences and v not in host_ext for v in host.nodes)
     previous = None
-    for k in range(len(free) + 1):
+    for k in range(len(free)):
         rest = set(free[k:])
         closed = [m for m in slot_order if rest.isdisjoint(pattern.att[m])]
         sealers = {
@@ -719,8 +721,7 @@ def _reference_closed_cut(
 
 
 def _reference_instances(
-    host, pattern, slot_order, fixed, *, pivot, consumed_dom, nonminimal, typed, walked,
-    choices, yielding,
+    host, pattern, slot_order, fixed, *, pivot, consumed_dom, typed, walked, choices, yielding,
 ):
     host_ext = frozenset(host.ext)
     if any(fixed.get(v) in host_ext for v in consumed_dom):
@@ -739,10 +740,6 @@ def _reference_instances(
         consumed_img = {phi[v] for v in consumed_dom}
         image = set(phi.values())
         lonely = [v for v in isolated if v not in image]
-        if lonely and not nonminimal:
-            if pivot is None:
-                continue
-            lonely = []
         att_sets = {m: {phi[u] for u in pattern.att[m]} for m in slot_order}
         clusters, slot_lists = [], []
         for edges, hits, interior in _reference_clusters(host, image, pivot):
@@ -758,15 +755,14 @@ def _reference_instances(
         else:
             if typed is not None and _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, nonminimal=nonminimal, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, known=known,
             ):
                 continue
-            slot_lists += [lonely_slots] * len(lonely)
             weights = None
             if typed is not None:
                 weights = [_reference_cluster_counts(host, c, i, known) for c, i in clusters]
-                weights += [((NODES, 1),)] * len(lonely)
-            for k, choice in enumerate(choices(slot_lists, weights, targets, typed)):
+            runs = choices(slot_lists, weights, targets, typed, lonely_slots, len(lonely))
+            for k, choice in enumerate(runs):
                 if k == 0:
                     yielding[0] += 1  # an embedding that yields at least one item
                 part_edges = {m: set() for m in edge_ids}
@@ -847,23 +843,22 @@ def test_incremental_search_equals_reference(monkeypatch):
     for enumerate_, host, args in cases:
         for k in range(3):
             padded = with_isolated_nodes(host, k)
-            for nonminimal in (False, True):
-                for typed in (False, True):
-                    runs = []
-                    for instances in (reference, incremental):
-                        monkeypatch.setattr(matching, "_instances", instances)
-                        tally = Tally() if typed else None
-                        before = choice_runs[0]
-                        items = enumerate_(padded, *args, nonminimal=nonminimal, typed=tally)
-                        fields = [_item_fields(item) for item in items]
-                        runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
-                    assert runs[1] == runs[0]
-                    totals["items"] += len(runs[0][0])
-                    totals["pruned"] += runs[0][1] or 0
-                    totals["closed"] += tally.closed if typed else 0
-                    totals["leaves"] += runs[0][2]
-                    totals["yielding"] += yielding[0]
-                    yielding[0] = 0
+            for typed in (False, True):
+                runs = []
+                for instances in (reference, incremental):
+                    monkeypatch.setattr(matching, "_instances", instances)
+                    tally = Tally() if typed else None
+                    before = choice_runs[0]
+                    items = enumerate_(padded, *args, typed=tally)
+                    fields = [_item_fields(item) for item in items]
+                    runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
+                assert runs[1] == runs[0]
+                totals["items"] += len(runs[0][0])
+                totals["pruned"] += runs[0][1] or 0
+                totals["closed"] += tally.closed if typed else 0
+                totals["leaves"] += runs[0][2]
+                totals["yielding"] += yielding[0]
+                yielding[0] = 0
     assert totals["items"] > 1000 and totals["pruned"] > 100 and totals["closed"] > 0
     # The reference walked embeddings that the incremental search never reaches,
     # and some leaves that reach slot assignment yield nothing.
@@ -908,7 +903,7 @@ def _built_graphs(item):
 
 def _typed_and_untyped_items(rng):
     """(typed, item) over the test hosts, extractions and decompositions,
-    with and without isolated nodes and ``nonminimal``."""
+    with and without isolated nodes."""
     cases = [(enumerate_decompositions, h, (m,)) for h, m in string_hosts(rng, 30)]
     cases += [(enumerate_decompositions, h, (m,)) for h, m in rank1_hosts(rng, 30)]
     for host, pivot, d in [
@@ -920,11 +915,10 @@ def _typed_and_untyped_items(rng):
     for enumerate_, host, args in cases:
         for k in range(2):
             padded = with_isolated_nodes(host, k)
-            for nonminimal in (False, True):
-                for typed in (False, True):
-                    tally = Tally() if typed else None
-                    for item in enumerate_(padded, *args, nonminimal=nonminimal, typed=tally):
-                        yield typed, item
+            for typed in (False, True):
+                tally = Tally() if typed else None
+                for item in enumerate_(padded, *args, typed=tally):
+                    yield typed, item
 
 
 def test_built_graphs_carry_their_counts():
@@ -1110,42 +1104,45 @@ def test_matching_premises_are_never_recounted(monkeypatch):
     assert not {id(g) for g in built} & {id(g) for g in walked}
 
 
-def _brute_choices(slot_lists, weights, targets):
-    """Every choice in product order whose per-slot weight sums hit the targets."""
-    kept = []
-    for choice in itertools.product(*slot_lists):
-        sums = dict.fromkeys(targets, 0)
-        for slot, w in zip(choice, weights):
-            if slot is not None:
-                sums[slot] += w
-        if sums == targets:
-            kept.append(choice)
-    return kept
-
-
 def test_choices_equal_filtered_product():
+    """``_choices`` keeps what a brute-force filter over the product of the
+    lists and every apportionment of the isolated nodes keeps, in the same
+    order, and counts the choices it skips.  A weight ``w`` counts ``w``
+    nodes, as a packed vector whose only component is the node count."""
     rng = random.Random(31)
     slots = [0, 1, 2]
-    forced = multi = kept_total = 0
-    for _ in range(400):
+    forced = multi = kept_total = lonely_total = 0
+    for _ in range(600):
         lists = []
         for _ in range(rng.randint(0, 5)):
             options = [*slots, None]
             lists.append(rng.sample(options, rng.choice([1, 1, 2, 3, 4])))
         weights = [rng.randint(-1, 1) for _ in lists]
-        targets = {m: rng.randint(-1, 1) for m in slots}
+        targets = {m: rng.randint(-1, 2) for m in slots}
+        lonely_slots = rng.choice([slots, [*slots, None]])
+        lonely = rng.choice([0, 0, 1, 2, 3])
         tally = Tally()
-        got = list(matching._choices(lists, weights, targets, tally))
-        want = _brute_choices(lists, weights, targets)
+        got = list(matching._choices(lists, weights, targets, tally, lonely_slots, lonely))
+        want, skipped = _brute_choices(
+            lists,
+            [((NODES, w),) for w in weights],
+            {m: {NODES: n} if n else {} for m, n in targets.items()},
+            lonely_slots,
+            lonely,
+        )
         assert got == want
-        product = 1
-        for options in lists:
-            product *= len(options)
-        assert tally.pruned == product - len(want)
+        assert tally.pruned == skipped
+        untyped = list(matching._choices(lists, weights, None, None, lonely_slots, lonely))
+        assert untyped == list(_reference_choices(lists, None, None, None, lonely_slots, lonely))
         forced += sum(len(options) == 1 for options in lists)
         multi += sum(len(options) > 1 for options in lists)
         kept_total += len(want)
-    assert forced > 100 and multi > 100 and kept_total > 50
+        lonely_total += len(want) * lonely
+    assert forced > 100 and multi > 100 and kept_total > 50 and lonely_total > 50
+    # No slot takes an isolated node, so nothing is yielded or skipped.
+    tally = Tally()
+    assert list(matching._choices([], [], {}, tally, [], 2)) == [] and tally.pruned == 0
+    assert list(matching._choices([], [], None, None, [], 2)) == []
 
 
 def test_packing_is_injective_within_its_bound():

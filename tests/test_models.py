@@ -237,7 +237,7 @@ def test_enumeration_matches_brute_force_counts():
 def reference_contains(w: Valuation, t, g) -> bool:
     """Membership from the definitions, kept as the reference for the cached
     denotation lookup in ``hlc.models``: a primitive by canonical key, a
-    product by nonminimal decompositions, a division by quantifying over the
+    product by decompositions, a division by quantifying over the
     denominator's other labels."""
     if g.rank != t.rank:
         return False
@@ -247,7 +247,7 @@ def reference_contains(w: Valuation, t, g) -> bool:
     if isinstance(t, Product):
         body = t.body
         tried = set()  # parts up to isomorphism, as the enumerator may repeat them
-        for dec in enumerate_decompositions(g, body, nonminimal=True):
+        for dec in enumerate_decompositions(g, body):
             key = tuple(canonical_key(dec.parts[m]) for m in sorted(body.edges))
             if key in tried:
                 continue
@@ -366,7 +366,7 @@ def folded_contains(w: Valuation, t, g, cache: dict) -> bool:
         body = t.body
         return any(
             all(folded_contains(w, body.lab[m], dec.parts[m], cache) for m in body.edges)
-            for dec in enumerate_decompositions(g, body, nonminimal=True)
+            for dec in enumerate_decompositions(g, body)
         )
     d = t.denominator
     hole = dollar_edge(d)
