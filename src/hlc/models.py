@@ -22,9 +22,14 @@ Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
   included, and only the substituted graphs are deduplicated by canonical
   key.  So ``g`` belongs iff its canonical key is among the listed graphs'
   keys.  Each such denotation is enumerated once per valuation and cached
-  on it, keyed by the type's canonical key.  Membership is up to
-  isomorphism throughout: a valuation's own graphs stand for their
-  isomorphism classes.
+  on it, keyed by what determines it: a primitive's key, or a product's
+  flattened body's canonical key (cached on the product), where a body that
+  flattens to the handle of one label ``A`` is keyed as ``A`` itself.  So
+  ``×(p·p·q)``, ``×((p·p)·q)`` and ``×(p·×(p·q))`` share one entry, as do
+  ``×(handle(p))`` and ``p``.  The antecedent's product goes through the
+  same cache, so a succedent that flattens to the antecedent's body costs
+  one lookup.  Membership is up to isomorphism throughout: a valuation's own
+  graphs stand for their isomorphism classes.
 * ``t`` a product with a division in its body: ``[[t]]`` may be infinite, so
   ``g`` belongs iff some decomposition of ``g`` along the body puts every
   part in its label's denotation.  Decompositions apportion the isolated
@@ -44,7 +49,16 @@ from dataclasses import dataclass
 
 from .canon import canonical_key
 from .graphs import Hypergraph, RankedLabel, build_graph, replace_all, validate
-from .hltypes import Division, HLType, Primitive, Product, Sequent, dollar_edge
+from .hltypes import (
+    Division,
+    HLType,
+    Primitive,
+    Product,
+    Sequent,
+    dollar_edge,
+    validate_sequent,
+    validate_type,
+)
 from .matching import enumerate_decompositions
 
 
@@ -75,7 +89,19 @@ class Valuation:
         return ()
 
 
+_UNCHECKED = object()
+
+
 def validate_valuation(w: Valuation) -> str | None:
+    """None or the first violation; the verdict is cached on the valuation."""
+    cached = w.__dict__.get("_report", _UNCHECKED)
+    if cached is _UNCHECKED:
+        cached = _valuation_report(w)
+        object.__setattr__(w, "_report", cached)
+    return cached
+
+
+def _valuation_report(w: Valuation) -> str | None:
     for i, (p, graphs) in enumerate(w.assignment):
         if any(p == q for q, _ in w.assignment[:i]):
             return f"{p!r}: assigned more than once"
@@ -89,6 +115,12 @@ def validate_valuation(w: Valuation) -> str | None:
                 if g.lab[e] not in w.alphabet:
                     return f"{p!r}: label {g.lab[e]!r} outside the alphabet"
     return None
+
+
+def _check_valuation(w: Valuation) -> None:
+    report = validate_valuation(w)
+    if report is not None:
+        raise ValueError(f"invalid valuation: {report}")
 
 
 def is_enumerable(t: HLType) -> bool:
@@ -133,31 +165,61 @@ def _flatten(body: Hypergraph) -> Hypergraph:
         body = replace_all(body, nested)
 
 
+def _handle_label(body: Hypergraph) -> HLType | None:
+    """The label of ``body``'s one edge if ``body`` is that edge's handle
+    (attached to the external nodes in order, no other node), else None."""
+    if len(body.edges) != 1 or len(body.nodes) != len(body.ext):
+        return None
+    (e,) = body.edges
+    return body.lab[e] if tuple(body.att[e]) == body.ext else None
+
+
+def _flat(t: Product) -> tuple[Hypergraph, object]:
+    """The flattened body of ``t`` and the key its denotation is cached
+    under, computed once and cached on the product; neither refers back to
+    it.  A body that flattens to the handle of one label ``A`` is keyed as
+    ``A``, since ``[[×(handle(A))]] = [[A]]``."""
+    cached = t.__dict__.get("_flat")
+    if cached is None:
+        body = _flatten(t.body)
+        label = _handle_label(body)
+        key = ("x", canonical_key(body)) if label is None else label.canon_key()
+        cached = t._flat = (body, key)
+    return cached
+
+
 def denotation_enumerate(w: Valuation, t: HLType):
     """The exact denotation of an enumerable type, as a tuple of one
     representative per isomorphism class in canonical order;
     ``NOT_ENUMERABLE`` for types containing a division.
 
     Each class is represented by the first of its members met: for a
-    primitive, the first in the valuation's list; for a product, the first
-    that substituting the valuation's graphs into the flattened body gives,
-    picks taken in ``itertools.product`` order over the body's sorted
-    edges."""
+    primitive ``p``, and for a product whose flattened body is the handle of
+    ``p``, the first in the valuation's list for ``p``; for any other
+    product, the first that substituting the valuation's graphs into the
+    flattened body gives, picks taken in ``itertools.product`` order over
+    the body's sorted edges.  Raises ``ValueError`` on an invalid
+    valuation."""
+    _check_valuation(w)
     if not is_enumerable(t):
         return NOT_ENUMERABLE
-    if isinstance(t, Primitive):
-        return _dedupe(w.graphs(t))
-    body = _flatten(t.body)
-    edges = body.edges
-    picks = itertools.product(*(w.graphs(body.lab[e]) for e in edges))
-    return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
+    if isinstance(t, Product):
+        body = _flat(t)[0]
+        label = _handle_label(body)
+        if label is None:
+            edges = body.edges
+            picks = itertools.product(*(w.graphs(body.lab[e]) for e in edges))
+            return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
+        t = label
+    return _dedupe(w.graphs(t))
 
 
 def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset]:
     """The denotation of enumerable ``t`` and its canonical keys, enumerated
-    once and cached on the valuation value by the type's canonical key."""
+    once and cached on the valuation value, by a primitive's key or a
+    product's flattened key (:func:`_flat`)."""
     cache = w.__dict__.setdefault("_denotations", {})
-    key = t.canon_key()
+    key = t.canon_key() if isinstance(t, Primitive) else _flat(t)[1]
     den = cache.get(key)
     if den is None:
         graphs = denotation_enumerate(w, t)
@@ -166,7 +228,15 @@ def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozen
 
 
 def denotation_contains(w: Valuation, t: HLType, g: Hypergraph):
-    """Exact membership of ``g`` in the denotation of ``t``, or UNDECIDED."""
+    """Exact membership of ``g`` in the denotation of ``t``, or UNDECIDED.
+    Raises ``ValueError`` on an invalid valuation, type or graph."""
+    _check_valuation(w)
+    report = validate_type(t)
+    if report is not None:
+        raise ValueError(f"invalid type: {report}")
+    report = validate(g)
+    if report is not None:
+        raise ValueError(f"invalid graph: {report}")
     if not contains_decidable(t):
         return UNDECIDED
     return _contains(w, t, g)
@@ -201,11 +271,16 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
 
 def sequent_holds(w: Valuation, s: Sequent):
     """Truth of a sequent: every instance of the antecedent's product belongs
-    to the succedent's denotation.  UNDECIDED outside the exact fragment."""
-    lhs = denotation_enumerate(w, Product(s.antecedent))
-    if lhs is NOT_ENUMERABLE or not contains_decidable(s.succedent):
+    to the succedent's denotation.  UNDECIDED outside the exact fragment.
+    Raises ``ValueError`` on an invalid valuation or sequent."""
+    _check_valuation(w)
+    report = validate_sequent(s)
+    if report is not None:
+        raise ValueError(f"invalid sequent: {report}")
+    lhs = Product(s.antecedent)
+    if not is_enumerable(lhs) or not contains_decidable(s.succedent):
         return UNDECIDED
-    return all(_contains(w, s.succedent, g) for g in lhs)
+    return all(_contains(w, s.succedent, g) for g in _denotation(w, lhs)[0])
 
 
 def random_graphs(

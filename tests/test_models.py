@@ -3,6 +3,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
+import hlc.models
 from hlc.calculus import DerivationTree
 from hlc.canon import canonical_key
 from hlc.fixtures import build_sgr
@@ -447,3 +450,124 @@ def test_enumeration_matches_folded_reference_on_lambek_corpus():
                     verdicts.add(f"member {member}")
     assert {"True", "False", "member True", "member False"} <= verdicts, verdicts
     assert min(seen.values()) >= 20, seen
+
+
+PQ = Product(string_graph([P, Q]))
+FLAT = Product(string_graph([P, P, Q]))  # x(p.p.q)
+LEFT = Product(string_graph([Product(string_graph([P, P])), Q]))  # x(x(p.p).q)
+RIGHT = Product(string_graph([P, PQ]))  # x(p.x(p.q))
+
+
+def _count_enumerations(monkeypatch) -> list:
+    calls = []
+
+    def counting(w, t):
+        calls.append(t)
+        return denotation_enumerate(w, t)
+
+    monkeypatch.setattr(hlc.models, "denotation_enumerate", counting)
+    return calls
+
+
+def test_products_with_one_flattened_body_share_one_enumeration(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    w = val(p=[string_graph([A]), string_graph([B])], q=[string_graph([A, B])])
+    # The antecedent p . x(p.q) flattens to p.p.q as well: one enumeration.
+    assert sequent_holds(w, Sequent(string_graph([P, PQ]), LEFT)) is True
+    assert len(calls) == 1
+    for t in (FLAT, LEFT, RIGHT):
+        assert denotation_contains(w, t, string_graph([B, A, A, B])) is True
+        assert denotation_contains(w, t, string_graph([A, B, A])) is False
+    assert len(calls) == 1
+    # A new valuation enumerates afresh, once.
+    w2 = val(p=[string_graph([B])], q=[string_graph([A])])
+    for t in (RIGHT, FLAT, LEFT):
+        assert denotation_contains(w2, t, string_graph([B, B, A])) is True
+    assert len(calls) == 2
+
+
+def test_handle_product_shares_the_primitive_entry(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    w = val(p=[string_graph([A]), string_graph([A, B])])
+    handles = [Product(handle(P)), Product(handle(Product(handle(P))))]
+    assert sequent_holds(w, Sequent(handle(P), P)) is True
+    for t in [P] + handles:
+        assert denotation_contains(w, t, string_graph([A, B])) is True
+        assert denotation_contains(w, t, string_graph([B])) is False
+    assert len(calls) == 1
+    # The entry lists p's own graphs, whichever of the types asks first.
+    for t in handles:
+        assert denotation_enumerate(w, t) == denotation_enumerate(w, P)
+
+
+def test_shared_entries_keep_the_reference_verdicts():
+    rng = random.Random(6)
+    hp = Product(handle(P))
+    reversed_p = build_graph([0, 1], [(P, (1, 0))], (0, 1))  # not a handle: att is ext reversed
+    sequents = [
+        Sequent(handle(P), Product(reversed_p)),
+        Sequent(reversed_p, hp),
+        Sequent(string_graph([P, PQ]), LEFT),
+        Sequent(string_graph([Product(string_graph([P, P])), Q]), RIGHT),
+        Sequent(string_graph([P, P, Q]), RIGHT),
+        Sequent(string_graph([P, Q]), Product(string_graph([Q, P]))),
+        Sequent(string_graph([Q, P, Q]), RIGHT),
+        Sequent(handle(hp), P),
+        Sequent(handle(P), hp),
+        Sequent(string_graph([hp, Q]), Product(string_graph([Q, hp]))),
+    ]
+    verdicts = set()
+    for s in sequents:
+        for _ in range(6):
+            w = random_valuation(rng, sequent_primitives(s), max_edges=1)
+            verdict = sequent_holds(w, s)
+            assert verdict is folded_holds(w, s) is reference_holds(w, s), s
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+DUPLICATE = Valuation(
+    alphabet=(A, B), assignment=((P, (string_graph([A]),)), (P, (string_graph([B]),)))
+)
+WRONG_RANK = Valuation(alphabet=(A, B), assignment=((P, (build_graph([0], [], (0,)),)),))
+
+
+@pytest.mark.parametrize(
+    "w, s, message",
+    [
+        (DUPLICATE, Sequent(handle(P), P), r"invalid valuation: p/2: assigned more than once"),
+        (WRONG_RANK, Sequent(string_graph([P, P]), FLAT), r"invalid valuation: p/2: rank mismatch"),
+        (
+            val(p=[string_graph([A])]),
+            Sequent(string_graph([dollar(2)]), P),
+            r"invalid sequent: antecedent edge 0 labeled \$",
+        ),
+    ],
+    ids=["primitive assigned twice", "graph of the wrong rank", "dollar in the antecedent"],
+)
+def test_malformed_inputs_raise_at_the_entry_point(w, s, message):
+    with pytest.raises(ValueError, match=message):
+        sequent_holds(w, s)
+    if validate_valuation(w) is not None:
+        with pytest.raises(ValueError, match=message):
+            denotation_contains(w, P, string_graph([A]))
+        with pytest.raises(ValueError, match=message):
+            denotation_enumerate(w, Product(handle(P)))
+
+
+def test_valuation_report_is_cached_on_the_valuation(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return report(w)
+
+    report = hlc.models._valuation_report
+    monkeypatch.setattr(hlc.models, "_valuation_report", counting)
+    good = val(p=[string_graph([A])])
+    twice = Valuation(alphabet=DUPLICATE.alphabet, assignment=DUPLICATE.assignment)
+    for _ in range(2):
+        assert sequent_holds(good, Sequent(handle(P), P)) is True
+        with pytest.raises(ValueError, match="assigned more than once"):
+            sequent_holds(twice, Sequent(handle(P), P))
+    assert calls == [good, twice]

@@ -18,7 +18,7 @@ import hlc
 from hlc.calculus import DerivationTree, NotDerivable, Prover
 from hlc.fixtures import build_sgr, sgr_string_graph
 from hlc.grammars import MemberWitness, NotMember, hl_member
-from hlc.graphs import RankedLabel, dollar, string_graph
+from hlc.graphs import RankedLabel, dollar, handle, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent
 from hlc.lambek import LPrim, Over, lambek_derive
 from hlc.models import Valuation, sequent_holds, sequent_primitives
@@ -75,6 +75,10 @@ def test_queries_leave_no_cyclic_garbage():
         alphabet=(a, b),
         assignment=((p, (string_graph([a]),)), (q, (string_graph([b]),))),
     )
+    # Flattened keys cached on the products must not refer back to them.
+    qp = Product(string_graph([q, p]))
+    nested = Sequent(string_graph([pq, p]), Product(string_graph([p, qp])))
+    hp = Product(handle(p))
     sgr = build_sgr()
     gc.collect()
     gc.disable()
@@ -86,6 +90,9 @@ def test_queries_leave_no_cyclic_garbage():
         assert sequent_primitives(seq) == [p, q]
         assert sequent_holds(w, seq) is True
         assert sequent_holds(w, Sequent(string_graph([q, p]), pq)) is False
+        assert sequent_holds(w, nested) is True
+        assert sequent_holds(w, Sequent(handle(p), hp)) is True
+        assert sequent_holds(w, Sequent(string_graph([hp, q]), pq)) is True
         assert gc.collect() == 0
     finally:
         gc.enable()
