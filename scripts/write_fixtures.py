@@ -19,7 +19,7 @@ from hlc.fixtures import (
 )
 from hlc.fmt import print_graph, print_hl_grammar, print_hrg, print_sequent
 from hlc.graphs import handle, string_graph
-from hlc.hltypes import Primitive, Sequent
+from hlc.hltypes import Primitive, Product, Sequent
 from hlc.suites import kite_graph
 
 
@@ -42,6 +42,12 @@ def main() -> None:
     )
     p2 = Primitive("p", 2)
     (out / "axiom_p.seq").write_text(print_sequent(Sequent(handle(p2), p2)))
+    # p p |- p fails under w.val; p x(p.p) |- x(x(p.p).p) holds under any valuation.
+    (out / "pp_p.seq").write_text(print_sequent(Sequent(string_graph([p2, p2]), p2)))
+    pp = Product(string_graph([p2, p2]))
+    (out / "assoc_p.seq").write_text(
+        print_sequent(Sequent(string_graph([p2, pp]), Product(string_graph([pp, p2]))))
+    )
 
     # A tiny valuation over one rank-2 primitive.
     (out / "g_a.hgf").write_text(print_graph(sgr_string_graph("a")))

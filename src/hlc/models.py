@@ -26,10 +26,12 @@ Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
   flattened body's canonical key (cached on the product), where a body that
   flattens to the handle of one label ``A`` is keyed as ``A`` itself.  So
   ``×(p·p·q)``, ``×((p·p)·q)`` and ``×(p·×(p·q))`` share one entry, as do
-  ``×(handle(p))`` and ``p``.  The antecedent's product goes through the
-  same cache, so a succedent that flattens to the antecedent's body costs
-  one lookup.  Membership is up to isomorphism throughout: a valuation's own
-  graphs stand for their isomorphism classes.
+  ``×(handle(p))`` and ``p``.  A sequent whose succedent has the same key
+  as the antecedent's product, such as ``p, ×(p·q) ⊢ ×(×(p·p)·q)``, holds
+  as ``X ⊆ X`` and enumerates none; any other sequent takes the
+  antecedent's product through the same cache.  Membership is up to
+  isomorphism throughout: a valuation's own graphs stand for their
+  isomorphism classes.
 * ``t`` a product with a division in its body: ``[[t]]`` may be infinite, so
   ``g`` belongs iff some decomposition of ``g`` along the body puts every
   part in its label's denotation.  Decompositions apportion the isolated
@@ -214,12 +216,18 @@ def denotation_enumerate(w: Valuation, t: HLType):
     return _dedupe(w.graphs(t))
 
 
+def _entry_key(t: HLType) -> object:
+    """The key that enumerable ``t``'s denotation is cached under: a
+    primitive's key or a product's flattened key (:func:`_flat`).  Types
+    with one key have one denotation under every valuation."""
+    return t.canon_key() if isinstance(t, Primitive) else _flat(t)[1]
+
+
 def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset]:
     """The denotation of enumerable ``t`` and its canonical keys, enumerated
-    once and cached on the valuation value, by a primitive's key or a
-    product's flattened key (:func:`_flat`)."""
+    once and cached on the valuation value under :func:`_entry_key`."""
     cache = w.__dict__.setdefault("_denotations", {})
-    key = t.canon_key() if isinstance(t, Primitive) else _flat(t)[1]
+    key = _entry_key(t)
     den = cache.get(key)
     if den is None:
         graphs = denotation_enumerate(w, t)
@@ -272,6 +280,8 @@ def _contains(w: Valuation, t: HLType, g: Hypergraph) -> bool:
 def sequent_holds(w: Valuation, s: Sequent):
     """Truth of a sequent: every instance of the antecedent's product belongs
     to the succedent's denotation.  UNDECIDED outside the exact fragment.
+    An enumerable succedent with the antecedent's product's entry key
+    denotes the same set, so the sequent holds and nothing is enumerated.
     Raises ``ValueError`` on an invalid valuation or sequent."""
     _check_valuation(w)
     report = validate_sequent(s)
@@ -280,6 +290,8 @@ def sequent_holds(w: Valuation, s: Sequent):
     lhs = Product(s.antecedent)
     if not is_enumerable(lhs) or not contains_decidable(s.succedent):
         return UNDECIDED
+    if is_enumerable(s.succedent) and _entry_key(s.succedent) == _entry_key(lhs):
+        return True
     return all(_contains(w, s.succedent, g) for g in _denotation(w, lhs)[0])
 
 

@@ -13,7 +13,7 @@ from hlc.fixtures import build_sgr, build_sgr_hrg, sgr_string_graph
 from hlc.fmt import parse_graph, parse_hl_grammar, parse_type, print_graph, print_hl_grammar, print_hrg, print_sequent, tree_from_json
 from hlc.grammars import hl_member
 from hlc.graphs import build_graph, dollar, handle, string_graph, RankedLabel
-from hlc.hltypes import Primitive, Sequent
+from hlc.hltypes import Division, Primitive, Product, Sequent
 from hlc.suites import SUITES, run_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -171,6 +171,26 @@ def test_match_command(workdir, capsys):
 def test_model_check(workdir):
     assert main(["model-check", "--valuation", str(workdir / "w.val"),
                  "--sequent", str(workdir / "axiom.seq")]) == 0
+
+
+@pytest.mark.parametrize(
+    "sequent, code, verdict",
+    [("pp_p.seq", 1, "fails"), ("assoc_p.seq", 0, "holds"), ("axiom_p.seq", 0, "holds")],
+)
+def test_model_check_fixture_verdicts(capsys, sequent, code, verdict):
+    argv = ["model-check", "--valuation", str(FIXTURES / "w.val"), "--sequent", str(FIXTURES / sequent)]
+    assert main(argv) == code
+    assert capsys.readouterr().out.strip() == verdict
+
+
+def test_model_check_undecided(workdir, capsys):
+    # A division in the antecedent leaves its product's denotation unlisted.
+    p2 = Primitive("p", 2)
+    d = Division(p2, string_graph([dollar(2), p2]))
+    (workdir / "div.seq").write_text(print_sequent(Sequent(handle(d), Product(handle(d)))))
+    argv = ["model-check", "--valuation", str(workdir / "w.val"), "--sequent", str(workdir / "div.seq")]
+    assert main(argv) == cli.EXIT_INCONCLUSIVE == 3
+    assert capsys.readouterr().out.startswith("undecided")
 
 
 def test_repeated_primitive_in_valuation_is_refused(workdir, capsys):

@@ -11,7 +11,7 @@ from hlc.canon import canonical_key
 from hlc.fixtures import build_sgr
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace, replace_all, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent, dollar_edge
-from hlc.lambek import enumerate_lambek_corpus, translate_lsequent
+from hlc.lambek import Dot, LPrim, enumerate_lambek_corpus, translate_lsequent
 from hlc.matching import enumerate_decompositions
 from hlc.models import (
     NOT_ENUMERABLE,
@@ -413,16 +413,42 @@ def _nested(t) -> bool:
     return isinstance(t, Product) and any(isinstance(t.body.lab[e], Product) for e in t.body.edges)
 
 
-def test_enumeration_matches_folded_reference_on_lambek_corpus():
+def _leaves(t) -> tuple | None:
+    """The primitives of a division-free Lambek type, left to right; None if
+    it has a division."""
+    if isinstance(t, LPrim):
+        return (t.name,)
+    if isinstance(t, Dot):
+        left, right = _leaves(t.left), _leaves(t.right)
+        return None if left is None or right is None else left + right
+    return None
+
+
+def _one_string(ants, succ) -> bool:
+    """Whether both sides are division-free and list the same primitives:
+    an identity or associativity instance, whose two sides are one type."""
+    parts = [_leaves(t) for t in ants]
+    return None not in parts and sum(parts, ()) == _leaves(succ)
+
+
+def test_enumeration_matches_folded_reference_on_lambek_corpus(monkeypatch):
     """Flattened enumeration from the valuation's own lists gives the same
     isomorphism classes, one representative each in canonical order, and the
-    same verdicts as the enumeration over nested, deduplicated pools."""
+    same verdicts as the enumeration over nested, deduplicated pools.  The
+    reference enumerates both sides of every sequent, so it also checks the
+    identity and associativity instances, which ``sequent_holds`` decides
+    without enumerating; the corpus's own are added to the sample."""
+    calls = _count_enumerations(monkeypatch)
     rng = random.Random(5)
     corpus = list(enumerate_lambek_corpus())
     verdicts: set[str] = set()
     seen = {"nested": 0, "copies": 0, "members": 0}
-    for ants, succ in rng.sample(corpus, 200):
+    unenumerated, one_string = set(), set()
+    checks = 0
+    for ants, succ in rng.sample(corpus, 200) + [x for x in corpus if _one_string(*x)]:
         s = translate_lsequent(ants, succ)
+        if _one_string(ants, succ):
+            one_string.add(s.canon_key())
         labels = [s.antecedent.lab[e] for e in s.antecedent.edges]
         # The succedent as the one label of an antecedent nests products deeper.
         enumerable = [Product(s.antecedent), s.succedent, Product(handle(s.succedent))] + labels
@@ -440,9 +466,15 @@ def test_enumeration_matches_folded_reference_on_lambek_corpus():
                 assert set(keys) == folded_denotation(w, t, cache)[1], (s, t)
                 seen["nested"] += _nested(t)
                 seen["members"] += len(keys)
+            before = len(calls)
             verdict = sequent_holds(w, s)
             assert verdict is folded_holds(w, s), s
             verdicts.add(repr(verdict))
+            # A fresh valuation has no cached entry, so a decided sequent
+            # that enumerates nothing took the one-entry rule.
+            if verdict is not UNDECIDED and len(calls) == before:
+                unenumerated.add(s.canon_key())
+                checks += 1
             if contains_decidable(s.succedent):
                 for g in random_graphs(rng, s.succedent.rank, w.alphabet, count=2):
                     member = denotation_contains(w, s.succedent, g)
@@ -450,6 +482,8 @@ def test_enumeration_matches_folded_reference_on_lambek_corpus():
                     verdicts.add(f"member {member}")
     assert {"True", "False", "member True", "member False"} <= verdicts, verdicts
     assert min(seen.values()) >= 20, seen
+    assert unenumerated == one_string
+    assert checks >= 50, checks
 
 
 PQ = Product(string_graph([P, Q]))
@@ -472,8 +506,11 @@ def _count_enumerations(monkeypatch) -> list:
 def test_products_with_one_flattened_body_share_one_enumeration(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     w = val(p=[string_graph([A]), string_graph([B])], q=[string_graph([A, B])])
-    # The antecedent p . x(p.q) flattens to p.p.q as well: one enumeration.
+    # The antecedent p . x(p.q) flattens to p.p.q as well: both sides name
+    # one entry, so the sequent holds without enumerating it.
     assert sequent_holds(w, Sequent(string_graph([P, PQ]), LEFT)) is True
+    assert calls == []
+    assert denotation_contains(w, FLAT, string_graph([B, A, A, B])) is True
     assert len(calls) == 1
     for t in (FLAT, LEFT, RIGHT):
         assert denotation_contains(w, t, string_graph([B, A, A, B])) is True
@@ -498,6 +535,47 @@ def test_handle_product_shares_the_primitive_entry(monkeypatch):
     # The entry lists p's own graphs, whichever of the types asks first.
     for t in handles:
         assert denotation_enumerate(w, t) == denotation_enumerate(w, P)
+
+
+def test_one_entry_sequents_hold_without_enumerating(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    w = val(p=[string_graph([A]), string_graph([A, B])], q=[string_graph([B])])
+    sequents = [
+        Sequent(handle(P), P),
+        Sequent(handle(P), Product(handle(P))),
+        Sequent(string_graph([P, PQ]), LEFT),
+        Sequent(string_graph([P, P, Q]), RIGHT),
+    ]
+    for s in sequents:
+        assert sequent_holds(w, s) is True, s
+    assert calls == []
+    for s in sequents:
+        assert folded_holds(w, s) is reference_holds(w, s) is True, s
+
+
+def test_sequents_with_two_entries_still_enumerate(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    rng = random.Random(19)
+    s = Sequent(string_graph([P, Q]), Product(string_graph([Q, P])))
+    verdicts = set()
+    for _ in range(12):
+        w = random_valuation(rng, sequent_primitives(s), max_edges=1)
+        before = len(calls)
+        verdict = sequent_holds(w, s)
+        assert len(calls) > before
+        assert verdict is folded_holds(w, s) is reference_holds(w, s)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_undecidable_sequent_with_one_entry_stays_undecided(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    d = Division(S, string_graph([dollar(2), Q]))
+    s = Sequent(handle(d), Product(handle(d)))
+    assert hlc.models._entry_key(s.succedent) == hlc.models._entry_key(Product(s.antecedent))
+    w = val(s=[string_graph([A, B])], q=[string_graph([B])])
+    assert sequent_holds(w, s) is UNDECIDED
+    assert calls == []
 
 
 def test_shared_entries_keep_the_reference_verdicts():
@@ -537,13 +615,19 @@ WRONG_RANK = Valuation(alphabet=(A, B), assignment=((P, (build_graph([0], [], (0
     [
         (DUPLICATE, Sequent(handle(P), P), r"invalid valuation: p/2: assigned more than once"),
         (WRONG_RANK, Sequent(string_graph([P, P]), FLAT), r"invalid valuation: p/2: rank mismatch"),
+        (WRONG_RANK, Sequent(string_graph([P, P, Q]), FLAT), r"invalid valuation: p/2: rank mismatch"),
         (
             val(p=[string_graph([A])]),
             Sequent(string_graph([dollar(2)]), P),
             r"invalid sequent: antecedent edge 0 labeled \$",
         ),
     ],
-    ids=["primitive assigned twice", "graph of the wrong rank", "dollar in the antecedent"],
+    ids=[
+        "primitive assigned twice",
+        "graph of the wrong rank",
+        "graph of the wrong rank, both sides one entry",
+        "dollar in the antecedent",
+    ],
 )
 def test_malformed_inputs_raise_at_the_entry_point(w, s, message):
     with pytest.raises(ValueError, match=message):
