@@ -74,9 +74,18 @@ def _add_budget_flag(sub) -> None:
     sub.add_argument("--budget-nodes", type=int, default=DEFAULT_MAX_NODES)
 
 
+def _budget_exceeded(budget: SearchBudget, result: BudgetExceeded) -> int:
+    print(
+        f"budget exceeded: node budget {budget.max_nodes} spent "
+        f"({result.stats.nodes_expanded} nodes expanded)"
+    )
+    return EXIT_INCONCLUSIVE
+
+
 def cmd_derive(args) -> int:
     seq = parse_sequent(_read(args.sequent))
-    result = Prover().derive(seq, _budget(args))
+    budget = _budget(args)
+    result = Prover().derive(seq, budget)
     if isinstance(result, DerivationTree):
         report = check_derivation(result)
         if report is not None:
@@ -87,8 +96,7 @@ def cmd_derive(args) -> int:
             Path(args.emit_tree).write_text(json.dumps(tree_to_json(result), indent=1))
         return EXIT_YES
     if isinstance(result, BudgetExceeded):
-        print(f"budget exceeded ({result.stats.nodes_expanded} nodes expanded)")
-        return EXIT_INCONCLUSIVE
+        return _budget_exceeded(budget, result)
     print("not derivable")
     return EXIT_NO
 
@@ -96,8 +104,9 @@ def cmd_derive(args) -> int:
 def cmd_member(args) -> int:
     grammar = parse_hl_grammar(_read(args.grammar))
     graph = parse_graph(_read(args.graph), mode="symbol")
+    budget = _budget(args)
     try:
-        result = hl_member(grammar, graph, _budget(args), seed=args.seed)
+        result = hl_member(grammar, graph, budget, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}")
         return EXIT_USAGE
@@ -113,8 +122,7 @@ def cmd_member(args) -> int:
             Path(args.emit_tree).write_text(json.dumps(tree_to_json(result.tree), indent=1))
         return EXIT_YES
     if isinstance(result, BudgetExceeded):
-        print(f"budget exceeded ({result.stats.nodes_expanded} nodes expanded)")
-        return EXIT_INCONCLUSIVE
+        return _budget_exceeded(budget, result)
     print("not a member")
     return EXIT_NO
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .calculus import (
     BudgetExceeded,
@@ -30,14 +30,17 @@ from .calculus import (
 from .canon import canonical_key
 from .graphs import Hypergraph, RankedLabel, dollar, handle, relabel, replace, validate
 from .hltypes import (
-    Counts,
     Division,
     HLType,
     NODES,
+    Packing,
     Primitive,
     Sequent,
     add_counts,
     connective_count,
+    pack_counts,
+    pack_target,
+    packing,
     primitive_counts,
     set_counts,
     validate_type,
@@ -51,7 +54,8 @@ class HLGrammar:
     correspondence: tuple[tuple[RankedLabel, HLType], ...]
 
     def types_for(self, label: RankedLabel) -> tuple[HLType, ...]:
-        return tuple(t for a, t in self.correspondence if a == label)
+        """The types corresponding to ``label``, in correspondence order."""
+        return tuple(t for t, _ in _lexicon(self).table.get(label, ()))
 
 
 _UNCHECKED = object()
@@ -76,6 +80,52 @@ def _hl_grammar_report(g: HLGrammar) -> str | None:
         if a.rank != t.rank:
             return f"rank mismatch in correspondence for {a!r}"
     return validate_type(g.distinguished)
+
+
+class _Lexicon(NamedTuple):
+    """What every membership query needs of a grammar, found once and cached
+    on it (see :func:`hl_member`)."""
+
+    alphabet: frozenset[RankedLabel]
+    table: dict  # label -> ((type, counts), ...), in correspondence order
+    keys: frozenset  # the count keys of the corresponding types
+    weight: int  # the largest summed absolute counts of a corresponding type
+    packed: dict  # M -> (its packing, label -> ((type, packed counts), ...))
+
+
+def _lexicon(g: HLGrammar) -> _Lexicon:
+    """The grammar's :class:`_Lexicon`, cached on it."""
+    cached = g.__dict__.get("_lexicon")
+    if cached is None:
+        table: dict = {}
+        for a, t in g.correspondence:
+            table.setdefault(a, []).append((t, primitive_counts(t)))
+        counts = [c for pairs in table.values() for _, c in pairs]
+        cached = _Lexicon(
+            alphabet=frozenset(g.alphabet),
+            table={a: tuple(pairs) for a, pairs in table.items()},
+            keys=frozenset(key for c in counts for key, _ in c),
+            weight=max((sum(abs(n) for _, n in c) for c in counts), default=0),
+            packed={},
+        )
+        object.__setattr__(g, "_lexicon", cached)
+    return cached
+
+
+def _packed(lexicon: _Lexicon, edges: int) -> tuple[Packing, dict]:
+    """A packing in which every relabeling of ``edges`` edges sums in range,
+    and each label's types with their packed counts; cached per ``M``, which
+    rounds the edge count up to a power of two so that few are made."""
+    bound = lexicon.weight << max(edges - 1, 0).bit_length()
+    cached = lexicon.packed.get(bound)
+    if cached is None:
+        p = packing(lexicon.keys, bound)
+        weights = {
+            a: tuple((t, pack_counts(c, p.places)) for t, c in pairs)
+            for a, pairs in lexicon.table.items()
+        }
+        cached = lexicon.packed[bound] = (p, weights)
+    return cached
 
 
 def type_set(g: HLGrammar) -> list[HLType]:
@@ -141,36 +191,42 @@ class NotMember:
 
 
 def _relabelings(
-    edges: list[int], candidates: list[list[tuple[HLType, Counts]]], target: dict
+    edges: list[int], candidates: list[list[tuple[HLType, int]]], target: int
 ) -> Iterator[dict[int, HLType] | None]:
-    """Every relabeling of ``edges`` by their ``candidates``, in
-    ``itertools.product`` order, or ``None`` for one whose summed counts
-    differ from ``target``.  The running count sum keeps the balance check
-    O(1) per relabeling."""
+    """Every relabeling of ``edges`` by their ``candidates`` (each a type and
+    its packed counts), in ``itertools.product`` order, or ``None`` for one
+    whose packed counts sum to other than ``target``.  The running sums keep
+    the balance check one integer comparison per relabeling."""
     n = len(edges)
     if not n:
-        yield {} if not target else None
+        yield {} if target == 0 else None
         return
     chosen: dict[int, HLType] = {}
-    counts: dict = {}
+    sums = [0] * n  # sums[i]: the packed counts of the picks for edges[:i]
     pick = [-1] * n  # pick[i]: the candidate of edges[i] on the current path
+    last_edge, last_options = edges[-1], candidates[-1]
     i = 0
     while i >= 0:
+        if i == n - 1:
+            rest = target - sums[i]
+            for t, w in last_options:
+                if w == rest:
+                    chosen[last_edge] = t
+                    yield dict(chosen)
+                else:
+                    yield None
+            i -= 1
+            continue
         options = candidates[i]
-        if pick[i] >= 0:
-            add_counts(counts, options[pick[i]][1], -1)
         pick[i] += 1
         if pick[i] == len(options):
             pick[i] = -1
             i -= 1
             continue
-        t, tc = options[pick[i]]
+        t, w = options[pick[i]]
         chosen[edges[i]] = t
-        add_counts(counts, tc)
-        if i + 1 < n:
-            i += 1
-        else:
-            yield dict(chosen) if counts == target else None
+        sums[i + 1] = sums[i] + w
+        i += 1
 
 
 def hl_member(
@@ -192,6 +248,17 @@ def hl_member(
     a witness's stats included).  A balanced relabeling is built with its
     counts, the distinguished type's and the sum of its types' connective
     counts, so ``derive`` does not walk it to find them.
+
+    What a query needs of the grammar, each label's types with their counts
+    and the alphabet as a set, is found once and cached on the grammar
+    value.  Each relabeling's counts are summed as one packed integer (see
+    :mod:`hlc.hltypes`), with ``M`` the largest summed absolute counts of a
+    corresponding type times the edge count rounded up to a power of two.
+    Every relabeling then sums in range, so its packed sum equals the packed
+    target exactly when the counts do; a target out of range, such as one
+    with more interior nodes than any relabeling counts, packs to a value no
+    sum reaches.  The packed candidates are cached on the grammar per ``M``.
+
     Candidate order is seeded-shuffled so that accepted graphs are usually
     found long before the assignment space is exhausted; a NotMember answer
     always means the space was exhausted without a budget event.
@@ -207,22 +274,29 @@ def hl_member(
     report = validate(graph)
     if report is not None:
         raise ValueError(f"invalid graph: {report}")
-    alphabet = set(g.alphabet)
+    lexicon = _lexicon(g)
+    packed, weights = _packed(lexicon, len(graph.edges))
+    options_of: dict[int, tuple[tuple[HLType, int], ...]] = {}
     for e in graph.edges:
-        if graph.lab[e] not in alphabet:
-            raise ValueError(f"edge {e} labeled outside the grammar alphabet: {graph.lab[e]!r}")
+        options = weights.get(graph.lab[e])
+        if options is None:
+            if graph.lab[e] not in lexicon.alphabet:
+                raise ValueError(f"edge {e} labeled outside the grammar alphabet: {graph.lab[e]!r}")
+            options = ()
+        options_of[e] = options
     prover = prover or Prover()
     rng = random.Random(seed)
-    edges = sorted(graph.edges, key=lambda e: len(g.types_for(graph.lab[e])))
-    candidates: list[list[tuple[HLType, Counts]]] = []
+    edges = sorted(options_of, key=lambda e: len(options_of[e]))
+    candidates: list[list[tuple[HLType, int]]] = []
     for e in edges:
-        options = list(g.types_for(graph.lab[e]))
+        options = list(options_of[e])
         rng.shuffle(options)
-        candidates.append([(t, primitive_counts(t)) for t in options])
+        candidates.append(options)
     target_counts = primitive_counts(g.distinguished)
     # The types must count the distinguished type's nodes less the graph's own.
-    target = dict(target_counts)
-    add_counts(target, [(NODES, len(graph.nodes) - len(graph.ext))], -1)
+    balance = dict(target_counts)
+    add_counts(balance, [(NODES, len(graph.nodes) - len(graph.ext))], -1)
+    target = pack_target(balance.items(), packed)
     cap = (budget or SearchBudget()).max_nodes
     pruned = 0
     nodes = closed = 0

@@ -107,7 +107,7 @@ def build_graph(
 def validate(g: Hypergraph) -> str | None:
     """Check the hypergraph invariants; return None or the first violation."""
     node_set = set(g.nodes)
-    for e in sorted(g.edges):
+    for e in g.edges:  # sorted by Hypergraph.__post_init__
         if e not in g.att:
             return f"edge {e}: missing attachment"
         if e not in g.lab:

@@ -38,11 +38,31 @@ identifies exactly ``|ext(H)|`` nodes.  Per rule:
 
 So an unbalanced sequent is underivable without any search, and the
 imbalance of a conclusion is the sum of its premises' imbalances.
+
+**Packing.**  Where many count vectors are summed and compared, each is
+packed into one integer (:class:`Packing`).  Fix the ``k`` keys in play, the
+node count and the primitives, and a bound ``M``; with ``B = 2M + 1`` a
+vector ``c`` packs to ``sum(c_i * B**i)``, with the node count at ``i = 0``
+and the primitives after it in sorted order.  Packing is additive, so a sum
+of vectors packs to the sum of their packings.  Call a vector *in range*
+when its keys are among the ``k`` and its components lie in ``[-M, M]``; it
+packs to at most ``M * (B**k - 1) / (B - 1) < B**k`` in size.  Packing is
+injective on vectors in range: every component of the difference ``d`` of
+two of them lies in ``[-2M, 2M]``, and were ``sum(d_i * B**i)`` zero with
+``d`` nonzero, its lowest nonzero component would be
+``d_j = -sum(d_i * B**(i-j) for i > j)``, a nonzero multiple of ``B`` of size
+at most ``2M < B``, which cannot be.  A vector out of range equals no vector
+in range, so :func:`pack_target` packs it to ``B**k``, which no vector in
+range reaches.  Hence a packed vector in range equals a packed target
+exactly when their counts are equal.  :mod:`hlc.matching` packs a host's
+slot sums this way, and :func:`hlc.grammars.hl_member` each relabeling's
+sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import canon
 from .graphs import Hypergraph, is_dollar, validate
@@ -289,6 +309,42 @@ def add_counts(acc: dict, counts: Counts, sign: int = 1) -> None:
             acc[key] = total
         else:
             acc.pop(key, None)
+
+
+class Packing(NamedTuple):
+    """Count vectors over fixed keys, each packed into one integer (see the
+    module docstring)."""
+
+    places: dict  # count key -> place value, 1 for NODES
+    bound: int  # M: a vector is in range when no component lies beyond it
+    unreachable: int  # B**k, which no vector in range packs to
+
+
+def packing(keys, bound: int) -> Packing:
+    """The packing over :data:`NODES` and the primitive keys among ``keys``,
+    with ``M = bound``."""
+    base = 2 * bound + 1
+    places = {key: base ** (i + 1) for i, key in enumerate(sorted(set(keys) - {NODES}))}
+    places[NODES] = 1
+    return Packing(places, bound, base ** len(places))
+
+
+def pack_counts(counts: Counts, places: dict) -> int:
+    """A count vector whose every key has a place as one integer,
+    ``sum(n * places[key])``."""
+    return sum(n * places[key] for key, n in counts)
+
+
+def pack_target(counts: Counts, p: Packing) -> int:
+    """A count vector packed, or ``p.unreachable`` when it is out of range."""
+    places, bound = p.places, p.bound
+    total = 0
+    for key, n in counts:
+        place = places.get(key)
+        if place is None or abs(n) > bound:
+            return p.unreachable
+        total += n * place
+    return total
 
 
 def _graph_counts(g: Hypergraph) -> tuple[int, Counts]:

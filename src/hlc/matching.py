@@ -77,25 +77,16 @@ plus the isolated nodes apportioned to it, since a cluster may join a slot
 only if every image node it touches is one of the slot's attachment nodes.
 So a part counts the sum over its clusters, each weighing its edges' labels
 plus its interior nodes, plus one node per isolated node it takes.  Each
-host numbers the node count and the primitives of its labels, ``k`` keys,
-once, and packs a count vector ``c`` into the integer ``sum(c_i * B**i)``,
-with the node count at ``i = 0``, ``B = 2M + 1``, and ``M`` the summed
-absolute counts over all host edges plus the host's number of nodes.
-Packing is additive, so a cluster's weight is the sum of its edges' packed
-labels, one addition per edge walked, plus its number of interior nodes, an
-isolated node weighs 1, and a slot's sum is the packed sum of its clusters'
-and nodes' counts.  A slot's sum counts a subset of the host edges and of
-the host nodes, so each of its components lies in ``[-M, M]`` and its size
-is at most ``M * (B**k - 1) / (B - 1) < B**k``.  A slot label whose every
-primitive is the host's and every count lies in ``[-M, M]`` packs the same
-way.  Any other label counts what no slot sum can: a primitive the host lacks
-sums to zero in every slot, and a count beyond ``M`` is out of reach.  Such a
-label packs to ``B**k``, which no slot sum reaches.  Packing is also injective
-wherever it is compared: a slot's sum and a target in range have every
-component in ``[-M, M]``, and every component of their difference ``d`` lies
-in ``[-2M, 2M]``.  Were ``sum(d_i * B**i)`` zero with ``d`` nonzero, its
-lowest nonzero component would be ``d_j = -sum(d_i * B**(i-j) for i > j)``, a
-nonzero multiple of ``B`` of size at most ``2M < B``, which cannot be.  So a
+host packs count vectors (see :mod:`hlc.hltypes`) once, over the node count
+and the primitives of its labels, ``k`` keys, with ``M`` the summed absolute
+counts over all host edges plus the host's number of nodes.  Packing is
+additive, so a cluster's weight is the sum of its edges' packed labels, one
+addition per edge walked, plus its number of interior nodes, an isolated
+node weighs 1, and a slot's sum is the packed sum of its clusters' and
+nodes' counts.  A slot's sum counts a subset of the host edges and of the
+host nodes, so it is in range.  A slot label out of range counts what no
+slot sum can (a primitive the host lacks sums to zero in every slot, and a
+count beyond ``M`` is out of reach), and packs to ``B**k``.  So a
 packed sum equals a packed target exactly when the counts are equal.  With
 ``L`` isolated nodes outside the image, a slot's clusters must therefore sum
 to its target less ``j`` nodes, ``0 <= j <= L``, which ``j`` of those nodes
@@ -168,7 +159,17 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .graphs import Hypergraph
-from .hltypes import Division, NODES, connective_count, dollar_edge, primitive_counts, set_counts
+from .hltypes import (
+    Division,
+    Packing,
+    connective_count,
+    dollar_edge,
+    pack_counts,
+    pack_target,
+    packing,
+    primitive_counts,
+    set_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,9 @@ class Tally:
     closed: int = 0  # partial maps cut because a closed slot's final sum is wrong
 
 
-def _places(edge_counts, nodes: int) -> tuple[dict, int]:
-    """The place value of each count key for :func:`_pack`, 1 for
-    :data:`~hlc.hltypes.NODES` and ``B**i`` for the ``i``-th primitive in
-    sorted order, and ``M``: ``B = 2M + 1``, with ``M`` the summed absolute
-    counts of ``edge_counts`` plus the host's ``nodes`` (see the module
+def _packing(edge_counts, nodes: int) -> Packing:
+    """The host's packing, over the keys of ``edge_counts``, with ``M`` their
+    summed absolute counts plus the host's ``nodes`` (see the module
     docstring)."""
     keys: set = set()
     bound = nodes
@@ -238,16 +237,7 @@ def _places(edge_counts, nodes: int) -> tuple[dict, int]:
         for key, n in counts:
             keys.add(key)
             bound += abs(n)
-    keys.discard(NODES)
-    base = 2 * bound + 1
-    places = {key: base ** (i + 1) for i, key in enumerate(sorted(keys))}
-    places[NODES] = 1
-    return places, bound
-
-
-def _pack(counts, places: dict) -> int:
-    """A count vector as one integer, ``sum(n * places[key])``."""
-    return sum(n * places[key] for key, n in counts)
+    return packing(keys, bound)
 
 
 class _Host(NamedTuple):
@@ -256,9 +246,7 @@ class _Host(NamedTuple):
 
     ext: frozenset[int]
     isolated: list[int]  # nodes no edge touches, external ones aside
-    places: dict  # primitive key -> place value
-    bound: int  # M: no slot sum has a component beyond it
-    unreachable: int  # B**k, which no slot sum reaches
+    packing: Packing
     packs: dict[int, int]  # edge -> packed counts of its label
     ccs: dict[int, int]  # edge -> connective count of its label
 
@@ -270,32 +258,16 @@ def _host(host: Hypergraph) -> _Host:
         ext = frozenset(host.ext)
         incidences = host._incidence_map()
         edge_counts = {e: primitive_counts(host.lab[e]) for e in host.edges}
-        places, bound = _places(edge_counts.values(), len(host.nodes))
+        packed = _packing(edge_counts.values(), len(host.nodes))
         cached = _Host(
             ext=ext,
             isolated=[v for v in host.nodes if v not in incidences and v not in ext],
-            places=places,
-            bound=bound,
-            unreachable=(2 * bound + 1) ** len(places),
-            packs={e: _pack(counts, places) for e, counts in edge_counts.items()},
+            packing=packed,
+            packs={e: pack_counts(counts, packed.places) for e, counts in edge_counts.items()},
             ccs={e: connective_count(host.lab[e]) for e in host.edges},
         )
         object.__setattr__(host, "_match_host", cached)
     return cached
-
-
-def _target(counts, facts: _Host) -> int:
-    """A slot label's counts packed in the host's places, or
-    ``facts.unreachable`` when no slot sum can count the same (see the
-    module docstring)."""
-    places, bound = facts.places, facts.bound
-    total = 0
-    for key, n in counts:
-        place = places.get(key)
-        if place is None or abs(n) > bound:
-            return facts.unreachable
-        total += n * place
-    return total
 
 
 def _choices(
@@ -630,7 +602,7 @@ def _instances(
     counts = dict.fromkeys(edge_ids)  # the counts of each part, when typed
     if typed is not None:
         counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
-        targets = {m: _target(c, facts) for m, c in counts.items()}
+        targets = {m: pack_target(c, facts.packing) for m, c in counts.items()}
     role = _role(pattern, slot_order, fixed, pivot, consumed_dom)
     search = _Search(host, facts, role, fixed, pivot, consumed_dom, targets, typed)
     for clusters in search.run():

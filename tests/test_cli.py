@@ -57,8 +57,9 @@ def test_derive_emits_checkable_tree(workdir, capsys):
     assert check_derivation(tree) is None
 
 
-def test_derive_budget_exit(workdir):
+def test_derive_budget_exit(workdir, capsys):
     assert main(["derive", str(workdir / "deep.seq"), "--budget-nodes", "1"]) == 3
+    assert capsys.readouterr().out.startswith("budget exceeded: node budget 1 spent (")
 
 
 def test_member_exit_codes(workdir):
@@ -80,7 +81,9 @@ def test_member_budget_exit_names_the_nodes_expanded(capsys):
         SearchBudget(max_nodes=1),
     )
     assert isinstance(result, BudgetExceeded) and result.stats.nodes_expanded <= 1
-    expected = f"budget exceeded ({result.stats.nodes_expanded} nodes expanded)"
+    expected = (
+        f"budget exceeded: node budget 1 spent ({result.stats.nodes_expanded} nodes expanded)"
+    )
     assert capsys.readouterr().out.strip() == expected
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hlc.calculus import BudgetExceeded, Prover, SearchBudget, check_derivation
+from hlc.calculus import BudgetExceeded, DerivationTree, Prover, SearchBudget, check_derivation
 from hlc.canon import canonical_key, isomorphic
 from hlc.fixtures import (
     all_binary_graphs,
@@ -35,8 +35,8 @@ from hlc.grammars import (
     validate_hrg,
     wgnf_to_hl,
 )
-from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace, string_graph
-from hlc.hltypes import Division, Primitive
+from hlc.graphs import RankedLabel, build_graph, dollar, handle, relabel, replace, string_graph
+from hlc.hltypes import NODES, Division, Primitive, Sequent, add_counts, primitive_counts
 
 
 def test_type_set_sizes():
@@ -113,6 +113,112 @@ def test_member_prunes_unbalanced_relabelings():
     assert result.stats.nodes_expanded == sum(r.stats.nodes_expanded for r in prover.results)
     assert result.stats.closed == sum(r.stats.closed for r in prover.results)
     assert result.stats.closed > 0
+
+
+class RelabelingRecorder(Prover):
+    """Records the labels of every goal it is asked to derive."""
+
+    def __init__(self):
+        super().__init__()
+        self.relabelings = []
+
+    def derive(self, s, budget=None):
+        self.relabelings.append({e: s.antecedent.lab[e] for e in s.antecedent.edges})
+        return super().derive(s, budget)
+
+
+def _reference_member(g, graph, seed):
+    """``hl_member`` by brute force: scan the correspondence for each label,
+    shuffle as ``hl_member`` does, walk ``itertools.product`` and sum each
+    relabeling's counts in a dict.  Returns the verdict, the relabelings
+    derived, and the pruned, nodes expanded and closed sums."""
+
+    def scan(label):
+        return [t for a, t in g.correspondence if a == label]
+
+    rng = random.Random(seed)
+    edges = sorted(graph.edges, key=lambda e: len(scan(graph.lab[e])))
+    options = []
+    for e in edges:
+        types = scan(graph.lab[e])
+        rng.shuffle(types)
+        options.append(types)
+    target = dict(primitive_counts(g.distinguished))
+    add_counts(target, [(NODES, len(graph.nodes) - len(graph.ext))], -1)
+    prover = RelabelingRecorder()
+    pruned = nodes = closed = 0
+    for types in itertools.product(*options):
+        counts: dict = {}
+        for t in types:
+            add_counts(counts, primitive_counts(t))
+        if counts != target:
+            pruned += 1
+            continue
+        goal = Sequent(relabel(graph, dict(zip(edges, types))), g.distinguished)
+        result = prover.derive(goal)
+        assert not isinstance(result, BudgetExceeded)
+        nodes += prover.last_stats.nodes_expanded
+        closed += prover.last_stats.closed
+        if isinstance(result, DerivationTree):
+            return True, prover.relabelings, (pruned, nodes, closed)
+    return False, prover.relabelings, (pruned, nodes, closed)
+
+
+def test_member_matches_a_brute_force_reference():
+    """``hl_member`` derives the same relabelings in the same order as the
+    brute-force reference, with the same verdict and stats.  The 41- to
+    47-letter words widen the packing, and twelve nodes on one edge put the
+    hgr1 and hgr2 targets out of its range."""
+    census = all_binary_graphs((1, 2))
+    crowd = build_graph(range(12), [(STAR, (0, 1))], ())
+    words = ["".join(w) for n in range(1, 7) for w in itertools.product("ab", repeat=n)]
+    words += ["a" * 40 + "b", "b" + "a" * 41 + "b", "ab" * 3 + "a" * 41]
+
+    def in_sgr(w):
+        n = w.count("a")
+        return w == "a" * n + "b" * (n + 1)
+
+    cases = [(build_sgr(), sgr_string_graph(w), in_sgr(w)) for w in words]
+    cases += [(build_hgr1(), g, in_l1(g)) for g in census + [crowd]]
+    cases += [(build_hgr2(), g, in_l1(g) and is_bipartite(g)) for g in census + [crowd]]
+    derived = members = 0
+    for grammar, graph, expected in cases:
+        for seed in (0, 5):
+            prover = RelabelingRecorder()
+            result = hl_member(grammar, graph, prover=prover, seed=seed)
+            member, relabelings, stats = _reference_member(grammar, graph, seed)
+            assert isinstance(result, MemberWitness) == member == expected
+            assert prover.relabelings == relabelings
+            assert (result.stats.pruned, result.stats.nodes_expanded, result.stats.closed) == stats
+            derived += len(relabelings)
+            members += member
+    assert derived > 100 and members > 10
+
+
+def test_member_reads_one_label_table_per_grammar():
+    """A grammar value builds its label table and alphabet set once, on
+    first use, and its packed candidates once per packing bound;
+    ``types_for`` reads the table and agrees with a scan of the
+    correspondence for every alphabet label, one without types included."""
+    c = RankedLabel("c", 2)
+    sgr = build_sgr()
+    extended = HLGrammar(sgr.alphabet + (c,), sgr.distinguished, sgr.correspondence)
+    for g in (sgr, extended, build_hgr1(), build_hgr2()):
+        assert "_lexicon" not in g.__dict__
+        for a in g.alphabet:
+            scanned = [t for b, t in g.correspondence if b == a]
+            assert [id(t) for t in g.types_for(a)] == [id(t) for t in scanned]
+    assert extended.types_for(c) == ()
+    lexicon = sgr.__dict__["_lexicon"]
+    table = lexicon.table
+    for word in ("ab", "abb", "bbb", "abbb", "a" * 40 + "b"):
+        hl_member(sgr, sgr_string_graph(word))
+    assert sgr.__dict__["_lexicon"] is lexicon and lexicon.table is table
+    # 2, 3, 4 and 41 edges round up to 2, 4, 4 and 64 times the largest weight.
+    assert len(lexicon.packed) == 3
+    a, b = sgr.alphabet
+    result = hl_member(extended, string_graph([a, c, b]))
+    assert isinstance(result, NotMember) and result.stats.pruned == 0
 
 
 def test_member_never_recounts_a_relabeled_goal(monkeypatch):

@@ -24,6 +24,7 @@ from hlc.hltypes import (
     Product,
     add_counts,
     dollar_edge,
+    pack_counts,
     primitive_counts,
 )
 from hlc.matching import Tally, enumerate_context_extractions, enumerate_decompositions
@@ -1026,19 +1027,19 @@ def test_unreachable_targets_match_the_old_packing(monkeypatch):
     minus_p = Division(S, string_graph([dollar(2), P, S]))
     p13 = Product(build_graph(range(16), [(P, (i, i + 1)) for i in range(13)], (0, 13)))
     aliased = string_graph([Q, minus_p])
-    assert matching._pack(primitive_counts(p13), matching._host(_copy(aliased)).places) == 209
+    assert pack_counts(primitive_counts(p13), matching._host(_copy(aliased)).packing.places) == 209
     calls.append((enumerate_decompositions, aliased, (handle(p13),), [p13]))
     unreachable = [0]
-    target = matching._target
+    target = matching.pack_target
 
-    def counted(counts, facts):
-        packed = target(counts, facts)
-        unreachable[0] += packed == facts.unreachable
-        return packed
+    def counted(counts, packed):
+        value = target(counts, packed)
+        unreachable[0] += value == packed.unreachable
+        return value
 
-    monkeypatch.setattr(matching, "_target", counted)
+    monkeypatch.setattr(matching, "pack_target", counted)
     new = _items_and_tally([(e, _copy(h), args, True) for e, h, args, _ in calls])
-    monkeypatch.setattr(matching, "_target", target)
+    monkeypatch.setattr(matching, "pack_target", target)
     slot_counts = {}
 
     def old_host(host):
@@ -1048,10 +1049,9 @@ def test_unreachable_targets_match_the_old_packing(monkeypatch):
         return matching._Host(
             ext=frozenset(host.ext),
             isolated=[v for v in host.nodes if v not in incidences and v not in host.ext],
-            places=places,
-            bound=float("inf"),  # every slot label packs in the old places
-            unreachable=None,
-            packs={e: matching._pack(c, places) for e, c in edge_counts.items()},
+            # every slot label packs in the old places
+            packing=hltypes.Packing(places, float("inf"), None),
+            packs={e: pack_counts(c, places) for e, c in edge_counts.items()},
             ccs={e: hltypes.connective_count(host.lab[e]) for e in host.edges},
         )
 
@@ -1152,21 +1152,21 @@ def test_packing_is_injective_within_its_bound():
         # set M = bound.
         edges = [frozenset({(keys[1], 1)})] * (bound - 3)
         edges += [frozenset({(keys[2], -1)}), frozenset({(keys[3], 1)})]
-        places, m = matching._places(edges, 1)
+        places, m, _ = matching._packing(edges, 1)
         assert m == bound
         base = 2 * bound + 1
         assert places[NODES] == 1
         assert sorted(places.values()) == [1, base, base**2, base**3]
         cube = list(itertools.product(range(-bound, bound + 1), repeat=len(keys)))
         vectors = [frozenset((k, n) for k, n in zip(keys, c) if n) for c in cube]
-        packed = [matching._pack(v, places) for v in vectors]
+        packed = [pack_counts(v, places) for v in vectors]
         assert len(set(packed)) == len(vectors)
         too_small = {k: bound**i for i, k in enumerate(keys)}
-        assert len({matching._pack(v, too_small) for v in vectors}) < len(vectors)
+        assert len({pack_counts(v, too_small) for v in vectors}) < len(vectors)
         rng = random.Random(bound)
         for _ in range(50):
             u, w = rng.choice(cube), rng.choice(cube)
             total = frozenset((k, a + b) for k, a, b in zip(keys, u, w) if a + b)
-            assert matching._pack(total, places) == sum(
-                matching._pack(frozenset(zip(keys, x)), places) for x in (u, w)
+            assert pack_counts(total, places) == sum(
+                pack_counts(frozenset(zip(keys, x)), places) for x in (u, w)
             )
