@@ -40,6 +40,10 @@ def main() -> None:
     (out / "sgr_aabbb.seq").write_text(
         print_sequent(Sequent(string_graph([q, q, s, p, p]), sgr.distinguished))
     )
+    # Balanced, so it is refuted by search, not by its counts.
+    (out / "sgr_qsqpp.seq").write_text(
+        print_sequent(Sequent(string_graph([q, s, q, p, p]), sgr.distinguished))
+    )
     p2 = Primitive("p", 2)
     (out / "axiom_p.seq").write_text(print_sequent(Sequent(handle(p2), p2)))
     # p p |- p fails under w.val; p x(p.p) |- x(x(p.p).p) holds under any valuation.

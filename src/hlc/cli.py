@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 affirmative result, 1 negative result, 2 usage or format error,
-3 inconclusive (the node budget ran out, or a model check fell outside the
-exact fragment).  ``--budget-nodes`` is the one search setting: it caps the
+3 inconclusive (the node budget ran out, ``derive`` or ``member`` nested
+deeper than the interpreter's recursion limit, or a model check fell outside
+the exact fragment).  ``--budget-nodes`` is the one search setting: it caps the
 nodes expanded by one query, that is one ``derive``, or one membership
 question of ``member`` or ``suite`` over all its relabelings.
 """
@@ -312,6 +313,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except RecursionError:
+        if args.fn not in (cmd_derive, cmd_member):
+            raise
+        print(
+            "recursion limit exceeded: the search nests deeper than the interpreter's "
+            f"recursion limit ({sys.getrecursionlimit()} frames)"
+        )
+        return EXIT_INCONCLUSIVE
     except ParseError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -157,6 +157,46 @@ def string_graph(word: Sequence[object]) -> Hypergraph:
     return Hypergraph(nodes=nodes, edges=tuple(range(n)), att=att, lab=lab, ext=(0, n))
 
 
+def string_word(g: Hypergraph) -> tuple[object, ...] | None:
+    """The labels along ``g`` if it is a string graph, else None; the inverse
+    of :func:`string_graph` up to node and edge identifiers.
+
+    A string graph has two distinct external nodes and rank-2 edges that form
+    one directed path from ``ext[0]`` to ``ext[1]`` through every node; two
+    external nodes and nothing else give the empty word.  On a valid graph
+    with ``|V| = |E| + 1`` and at most one outgoing edge per node, the walk
+    from ``ext[0]`` is deterministic, and it takes at most ``|E|`` steps, so a
+    cycle cannot make it loop.  It ends on ``ext[1]``, which has no outgoing
+    edge, only if it repeated no node (a repeated node would put it on a
+    cycle, which it never leaves), so it visits ``|E| + 1`` distinct nodes,
+    that is all of them, along all ``|E|`` edges.
+    """
+    if len(g.ext) != 2:
+        return None
+    start, end = g.ext
+    if not g.edges:
+        return () if start != end and len(g.nodes) == 2 else None
+    if len(g.nodes) != len(g.edges) + 1:
+        return None
+    out: dict[int, int] = {}
+    for e in g.edges:
+        att = g.att[e]
+        if len(att) != 2 or att[0] in out:
+            return None
+        out[att[0]] = e
+    if end in out:
+        return None
+    word = []
+    v = start
+    for _ in g.edges:
+        e = out.get(v)
+        if e is None:
+            return None
+        word.append(g.lab[e])
+        v = g.att[e][1]
+    return tuple(word) if v == end else None
+
+
 def relabel(g: Hypergraph, f: Mapping[int, object]) -> Hypergraph:
     """Replace every edge label by ``f[edge]``; ranks must be preserved."""
     new_lab = {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -320,3 +321,82 @@ def test_long_sgr_sequent_is_derived():
     assert isinstance(result, DerivationTree)
     assert check_derivation(result) is None
     assert result.count_rule(DIV_LEFT) == n
+
+
+def _one_edit_words(n: int) -> list[str]:
+    """``q^n s p^n`` and every word one edit away from it: the last letter
+    dropped, a ``p`` added, the ``s`` moved, or a ``q`` and a ``p`` swapped."""
+    base = "q" * n + "s" + "p" * n
+    rest = base.replace("s", "")
+    words = {base, base[:-1]}
+    words |= {base[:i] + "p" + base[i:] for i in range(len(base) + 1)}
+    words |= {rest[:i] + "s" + rest[i:] for i in range(len(rest) + 1)}
+    for i in range(n):
+        for j in range(n + 1, 2 * n + 1):
+            swapped = list(base)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            words.add("".join(swapped))
+    return sorted(words)
+
+
+def _answers() -> tuple[list, list[Prover]]:
+    """Verdict, tree and stats of every string query below, and the provers
+    that answered them: fresh provers on q^n s p^n and its one-edit words
+    (n <= 6), one shared prover on every sgr word up to length 7 through
+    hl_member, and one on the Lambek corpus."""
+    from hlc.fixtures import build_sgr, sgr_string_graph
+    from hlc.fmt import tree_to_json
+    from hlc.grammars import MemberWitness, hl_member
+    from hlc.lambek import enumerate_lambek_corpus, translate_ltype
+
+    def record(result, stats):
+        tree = getattr(result, "tree", result)
+        shown = tree_to_json(tree) if isinstance(tree, DerivationTree) else None
+        return type(result).__name__, shown, stats
+
+    sgr = build_sgr()
+    types = dict(zip("qps", (t for _, t in sgr.correspondence)))
+    out, provers = [], []
+    for n in range(1, 7):
+        for word in _one_edit_words(n):
+            prover = Prover()
+            goal = Sequent(string_graph([types[c] for c in word]), sgr.distinguished)
+            out.append(record(prover.derive(goal), prover.last_stats))
+            provers.append(prover)
+    shared = Prover()
+    for length in range(1, 8):
+        for letters in itertools.product("ab", repeat=length):
+            result = hl_member(sgr, sgr_string_graph("".join(letters)), prover=shared)
+            out.append(record(result, result.stats))
+            if isinstance(result, MemberWitness):
+                out.append(sorted((e, t.canon_key()) for e, t in result.assignment.items()))
+    # translate_lsequent, with each Lambek type translated once.
+    translated: dict = {}
+
+    def translate(t):
+        if t not in translated:
+            translated[t] = translate_ltype(t)
+        return translated[t]
+
+    lambek = Prover()
+    for ants, succ in enumerate_lambek_corpus():
+        goal = Sequent(string_graph([translate(t) for t in ants]), translate(succ))
+        out.append(record(lambek.derive(goal), lambek.last_stats))
+    return out, provers + [shared, lambek]
+
+
+def test_word_key_answers_as_the_canonical_key(monkeypatch):
+    import hlc.calculus
+
+    answers, provers = _answers()
+    # Every goal of a string sequent is a string sequent, so no memo key here
+    # needs a canonical form.
+    keys = [key for p in provers for key in p.memo]
+    assert keys and all(key[0] == "string" for key in keys)
+    with monkeypatch.context() as patch:
+        patch.setattr(hlc.calculus, "string_word", lambda g: None)
+        reference, reference_provers = _answers()
+    assert not any(key[0] == "string" for p in reference_provers for key in p.memo)
+    assert len(answers) == len(reference)
+    for got, expected in zip(answers, reference):
+        assert got == expected

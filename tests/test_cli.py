@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,8 @@ from hlc.graphs import build_graph, dollar, handle, string_graph, RankedLabel
 from hlc.hltypes import Division, Primitive, Product, Sequent
 from hlc.suites import SUITES, run_suite
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 @pytest.fixture()
@@ -48,6 +52,11 @@ def workdir(tmp_path: Path) -> Path:
 def test_derive_exit_codes(workdir):
     assert main(["derive", str(workdir / "good.seq")]) == 0
     assert main(["derive", str(workdir / "bad.seq")]) == 1
+
+
+def test_balanced_fixture_sequent_is_refuted_by_search(capsys):
+    assert main(["derive", str(FIXTURES / "sgr_qsqpp.seq")]) == 1
+    assert capsys.readouterr().out == "not derivable\n"
 
 
 def test_derive_emits_checkable_tree(workdir, capsys):
@@ -301,3 +310,34 @@ def test_malformed_budget_flags_are_usage_errors(workdir, capsys):
     assert "--budget-nodes must be a positive integer, not -5" in err
     assert "--max-edges must be a positive integer, not 0" in err
     assert "--max-steps must be a positive integer, not 0" in err
+
+
+@pytest.mark.parametrize("command", ["derive", "member"])
+def test_search_deeper_than_the_recursion_limit_is_inconclusive(command, tmp_path):
+    # Search recurses a few frames per nesting level, so at a lowered limit
+    # the twentieth level of q^n s p^n is out of reach: that is no refutation.
+    limit, n = 60, 20
+    sgr = build_sgr()
+    if command == "derive":
+        q, p, s = (t for _, t in sgr.correspondence)
+        seq = Sequent(string_graph([q] * n + [s] + [p] * n), sgr.distinguished)
+        (tmp_path / "deep.seq").write_text(print_sequent(seq))
+        argv = ["derive", str(tmp_path / "deep.seq")]
+    else:
+        (tmp_path / "deep.hgf").write_text(print_graph(sgr_string_graph("a" * n + "b" * (n + 1))))
+        argv = ["member", "--grammar", str(FIXTURES / "sgr.hlg"), "--graph", str(tmp_path / "deep.hgf")]
+    script = f"import sys; from hlc.cli import main; sys.setrecursionlimit({limit}); sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == cli.EXIT_INCONCLUSIVE, done.stderr
+    assert done.stdout == (
+        "recursion limit exceeded: the search nests deeper than the interpreter's "
+        f"recursion limit ({limit} frames)\n"
+    )
+    assert done.stderr == ""

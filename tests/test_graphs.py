@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hlc.canon import canonical_form, isomorphic
+from hlc.canon import canonical_form, canonical_key, isomorphic
 from hlc.fixtures import build_syntree_hrg, syntree
 from hlc.graphs import (
     Hypergraph,
@@ -20,12 +21,14 @@ from hlc.graphs import (
     replace,
     replace_all,
     string_graph,
+    string_word,
     validate,
 )
 from hlc.hltypes import Division, Primitive
 
 A = RankedLabel("a", 2)
 B = RankedLabel("b", 2)
+C = RankedLabel("c", 2)
 
 
 def test_validate_handle_ok():
@@ -78,6 +81,63 @@ def test_string_graph_shapes():
     empty = string_graph([])
     assert len(empty.nodes) == 2 and empty.edges == () and len(empty.ext) == 2
     assert validate(empty) is None
+
+
+WORDS = [()] + [w for n in range(1, 5) for w in itertools.product([A, B, C], repeat=n)]
+
+
+def test_string_word_inverts_string_graph():
+    from tests.test_canon import permute
+
+    rng = random.Random(0)
+    for word in WORDS:
+        g = string_graph(word)
+        assert string_word(g) == word
+        assert string_word(permute(g, rng)) == word
+
+
+def _with(g: Hypergraph, *, nodes=None, ext=None) -> Hypergraph:
+    return Hypergraph(
+        g.nodes if nodes is None else nodes, g.edges, g.att, g.lab, g.ext if ext is None else ext
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _with(string_graph([A, B]), ext=(2, 0)),  # the path runs backwards
+        # 0 -> 1 <-> 2 with 3 isolated: |V| = |E| + 1, and the walk from 0 cycles.
+        build_graph(range(4), [(A, (0, 1)), (A, (1, 2)), (B, (2, 1))], ext=(0, 3)),
+        # The same, ending on ext[1] after |E| steps, which lies on the cycle.
+        build_graph(range(4), [(A, (0, 1)), (A, (1, 2)), (B, (2, 1))], ext=(0, 1)),
+        build_graph(range(3), [(A, (0, 1)), (B, (0, 2))], ext=(0, 2)),  # branch
+        build_graph(range(3), [(A, (0, 2)), (B, (1, 2))], ext=(0, 2)),  # merge
+        _with(string_graph([A, B]), nodes=(0, 1, 2, 3)),  # an extra isolated node
+        _with(string_graph([]), nodes=(0, 1, 2)),
+        build_graph(range(3), [(A, (0, 1)), (RankedLabel("t", 3), (0, 1, 2))], ext=(0, 2)),
+        _with(string_graph([A]), ext=()),
+        _with(string_graph([A]), ext=(0,)),
+        _with(string_graph([A, B]), ext=(0, 1, 2)),
+    ],
+    ids=[
+        "reversed", "cycle", "cycle-end", "branch", "merge", "isolated", "isolated-empty", "rank3",
+        "ext0", "ext1", "ext3",
+    ],
+)
+def test_string_word_refuses_other_graphs(g):
+    assert validate(g) is None
+    assert string_word(g) is None
+
+
+def test_equal_words_iff_equal_canonical_keys():
+    from tests.test_canon import permute
+
+    rng = random.Random(1)
+    graphs = [permute(string_graph(w), rng) for w in WORDS]
+    keys = [canonical_key(g) for g in graphs]
+    words = [string_word(g) for g in graphs]
+    for i, j in itertools.product(range(len(graphs)), repeat=2):
+        assert (words[i] == words[j]) == (keys[i] == keys[j])
 
 
 def test_string_graph_rejects_bad_rank():
