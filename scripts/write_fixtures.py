@@ -18,7 +18,7 @@ from hlc.fixtures import (
     syntree,
 )
 from hlc.fmt import print_graph, print_hl_grammar, print_hrg, print_sequent
-from hlc.graphs import handle, string_graph
+from hlc.graphs import Hypergraph, handle, string_graph
 from hlc.hltypes import Primitive, Product, Sequent
 from hlc.suites import kite_graph
 
@@ -32,7 +32,19 @@ def main() -> None:
     (out / "sgr_equiv.hrg").write_text(print_hrg(build_sgr_hrg()))
     (out / "syntree.hrg").write_text(print_hrg(build_syntree_hrg()))
     (out / "syntree.hgf").write_text(print_graph(syntree()))
-    (out / "aabbb.hgf").write_text(print_graph(sgr_string_graph("aabbb")))
+    aabbb = sgr_string_graph("aabbb")
+    (out / "aabbb.hgf").write_text(print_graph(aabbb))
+    # The same graph with its nodes and edges renumbered.
+    node = {v: (5 * v + 2) % 6 for v in aabbb.nodes}
+    edge = {e: 4 - e for e in aabbb.edges}
+    renumbered = Hypergraph(
+        nodes=tuple(node.values()),
+        edges=tuple(edge.values()),
+        att={edge[e]: tuple(node[v] for v in aabbb.att[e]) for e in aabbb.edges},
+        lab={edge[e]: aabbb.lab[e] for e in aabbb.edges},
+        ext=tuple(node[v] for v in aabbb.ext),
+    )
+    (out / "aabbb_perm.hgf").write_text(print_graph(renumbered))
     (out / "kite.hgf").write_text(print_graph(kite_graph()))
 
     sgr = build_sgr()

@@ -29,24 +29,10 @@ skipped as ``pruned``, and the partial maps its closed-slot cut removed as
 ``closed``.  Division pivots are tried lazily in edge order, so the search
 stops at the first pivot that yields a derivation and never enumerates the
 contexts of later ones.
-Results are memoized per isomorphism class of the normalized sequent and
-shared across calls on the same :class:`Prover`.  A goal whose antecedent is
-a string graph (:func:`hlc.graphs.string_word`) is keyed by its word,
-``("string", label keys, succedent key)``, without canonicalising it; any
-other goal by :meth:`hlc.hltypes.Sequent.canon_key`, ``("S", ...)``, so the
-two kinds of key never meet.  The word key is exact:
-
-* An isomorphism keeps the external sequence and the edge attachments, so
-  one between string graphs maps ``ext[0]`` to ``ext[0]`` and, since each
-  node has at most one outgoing edge, the i-th edge of the path to the i-th.
-  So it is unique, and it exists exactly when the words agree label by label.
-* Being a string graph is invariant under isomorphism, so no string goal is
-  isomorphic to a goal of the other kind.
-
-So two goals share a key exactly when their canonical keys are equal, and the
-memo's entries, every :class:`SearchStats` field and every tree are those a
-memo keyed by canonical keys gives.  A hit on an isomorphic copy finds its
-numerator edge by :func:`hlc.canon.transport_edge`, as before.
+Results are memoized per isomorphism class of the normalized sequent, keyed
+by :meth:`hlc.hltypes.Sequent.canon_key`, and shared across calls on the
+same :class:`Prover`.  A hit on an isomorphic copy finds its numerator edge
+by :func:`hlc.canon.transport_edge`.
 """
 
 from __future__ import annotations
@@ -54,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_key, transport_edge
-from .graphs import handle, relabel_one, replace, replace_all, replace_with_maps, string_word
+from .graphs import handle, relabel_one, replace, replace_all, replace_with_maps
 from .hltypes import (
     Division,
     Primitive,
@@ -216,10 +202,10 @@ class Prover:
     """Backward proof search with a memo table shared across calls.
 
     The memo holds one entry per isomorphism class of normalized sequents,
-    keyed by a string goal's word or by ``Sequent.canon_key()`` (see the
-    module docstring), and is append-only; failure is recorded only when the
-    subtree search was exhaustive (no budget event occurred inside it).  ``last_stats`` holds
-    the stats of the latest ``derive``, whatever it returned.
+    keyed by ``Sequent.canon_key()``, and is append-only; failure is recorded
+    only when the subtree search was exhaustive (no budget event occurred
+    inside it).  ``last_stats`` holds the stats of the latest ``derive``,
+    whatever it returned.
     """
 
     def __init__(self):
@@ -263,11 +249,7 @@ class Prover:
         quick = self._primitive_answer(nseq)
         if quick is not None:
             return _wrap_trace(quick, steps) if quick else None
-        word = string_word(nseq.antecedent)
-        if word is None:
-            key = nseq.canon_key()
-        else:
-            key = ("string", tuple(t.canon_key() for t in word), nseq.succedent.canon_key())
+        key = nseq.canon_key()
         cached = self.memo.get(key)
         if cached is not None:
             if cached is False:

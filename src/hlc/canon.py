@@ -1,12 +1,31 @@
 """Canonical forms and isomorphism for hypergraphs.
 
-Two graphs are isomorphic iff their canonical forms are byte-equal.  The
-canonical form is computed by iterative partition refinement on node colors
-(signatures built from edge labels, attachment positions, and external-node
-positions) followed by backtracking individualization; the minimum encoding
-over all discrete refinements is canonical, and the first leaf (in search
-order) that reaches it fixes the node and edge orders.  Only the *result* is
-contractual; the refinement heuristic is not.
+Two graphs are isomorphic iff their canonical forms are byte-equal.
+
+A string graph (:func:`hlc.graphs.string_path`: two distinct external
+nodes, and rank-2 edges that form one directed path from ``ext[0]`` to
+``ext[1]`` through every node) is keyed by its word, ``("W", label keys
+along the path)``, with its nodes and edges numbered along the path.  The
+word key is exact.  An isomorphism keeps the external sequence, the
+attachments and the ranks, so being a string graph is invariant under
+isomorphism, and no string graph is isomorphic to a graph of the other kind.
+An isomorphism between string graphs maps ``ext[0]`` to ``ext[0]`` and,
+since each node has at most one outgoing edge, the i-th edge and node of the
+path to the i-th; so it is unique, it keeps positions, and it exists exactly
+when the words agree label by label.  So two string graphs have equal keys
+exactly when they are isomorphic, and their path orders compose to that one
+isomorphism.  This covers every caller of a canonical key or ordering:
+:func:`isomorphic`, :func:`transport_edge`, the keys of types and sequents,
+the denotation keys of :mod:`hlc.models`, and
+:func:`hlc.calculus.check_derivation`.
+
+Every other graph's canonical form, ``("H", ...)``, is computed by
+iterative partition refinement on node colors (signatures built from edge
+labels, attachment positions, and external-node positions) followed by
+backtracking individualization; the minimum encoding over all discrete
+refinements is canonical, and the first leaf (in search order) that reaches
+it fixes the node and edge orders.  Only the *result* is contractual; the
+refinement heuristic is not.
 
 Refinement ranks each vertex by its color and the sorted colors around it,
 cell by cell.  A vertex alone in its cell keeps its rank whatever its
@@ -59,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Hypergraph
+from .graphs import Hypergraph, string_path
 
 
 class _Prep:
@@ -325,7 +344,15 @@ class _Search:
 def canon_data(g: Hypergraph):
     """(canonical tuple, node order, edge order); cached on the graph value."""
     cached = g.__dict__.get("_canon")
-    if cached is None:
+    if cached is not None:
+        return cached
+    path = string_path(g)
+    if path is not None:
+        att, lab = g.att, g.lab
+        nodes = [g.ext[0], *[att[e][1] for e in path]] if path else g.ext
+        key = ("W", tuple([lab[e].canon_key() for e in path]))
+        cached = (key, {v: i for i, v in enumerate(nodes)}, {e: i for i, e in enumerate(path)})
+    else:
         prep = _Prep(g)
         init = [0] * prep.n
         for pos, vi in enumerate(prep.ext):
@@ -342,7 +369,7 @@ def canon_data(g: Hypergraph):
         node_order = {v: colors[i] for i, v in enumerate(prep.nodes)}
         edge_map = {e: edge_order[i] for i, e in enumerate(prep.edges)}
         cached = (key, node_order, edge_map)
-        object.__setattr__(g, "_canon", cached)
+    object.__setattr__(g, "_canon", cached)
     return cached
 
 

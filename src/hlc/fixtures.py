@@ -188,82 +188,6 @@ def build_sgr_hrg() -> HRG:
     )
 
 
-def flowerbed_structure(
-    g: Hypergraph, spine: RankedLabel
-) -> tuple[list[list[RankedLabel]], RankedLabel] | None:
-    """Recognize a graph as a flowerbed over the given rank-2 spine label.
-
-    Returns the per-spine-node label multisets in spine order, or None.  The
-    spine must be a simple chain of ``spine``-edges; every other edge hangs
-    off a spine node by its first attachment, with the remaining attachments
-    on private nodes of that edge alone.
-    """
-    if g.ext or spine.rank != 2:
-        return None
-    spine_edges = [e for e in g.edges if g.lab[e] == spine]
-    flower_edges = [e for e in g.edges if g.lab[e] != spine]
-    successor: dict[int, int] = {}
-    indeg: dict[int, int] = {}
-    for e in spine_edges:
-        u, v = g.att[e]
-        if u in successor:
-            return None  # branching spine
-        successor[u] = v
-        indeg[v] = indeg.get(v, 0) + 1
-    starts = [u for u in successor if indeg.get(u, 0) == 0]
-    spine_nodes: list[int]
-    if spine_edges:
-        if len(starts) != 1 or any(k > 1 for k in indeg.values()):
-            return None
-        spine_nodes = [starts[0]]
-        while spine_nodes[-1] in successor:
-            spine_nodes.append(successor[spine_nodes[-1]])
-        if len(spine_nodes) != len(spine_edges) + 1:
-            return None  # a cycle hides part of the chain
-    else:
-        anchors = {g.att[e][0] for e in flower_edges if g.att[e]}
-        if len(anchors) > 1:
-            return None
-        spine_nodes = sorted(anchors) or [min(g.nodes, default=0)]
-        if not g.nodes:
-            return None
-    spine_set = set(spine_nodes)
-    private_owner: dict[int, int] = {}
-    multisets: dict[int, list[RankedLabel]] = {u: [] for u in spine_nodes}
-    for e in flower_edges:
-        att = g.att[e]
-        if not att or att[0] not in spine_set:
-            return None
-        for v in att[1:]:
-            if v in spine_set or v in private_owner:
-                return None
-            private_owner[v] = e
-        multisets[att[0]].append(g.lab[e])
-    covered = spine_set | set(private_owner)
-    if covered != set(g.nodes):
-        return None
-    return [multisets[u] for u in spine_nodes], spine
-
-
-def in_flowerbed_balanced(g: Hypergraph, spine: RankedLabel, *, offset: int) -> bool:
-    """Flowerbeds whose multiset pairs (starting at the given offset) carry
-    equal counts of every flower label within each pair."""
-    structure = flowerbed_structure(g, spine)
-    if structure is None:
-        return False
-    multisets, _ = structure
-    labels = {a for ms in multisets for a in ms}
-    i = offset
-    while i + 1 < len(multisets):
-        counts = {multisets[i].count(a) for a in labels} | {
-            multisets[i + 1].count(a) for a in labels
-        }
-        if len(counts) > 1:
-            return False
-        i += 2
-    return True
-
-
 def in_l1(g: Hypergraph) -> bool:
     """Binary graph, no isolated nodes, no external nodes, nonempty."""
     if g.ext:
@@ -356,14 +280,9 @@ def hgr1_witness(
     return assignment
 
 
-def all_binary_graphs(
-    edge_counts: tuple[int, ...],
-    *,
-    label: RankedLabel = STAR,
-    allow_isolated: bool = False,
-) -> list[Hypergraph]:
-    """Canonical representatives of binary graphs with the given edge counts,
-    no external nodes, and (by default) no isolated nodes.
+def all_binary_graphs(edge_counts: tuple[int, ...]) -> list[Hypergraph]:
+    """Canonical representatives of ``*``-labelled binary graphs with the
+    given edge counts, no external nodes and no isolated nodes.
 
     Only sorted edge tuples are built: sorting an edge tuple keeps its graph
     up to isomorphism and makes the tuple lexicographically no larger, so the
@@ -375,9 +294,9 @@ def all_binary_graphs(
             pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
             for combo in itertools.combinations_with_replacement(pairs, k):
                 covered = {v for pair in combo for v in pair}
-                if not allow_isolated and len(covered) != m:
+                if len(covered) != m:
                     continue
-                g = build_graph(range(m), [(label, pair) for pair in combo], ext=())
+                g = build_graph(range(m), [(STAR, pair) for pair in combo], ext=())
                 key = canonical_key(g)
                 if key not in out:
                     out[key] = g
@@ -418,7 +337,7 @@ def derivable_corpus(prover: Prover | None = None) -> list[DerivationTree]:
     witnesses, and direct product instances; every subderivation of a found
     tree is itself a corpus entry.
     """
-    from .lambek import enumerate_lambek_corpus, translate_lsequent
+    from .lambek import enumerate_lambek_corpus, translate_ltype
 
     prover = prover or Prover()
     trees: dict[object, DerivationTree] = {}
@@ -449,8 +368,17 @@ def derivable_corpus(prover: Prover | None = None) -> list[DerivationTree]:
         result = prover.derive(Sequent(g, Product(g)))
         assert isinstance(result, DerivationTree)
         add(result)
+    # Each distinct Lambek type is translated once, so the counts and keys
+    # cached on its translation are shared by every sequent it occurs in.
+    translated: dict = {}
+
+    def translate(t):
+        if t not in translated:
+            translated[t] = translate_ltype(t)
+        return translated[t]
+
     for ants, succ in enumerate_lambek_corpus(max_each=1, max_succ=2):
-        seq = translate_lsequent(ants, succ)
+        seq = Sequent(string_graph([translate(t) for t in ants]), translate(succ))
         result = prover.derive(seq)
         if isinstance(result, DerivationTree):
             add(result)

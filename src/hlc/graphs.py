@@ -157,13 +157,13 @@ def string_graph(word: Sequence[object]) -> Hypergraph:
     return Hypergraph(nodes=nodes, edges=tuple(range(n)), att=att, lab=lab, ext=(0, n))
 
 
-def string_word(g: Hypergraph) -> tuple[object, ...] | None:
-    """The labels along ``g`` if it is a string graph, else None; the inverse
-    of :func:`string_graph` up to node and edge identifiers.
+def string_path(g: Hypergraph) -> tuple[int, ...] | None:
+    """The edges along ``g`` in path order if it is a string graph, else
+    None; :func:`string_graph` gives its edges in this order.
 
     A string graph has two distinct external nodes and rank-2 edges that form
     one directed path from ``ext[0]`` to ``ext[1]`` through every node; two
-    external nodes and nothing else give the empty word.  On a valid graph
+    external nodes and nothing else give the empty path.  On a valid graph
     with ``|V| = |E| + 1`` and at most one outgoing edge per node, the walk
     from ``ext[0]`` is deterministic, and it takes at most ``|E|`` steps, so a
     cycle cannot make it loop.  It ends on ``ext[1]``, which has no outgoing
@@ -174,27 +174,28 @@ def string_word(g: Hypergraph) -> tuple[object, ...] | None:
     if len(g.ext) != 2:
         return None
     start, end = g.ext
-    if not g.edges:
+    edges, att = g.edges, g.att
+    if not edges:
         return () if start != end and len(g.nodes) == 2 else None
-    if len(g.nodes) != len(g.edges) + 1:
+    if len(g.nodes) != len(edges) + 1:
         return None
     out: dict[int, int] = {}
-    for e in g.edges:
-        att = g.att[e]
-        if len(att) != 2 or att[0] in out:
+    for e in edges:
+        a = att[e]
+        if len(a) != 2 or a[0] in out:
             return None
-        out[att[0]] = e
+        out[a[0]] = e
     if end in out:
         return None
-    word = []
+    path = []
     v = start
-    for _ in g.edges:
+    for _ in edges:
         e = out.get(v)
         if e is None:
             return None
-        word.append(g.lab[e])
-        v = g.att[e][1]
-    return tuple(word) if v == end else None
+        path.append(e)
+        v = att[e][1]
+    return tuple(path) if v == end else None
 
 
 def relabel(g: Hypergraph, f: Mapping[int, object]) -> Hypergraph:

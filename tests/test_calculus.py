@@ -345,7 +345,7 @@ def _answers() -> tuple[list, list[Prover]]:
     (n <= 6), one shared prover on every sgr word up to length 7 through
     hl_member, and one on the Lambek corpus."""
     from hlc.fixtures import build_sgr, sgr_string_graph
-    from hlc.fmt import tree_to_json
+    from hlc.fmt import print_type, tree_to_json
     from hlc.grammars import MemberWitness, hl_member
     from hlc.lambek import enumerate_lambek_corpus, translate_ltype
 
@@ -369,7 +369,7 @@ def _answers() -> tuple[list, list[Prover]]:
             result = hl_member(sgr, sgr_string_graph("".join(letters)), prover=shared)
             out.append(record(result, result.stats))
             if isinstance(result, MemberWitness):
-                out.append(sorted((e, t.canon_key()) for e, t in result.assignment.items()))
+                out.append(sorted((e, print_type(t)) for e, t in result.assignment.items()))
     # translate_lsequent, with each Lambek type translated once.
     translated: dict = {}
 
@@ -386,17 +386,20 @@ def _answers() -> tuple[list, list[Prover]]:
 
 
 def test_word_key_answers_as_the_canonical_key(monkeypatch):
-    import hlc.calculus
+    """The prover's memo, keyed by canonical keys, answers string goals with
+    canon's word keys exactly as with refinement keys: the same verdicts,
+    trees, stats and memo sizes."""
+    import hlc.canon
 
     answers, provers = _answers()
-    # Every goal of a string sequent is a string sequent, so no memo key here
-    # needs a canonical form.
-    keys = [key for p in provers for key in p.memo]
-    assert keys and all(key[0] == "string" for key in keys)
+    # Every goal of a string sequent is a string sequent, so every memo key
+    # here holds a word key.
+    assert all(key[1][0] == "W" for p in provers for key in p.memo)
     with monkeypatch.context() as patch:
-        patch.setattr(hlc.calculus, "string_word", lambda g: None)
+        patch.setattr(hlc.canon, "string_path", lambda g: None)
         reference, reference_provers = _answers()
-    assert not any(key[0] == "string" for p in reference_provers for key in p.memo)
+    assert all(key[1][0] == "H" for p in reference_provers for key in p.memo)
+    assert [len(p.memo) for p in provers] == [len(p.memo) for p in reference_provers]
     assert len(answers) == len(reference)
     for got, expected in zip(answers, reference):
         assert got == expected

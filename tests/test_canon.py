@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,9 @@ from hlc.canon import (
     transport_edge,
     witness_valid,
 )
-from hlc.graphs import Hypergraph, RankedLabel, build_graph, flowerbed, string_graph
+from hlc.fmt import print_graph
+from hlc.graphs import Hypergraph, RankedLabel, build_graph, dollar, flowerbed, string_graph
+from hlc.hltypes import Division, Primitive, Product
 
 A = RankedLabel("a", 2)
 B = RankedLabel("b", 2)
@@ -151,6 +154,82 @@ def test_canonical_key_distinguishes_parallel_edge_counts():
     one = build_graph([0, 1], [(A, (0, 1))], (0, 1))
     two = build_graph([0, 1], [(A, (0, 1)), (A, (0, 1))], (0, 1))
     assert canonical_key(one) != canonical_key(two)
+
+
+def _string_labels() -> list:
+    """Rank-2 labels for words: symbols, the hole ``$`` and types, two of them
+    with a string graph inside.  Built afresh on each call, since a type
+    caches its key."""
+    p, q = Primitive("p", 2), Primitive("q", 2)
+    return [
+        A, B, dollar(2), p, Division(q, string_graph([dollar(2), p])), Product(string_graph([p, q]))
+    ]
+
+
+def _words(rng: random.Random, count: int, max_len: int) -> list[tuple]:
+    labels = _string_labels()
+    lengths = [rng.randint(1, max_len) for _ in range(count)]
+    return [()] + [tuple(rng.choice(labels) for _ in range(n)) for n in lengths]
+
+
+def _near_misses(g: Hypergraph) -> list[Hypergraph]:
+    """One-edit changes of a string graph with edges: two different labels
+    swapped, one edge reversed, an extra isolated node, the external nodes
+    swapped, and the path closed into a cycle."""
+    edges = g.edges
+    out = []
+    for e, f in itertools.combinations(edges, 2):
+        if g.lab[e].canon_key() != g.lab[f].canon_key():
+            out.append(Hypergraph(g.nodes, edges, g.att, {**g.lab, e: g.lab[f], f: g.lab[e]}, g.ext))
+            break
+    mid = edges[len(edges) // 2]
+    out.append(Hypergraph(g.nodes, edges, {**g.att, mid: g.att[mid][::-1]}, g.lab, g.ext))
+    out.append(Hypergraph((*g.nodes, max(g.nodes) + 1), edges, g.att, g.lab, g.ext))
+    out.append(Hypergraph(g.nodes, edges, g.att, g.lab, g.ext[::-1]))
+    loop = max(edges) + 1
+    out.append(
+        Hypergraph(
+            g.nodes, (*edges, loop), {**g.att, loop: g.ext[::-1]}, {**g.lab, loop: g.lab[mid]}, g.ext
+        )
+    )
+    return out
+
+
+def test_string_graphs_are_keyed_by_their_word():
+    rng = random.Random(21)
+    for word in _words(rng, 60, 6):
+        g = string_graph(word)
+        h = permute(g, rng)
+        key = canonical_key(g)
+        assert key == ("W", tuple(a.canon_key() for a in word))
+        assert canonical_key(h) == key
+        w = isomorphic(g, h)
+        assert w is not None and witness_valid(g, h, w)
+        assert print_graph(g, canonical=True) == print_graph(h, canonical=True)
+        for near in _near_misses(g) if word else ():
+            assert canonical_key(near) != key
+            assert isomorphic(g, near) is None
+
+
+def _string_family(seed: int) -> list[Hypergraph]:
+    """String graphs of random words, a renamed copy of each, and their near
+    misses, all built afresh from ``seed``."""
+    rng = random.Random(seed)
+    graphs = []
+    for word in _words(rng, 30, 4):
+        g = string_graph(word)
+        graphs += [g, permute(g, rng), *(_near_misses(g) if word else ())]
+    return graphs
+
+
+def test_string_keys_agree_with_refinement(monkeypatch):
+    keys = [canonical_key(g) for g in _string_family(22)]
+    assert any(key[0] == "W" for key in keys) and any(key[0] == "H" for key in keys)
+    monkeypatch.setattr(hlc.canon, "string_path", lambda g: None)
+    reference = [canonical_key(g) for g in _string_family(22)]
+    assert all(key[0] == "H" for key in reference)
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        assert (keys[i] == keys[j]) == (reference[i] == reference[j])
 
 
 def _reference_refine(prep, colors):
@@ -308,8 +387,11 @@ def small_graphs(draw) -> Hypergraph:
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(small_graphs(), st.randoms(use_true_random=False))
 def test_pruned_search_equals_unpruned_reference(g, rng):
-    for graph in (g, permute(g, rng)):
-        assert canon_data(graph) == reference_canon_data(graph)
+    # String graphs too go through the search here; their word keys are
+    # tested above.
+    with mock.patch.object(hlc.canon, "string_path", lambda g: None):
+        for graph in (g, permute(g, rng)):
+            assert canon_data(graph) == reference_canon_data(graph)
 
 
 def test_symmetric_families_equal_unpruned_reference():

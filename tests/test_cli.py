@@ -157,9 +157,18 @@ def test_hrg_generate_and_convert(workdir, capsys):
     assert len(parsed.correspondence) == 3
 
 
-def test_iso_command(workdir):
+def test_iso_command(workdir, capsys):
     assert main(["iso", str(workdir / "aabbb.hgf"), str(workdir / "aabbb.hgf")]) == 0
     assert main(["iso", str(workdir / "aabbb.hgf"), str(workdir / "ab.hgf")]) == 1
+    capsys.readouterr()
+    # A renumbered copy: isomorphic, with byte-equal canonical prints.
+    aabbb, perm = str(FIXTURES / "aabbb.hgf"), str(FIXTURES / "aabbb_perm.hgf")
+    assert main(["iso", "--canonical", perm, aabbb]) == 0
+    first, rest = capsys.readouterr().out.split("---\n")
+    second, witness = rest.split("isomorphic\n")
+    assert first == second and witness.startswith("  nodes:")
+    assert main(["iso", aabbb, str(FIXTURES / "g_ab.hgf")]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
 
 
 def test_match_command(workdir, capsys):

@@ -171,63 +171,3 @@ def test_random_l1_graphs_are_in_l1():
     rng = random.Random(0)
     for _ in range(30):
         assert in_l1(random_l1_graph(rng, max_edges=5))
-
-
-def test_flowerbed_structure_roundtrip():
-    from hlc.fixtures import flowerbed_structure
-    from hlc.graphs import flowerbed
-
-    a1 = RankedLabel("a", 1)
-    z3 = RankedLabel("z", 3)
-    b = RankedLabel("b", 2)
-    rng = random.Random(1)
-    for _ in range(30):
-        multisets = [
-            [rng.choice([a1, z3]) for _ in range(rng.randint(0, 2))]
-            for _ in range(rng.randint(1, 4))
-        ]
-        g = flowerbed(multisets, b)
-        recovered = flowerbed_structure(g, b)
-        assert recovered is not None
-        got, spine = recovered
-        assert spine == b
-        assert [sorted(ms, key=repr) for ms in got] == [
-            sorted(ms, key=repr) for ms in multisets
-        ]
-
-
-def test_flowerbed_structure_rejects_non_flowerbeds():
-    from hlc.fixtures import flowerbed_structure
-
-    b = RankedLabel("b", 2)
-    a1 = RankedLabel("a", 1)
-    # Branching spine.
-    branch = build_graph([0, 1, 2], [(b, (0, 1)), (b, (0, 2))], ())
-    assert flowerbed_structure(branch, b) is None
-    # External nodes are not allowed.
-    ext = build_graph([0, 1], [(b, (0, 1))], (0,))
-    assert flowerbed_structure(ext, b) is None
-    # A flower anchored on a private node of another flower.
-    z2 = RankedLabel("z", 2)
-    bad = build_graph([0, 1], [(z2, (0, 1)), (a1, (1,))], ())
-    assert flowerbed_structure(bad, b) is None
-
-
-def test_flowerbed_balanced_oracles():
-    from hlc.fixtures import in_flowerbed_balanced
-    from hlc.graphs import flowerbed
-
-    a1 = RankedLabel("a", 1)
-    z3 = RankedLabel("z", 3)
-    b = RankedLabel("b", 2)
-    balanced = flowerbed([[a1, z3], [a1, z3], [a1, z3]], b)
-    assert in_flowerbed_balanced(balanced, b, offset=0)
-    assert in_flowerbed_balanced(balanced, b, offset=1)
-    lopsided = flowerbed([[a1, a1], [a1, z3]], b)
-    assert not in_flowerbed_balanced(lopsided, b, offset=0)
-    # Offsets shift which pairs are constrained.
-    skewed = flowerbed([[a1], [a1, z3], [a1, z3]], b)
-    assert not in_flowerbed_balanced(skewed, b, offset=0)
-    assert in_flowerbed_balanced(skewed, b, offset=1)
-    not_fb = build_graph([0, 1], [(b, (0, 1)), (b, (1, 0))], ())
-    assert not in_flowerbed_balanced(not_fb, b, offset=0)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hlc.canon import canonical_form, canonical_key, isomorphic
+from hlc.canon import canonical_form, isomorphic
 from hlc.fixtures import build_syntree_hrg, syntree
 from hlc.graphs import (
     Hypergraph,
@@ -21,7 +21,7 @@ from hlc.graphs import (
     replace,
     replace_all,
     string_graph,
-    string_word,
+    string_path,
     validate,
 )
 from hlc.hltypes import Division, Primitive
@@ -87,13 +87,20 @@ WORDS = [()] + [w for n in range(1, 5) for w in itertools.product([A, B, C], rep
 
 
 def test_string_word_inverts_string_graph():
+    """``string_path`` walks ``string_graph``'s edges in order, and reads the
+    same word off a copy with renamed nodes and edges."""
     from tests.test_canon import permute
 
     rng = random.Random(0)
     for word in WORDS:
         g = string_graph(word)
-        assert string_word(g) == word
-        assert string_word(permute(g, rng)) == word
+        assert string_path(g) == g.edges
+        h = permute(g, rng)
+        path = string_path(h)
+        assert tuple(h.lab[e] for e in path) == word
+        nodes = [h.ext[0], *(h.att[e][1] for e in path)] if path else list(h.ext)
+        assert all(h.att[e] == (nodes[i], nodes[i + 1]) for i, e in enumerate(path))
+        assert nodes[-1] == h.ext[1] and sorted(nodes) == list(h.nodes)
 
 
 def _with(g: Hypergraph, *, nodes=None, ext=None) -> Hypergraph:
@@ -126,18 +133,7 @@ def _with(g: Hypergraph, *, nodes=None, ext=None) -> Hypergraph:
 )
 def test_string_word_refuses_other_graphs(g):
     assert validate(g) is None
-    assert string_word(g) is None
-
-
-def test_equal_words_iff_equal_canonical_keys():
-    from tests.test_canon import permute
-
-    rng = random.Random(1)
-    graphs = [permute(string_graph(w), rng) for w in WORDS]
-    keys = [canonical_key(g) for g in graphs]
-    words = [string_word(g) for g in graphs]
-    for i, j in itertools.product(range(len(graphs)), repeat=2):
-        assert (words[i] == words[j]) == (keys[i] == keys[j])
+    assert string_path(g) is None
 
 
 def test_string_graph_rejects_bad_rank():
