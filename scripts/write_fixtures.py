@@ -18,7 +18,7 @@ from hlc.fixtures import (
     syntree,
 )
 from hlc.fmt import print_graph, print_hl_grammar, print_hrg, print_sequent
-from hlc.graphs import Hypergraph, handle, string_graph
+from hlc.graphs import Hypergraph, RankedLabel, build_graph, handle, string_graph
 from hlc.hltypes import Primitive, Product, Sequent
 from hlc.suites import kite_graph
 
@@ -69,6 +69,9 @@ def main() -> None:
     (out / "g_a.hgf").write_text(print_graph(sgr_string_graph("a")))
     (out / "g_ab.hgf").write_text(print_graph(sgr_string_graph("ab")))
     (out / "w.val").write_text("p/2 = { g_a.hgf , g_ab.hgf }\n")
+    # Rank 3 against sgr's rank-2 s; relabeling b by s balances the counts.
+    wrong_rank = build_graph([0, 1, 2], [(RankedLabel("b", 2), (0, 1))], ext=(0, 1, 2))
+    (out / "b_rank3.hgf").write_text(print_graph(wrong_rank))
     print(f"wrote fixtures to {out}")
 
 

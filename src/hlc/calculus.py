@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_key, transport_edge
-from .graphs import handle, relabel_one, replace, replace_all, replace_with_maps
+from .graphs import handle, handle_label, relabel_one, replace, replace_all, replace_with_maps
 from .hltypes import (
     Division,
     Primitive,
@@ -279,12 +279,7 @@ class Prover:
         for e in g.edges:
             if not isinstance(g.lab[e], Primitive):
                 return None
-        if (
-            len(g.edges) == 1
-            and g.att[g.edges[0]] == g.ext
-            and len(g.nodes) == len(g.ext)
-            and g.lab[g.edges[0]].canon_key() == succ.canon_key()
-        ):
+        if handle_label(g) == succ:
             return DerivationTree(nseq, AXIOM)
         return False
 

@@ -16,7 +16,7 @@ when the words agree label by label.  So two string graphs have equal keys
 exactly when they are isomorphic, and their path orders compose to that one
 isomorphism.  This covers every caller of a canonical key or ordering:
 :func:`isomorphic`, :func:`transport_edge`, the keys of types and sequents,
-the denotation keys of :mod:`hlc.models`, and
+the denotation keys of :mod:`hlc.models`, :func:`representatives`, and
 :func:`hlc.calculus.check_derivation`.
 
 Every other graph's canonical form, ``("H", ...)``, is computed by
@@ -76,7 +76,7 @@ keeps on the graph value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Hypergraph, string_path
 
@@ -376,6 +376,15 @@ def canon_data(g: Hypergraph):
 def canonical_key(g: Hypergraph):
     """Hashable canonical encoding; equal iff isomorphic."""
     return canon_data(g)[0]
+
+
+def representatives(graphs: Iterable[Hypergraph]) -> list[Hypergraph]:
+    """One graph per isomorphism class among ``graphs``, the first met of
+    each, in the order of their canonical keys."""
+    first: dict[object, Hypergraph] = {}
+    for g in graphs:
+        first.setdefault(canonical_key(g), g)
+    return [first[key] for key in sorted(first)]
 
 
 def canonical_form(g: Hypergraph) -> bytes:

@@ -13,7 +13,7 @@ import itertools
 import random
 
 from .calculus import DerivationTree, Prover
-from .canon import canonical_key, canonical_ordering
+from .canon import canonical_ordering, representatives
 from .graphs import (
     Hypergraph,
     RankedLabel,
@@ -288,19 +288,16 @@ def all_binary_graphs(edge_counts: tuple[int, ...]) -> list[Hypergraph]:
     up to isomorphism and makes the tuple lexicographically no larger, so the
     first tuple met for each key is the same sorted one that the ordered
     tuples of ``itertools.product`` would meet first."""
-    out: dict[object, Hypergraph] = {}
-    for k in edge_counts:
-        for m in range(2, 2 * k + 1):
-            pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
-            for combo in itertools.combinations_with_replacement(pairs, k):
-                covered = {v for pair in combo for v in pair}
-                if len(covered) != m:
-                    continue
-                g = build_graph(range(m), [(STAR, pair) for pair in combo], ext=())
-                key = canonical_key(g)
-                if key not in out:
-                    out[key] = g
-    return sorted(out.values(), key=canonical_key)
+
+    def graphs():
+        for k in edge_counts:
+            for m in range(2, 2 * k + 1):
+                pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
+                for combo in itertools.combinations_with_replacement(pairs, k):
+                    if len({v for pair in combo for v in pair}) == m:
+                        yield build_graph(range(m), [(STAR, pair) for pair in combo], ext=())
+
+    return representatives(graphs())
 
 
 def random_l1_graph(rng: random.Random, max_edges: int = 5) -> Hypergraph:
@@ -335,7 +332,8 @@ def derivable_corpus(prover: Prover | None = None) -> list[DerivationTree]:
 
     Gathered from the string grammar's accepted words, small all-graphs
     witnesses, and direct product instances; every subderivation of a found
-    tree is itself a corpus entry.
+    tree is itself a corpus entry.  One tree per conclusion, the first met,
+    in the order they are met, which does not depend on how keys encode.
     """
     from .lambek import enumerate_lambek_corpus, translate_ltype
 
@@ -382,7 +380,7 @@ def derivable_corpus(prover: Prover | None = None) -> list[DerivationTree]:
         result = prover.derive(seq)
         if isinstance(result, DerivationTree):
             add(result)
-    return [trees[k] for k in sorted(trees, key=repr)]
+    return list(trees.values())
 
 
 def nonderivable_corpus(prover: Prover | None = None) -> list[Sequent]:

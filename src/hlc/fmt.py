@@ -430,8 +430,7 @@ def _orders(g: Hypergraph, canonical: bool) -> tuple[list[int], list[int], dict[
         edges = sorted(g.edges, key=lambda e: edge_order[e])
         names = {v: i for i, v in enumerate(nodes)}
     else:
-        nodes = sorted(g.nodes)
-        edges = sorted(g.edges)
+        nodes, edges = list(g.nodes), list(g.edges)
         names = {v: v for v in nodes}
     return nodes, edges, names
 
@@ -494,11 +493,11 @@ def print_hrg(g: HRG) -> str:
 
 def graph_to_json(g: Hypergraph) -> dict:
     return {
-        "nodes": sorted(g.nodes),
+        "nodes": list(g.nodes),
         "ext": list(g.ext),
         "edges": [
             {"id": e, "label": print_label(g.lab[e]), "att": list(g.att[e])}
-            for e in sorted(g.edges)
+            for e in g.edges
         ],
     }
 
@@ -515,8 +514,8 @@ def graph_from_json(d: dict, mode: str = "type") -> Hypergraph:
             parser = _Parser(label_text)
             lab[edge["id"]] = parser.label(mode)
     return Hypergraph(
-        nodes=tuple(d["nodes"]),
-        edges=tuple(sorted(att)),
+        nodes=d["nodes"],
+        edges=att.keys(),
         att=att,
         lab=lab,
         ext=tuple(d["ext"]),

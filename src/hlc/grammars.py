@@ -27,8 +27,10 @@ from .calculus import (
     SearchBudget,
     SearchStats,
 )
-from .canon import canonical_key
-from .graphs import Hypergraph, RankedLabel, dollar, handle, relabel, replace, validate
+from .canon import canonical_key, representatives
+from .graphs import (
+    Hypergraph, RankedLabel, dollar, handle, handle_label, relabel, replace, validate
+)
 from .hltypes import (
     Division,
     HLType,
@@ -37,6 +39,7 @@ from .hltypes import (
     Primitive,
     Sequent,
     add_counts,
+    cached_report,
     connective_count,
     pack_counts,
     pack_target,
@@ -58,16 +61,9 @@ class HLGrammar:
         return tuple(t for t, _ in _lexicon(self).table.get(label, ()))
 
 
-_UNCHECKED = object()
-
-
 def validate_hl_grammar(g: HLGrammar) -> str | None:
     """None or the first violation; the verdict is cached on the grammar."""
-    cached = g.__dict__.get("_report", _UNCHECKED)
-    if cached is _UNCHECKED:
-        cached = _hl_grammar_report(g)
-        object.__setattr__(g, "_report", cached)
-    return cached
+    return cached_report(g, _hl_grammar_report)
 
 
 def _hl_grammar_report(g: HLGrammar) -> str | None:
@@ -247,7 +243,9 @@ def hl_member(
     stats; ``nodes_expanded`` and ``closed`` sum those of every ``derive``,
     a witness's stats included).  A balanced relabeling is built with its
     counts, the distinguished type's and the sum of its types' connective
-    counts, so ``derive`` does not walk it to find them.
+    counts, so ``derive`` does not walk it to find them.  A graph of another
+    rank than the distinguished type's is answered ``NotMember`` at once: no
+    relabeling of it is a sequent.
 
     What a query needs of the grammar, each label's types with their counts
     and the alphabet as a set, is found once and cached on the grammar
@@ -285,6 +283,8 @@ def hl_member(
             options = ()
         options_of[e] = options
     prover = prover or Prover()
+    if graph.rank != g.distinguished.rank:
+        return NotMember(SearchStats(0, 0, len(prover.memo)))
     rng = random.Random(seed)
     edges = sorted(options_of, key=lambda e: len(options_of[e]))
     candidates: list[list[tuple[HLType, int]]] = []
@@ -333,7 +333,7 @@ def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:
     start = handle(g.start)
     frontier = {canonical_key(start): start}
     seen = set(frontier)
-    results: dict[object, Hypergraph] = {}
+    results: list[Hypergraph] = []
     for _ in range(max_steps):
         if not frontier:
             break
@@ -341,7 +341,7 @@ def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:
         for graph in frontier.values():
             nt_edges = [e for e in sorted(graph.edges) if graph.lab[e] in nonterminals]
             if not nt_edges:
-                results.setdefault(canonical_key(graph), graph)
+                results.append(graph)
                 continue
             for e in nt_edges:
                 for prod in g.productions:
@@ -357,10 +357,8 @@ def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:
         frontier = next_frontier
     for graph in frontier.values():
         if not any(graph.lab[e] in nonterminals for e in graph.edges):
-            results.setdefault(canonical_key(graph), graph)
-    out = list(results.values())
-    out.sort(key=canonical_key)
-    return out
+            results.append(graph)
+    return representatives(results)
 
 
 def _membership_bounds(g: HRG, n_edges: int) -> tuple[int, int]:
@@ -437,12 +435,8 @@ def wgnf_to_hl(g: HRG, *, keep_trivial_divisions: bool = False) -> HLGrammar:
             else:  # unreachable in WGNF: a second designated terminal
                 raise ValueError("production has more than one designated terminal")
         denominator = relabel(prod.rhs, relabeling)
-        trivial = (
-            len(denominator.edges) == 1
-            and canonical_key(denominator) == canonical_key(handle(dollar(a.rank)))
-        )
         t: HLType
-        if trivial and not keep_trivial_divisions:
+        if handle_label(denominator) is not None and not keep_trivial_divisions:
             t = lhs_type
         else:
             t = Division(lhs_type, denominator)

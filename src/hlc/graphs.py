@@ -49,8 +49,9 @@ class Hypergraph:
 
     ``att`` maps each edge to its ordered attachment nodes, ``lab`` to its
     label (a :class:`RankedLabel` or a type from :mod:`hlc.hltypes`), and
-    ``ext`` lists the external nodes in order.  Construction is permissive;
-    use :func:`validate` to check the invariants.
+    ``ext`` lists the external nodes in order.  Construction sorts ``nodes``
+    and ``edges``, any iterables, into tuples, so no caller sorts them; it is
+    permissive otherwise: use :func:`validate` to check the invariants.
     """
 
     nodes: tuple[int, ...]
@@ -96,8 +97,8 @@ def build_graph(
     att = {i: tuple(a) for i, (_, a) in enumerate(edges)}
     lab = {i: l for i, (l, _) in enumerate(edges)}
     return Hypergraph(
-        nodes=tuple(sorted(set(nodes))),
-        edges=tuple(range(len(edges))),
+        nodes=set(nodes),
+        edges=range(len(edges)),
         att=att,
         lab=lab,
         ext=tuple(ext),
@@ -137,6 +138,16 @@ def handle(label: object) -> Hypergraph:
     r = label.rank
     nodes = tuple(range(r))
     return Hypergraph(nodes=nodes, edges=(0,), att={0: nodes}, lab={0: label}, ext=nodes)
+
+
+def handle_label(g: Hypergraph) -> object | None:
+    """The label of ``g``'s one edge if ``g`` is that label's handle (the edge
+    attached to the external nodes in order, no other node), else None; on a
+    valid graph, exactly when ``g`` is isomorphic to ``handle(label)``."""
+    if len(g.edges) != 1 or len(g.nodes) != len(g.ext):
+        return None
+    (e,) = g.edges
+    return g.lab[e] if tuple(g.att[e]) == g.ext else None
 
 
 def string_graph(word: Sequence[object]) -> Hypergraph:
@@ -237,7 +248,7 @@ def replace_with_maps(
         raise ValueError(f"replace: rank mismatch (edge rank {len(target)}, graph rank {h.rank})")
     node_map: dict[int, int] = dict(zip(h.ext, target))
     next_node = max(g.nodes, default=-1) + 1
-    for v in sorted(h.nodes):
+    for v in h.nodes:
         if v not in node_map:
             node_map[v] = next_node
             next_node += 1
@@ -245,14 +256,13 @@ def replace_with_maps(
     lab = {e: g.lab[e] for e in g.edges if e != e0}
     edge_map: dict[int, int] = {}
     next_edge = max(g.edges, default=-1) + 1
-    for e in sorted(h.edges):
+    for e in h.edges:
         edge_map[e] = next_edge
         next_edge += 1
         att[edge_map[e]] = tuple(node_map[v] for v in h.att[e])
         lab[edge_map[e]] = h.lab[e]
-    nodes = tuple(sorted(set(g.nodes) | {node_map[v] for v in h.nodes}))
-    edges = tuple(sorted(att))
-    return Hypergraph(nodes, edges, att, lab, g.ext), node_map, edge_map
+    nodes = set(g.nodes).union(node_map.values())
+    return Hypergraph(nodes, att.keys(), att, lab, g.ext), node_map, edge_map
 
 
 def replace(g: Hypergraph, e0: int, h: Hypergraph) -> Hypergraph:
@@ -285,7 +295,7 @@ def replace_all(g: Hypergraph, assignment: Mapping[int, Hypergraph]) -> Hypergra
                 f"replace: rank mismatch (edge rank {len(target)}, graph rank {h.rank})"
             )
         node_map: dict[int, int] = dict(zip(h.ext, target))
-        for v in h.nodes:  # sorted by construction
+        for v in h.nodes:
             if v not in node_map:
                 node_map[v] = next_node
                 next_node += 1
@@ -294,7 +304,7 @@ def replace_all(g: Hypergraph, assignment: Mapping[int, Hypergraph]) -> Hypergra
             lab[next_edge] = h.lab[e]
             next_edge += 1
     nodes = set(g.nodes).union(range(fresh, next_node))
-    return Hypergraph(tuple(sorted(nodes)), tuple(att), att, lab, g.ext)
+    return Hypergraph(nodes, att.keys(), att, lab, g.ext)
 
 
 def isolated_node_count(g: Hypergraph) -> int:

@@ -161,6 +161,18 @@ def dollar_edge(d: Hypergraph) -> int:
     return cached
 
 
+_UNCHECKED = object()
+
+
+def cached_report(x: object, report) -> str | None:
+    """``report(x)``, found once and cached on the frozen value ``x``."""
+    cached = x.__dict__.get("_report", _UNCHECKED)
+    if cached is _UNCHECKED:
+        cached = report(x)
+        object.__setattr__(x, "_report", cached)
+    return cached
+
+
 def validate_type(t: object) -> str | None:
     """Check a type tree recursively; None or the first violation.  The
     verdict is cached on the type value, so a subtree is checked once."""
@@ -182,11 +194,12 @@ def _type_report(t: HLType) -> str | None:
         report = validate(d)
         if report is not None:
             return f"denominator: {report}"
-        holes = [e for e in d.edges if is_dollar(d.lab[e])]
-        if len(holes) != 1:
-            return f"denominator must have exactly one $ edge, found {len(holes)}"
+        try:
+            hole = dollar_edge(d)
+        except ValueError as exc:
+            return str(exc)
         for e in d.edges:
-            if e in holes:
+            if e == hole:
                 continue
             lab = d.lab[e]
             if not isinstance(lab, HLType):

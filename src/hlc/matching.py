@@ -209,8 +209,8 @@ def _subgraph(
         nodes.update(host.att[e])
         cc += ccs[e]
     part = Hypergraph(
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(sorted(edges)),
+        nodes=nodes,
+        edges=edges,
         att={e: host.att[e] for e in edges},
         lab={e: host.lab[e] for e in edges},
         ext=ext,

@@ -49,14 +49,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .canon import canonical_key
-from .graphs import Hypergraph, RankedLabel, build_graph, replace_all, validate
+from .canon import canonical_key, representatives
+from .graphs import Hypergraph, RankedLabel, build_graph, handle_label, replace_all, validate
 from .hltypes import (
     Division,
     HLType,
     Primitive,
     Product,
     Sequent,
+    cached_report,
     dollar_edge,
     validate_sequent,
     validate_type,
@@ -91,16 +92,9 @@ class Valuation:
         return ()
 
 
-_UNCHECKED = object()
-
-
 def validate_valuation(w: Valuation) -> str | None:
     """None or the first violation; the verdict is cached on the valuation."""
-    cached = w.__dict__.get("_report", _UNCHECKED)
-    if cached is _UNCHECKED:
-        cached = _valuation_report(w)
-        object.__setattr__(w, "_report", cached)
-    return cached
+    return cached_report(w, _valuation_report)
 
 
 def _valuation_report(w: Valuation) -> str | None:
@@ -150,13 +144,6 @@ def contains_decidable(t: HLType) -> bool:
     return False
 
 
-def _dedupe(graphs) -> tuple[Hypergraph, ...]:
-    out: dict[object, Hypergraph] = {}
-    for g in graphs:
-        out.setdefault(canonical_key(g), g)
-    return tuple(out[key] for key in sorted(out))
-
-
 def _flatten(body: Hypergraph) -> Hypergraph:
     """``body`` with every product-labelled edge replaced by that product's
     body, round after round, until no edge is product-labelled."""
@@ -167,15 +154,6 @@ def _flatten(body: Hypergraph) -> Hypergraph:
         body = replace_all(body, nested)
 
 
-def _handle_label(body: Hypergraph) -> HLType | None:
-    """The label of ``body``'s one edge if ``body`` is that edge's handle
-    (attached to the external nodes in order, no other node), else None."""
-    if len(body.edges) != 1 or len(body.nodes) != len(body.ext):
-        return None
-    (e,) = body.edges
-    return body.lab[e] if tuple(body.att[e]) == body.ext else None
-
-
 def _flat(t: Product) -> tuple[Hypergraph, object]:
     """The flattened body of ``t`` and the key its denotation is cached
     under, computed once and cached on the product; neither refers back to
@@ -184,7 +162,7 @@ def _flat(t: Product) -> tuple[Hypergraph, object]:
     cached = t.__dict__.get("_flat")
     if cached is None:
         body = _flatten(t.body)
-        label = _handle_label(body)
+        label = handle_label(body)
         key = ("x", canonical_key(body)) if label is None else label.canon_key()
         cached = t._flat = (body, key)
     return cached
@@ -207,13 +185,14 @@ def denotation_enumerate(w: Valuation, t: HLType):
         return NOT_ENUMERABLE
     if isinstance(t, Product):
         body = _flat(t)[0]
-        label = _handle_label(body)
+        label = handle_label(body)
         if label is None:
             edges = body.edges
             picks = itertools.product(*(w.graphs(body.lab[e]) for e in edges))
-            return _dedupe(replace_all(body, dict(zip(edges, pick))) for pick in picks)
+            graphs = (replace_all(body, dict(zip(edges, pick))) for pick in picks)
+            return tuple(representatives(graphs))
         t = label
-    return _dedupe(w.graphs(t))
+    return tuple(representatives(w.graphs(t)))
 
 
 def _entry_key(t: HLType) -> object:

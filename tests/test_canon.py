@@ -18,6 +18,7 @@ from hlc.canon import (
     canonical_key,
     canonical_ordering,
     isomorphic,
+    representatives,
     transport_edge,
     witness_valid,
 )
@@ -75,6 +76,19 @@ def brute_force_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
         if need == have:
             return True
     return False
+
+
+def test_representatives_keep_the_first_met_of_each_class_in_key_order():
+    rng = random.Random(5)
+    graphs = [random_graph(rng, max_nodes=3, max_edges=2) for _ in range(40)]
+    pool = graphs + [permute(g, rng) for g in graphs]
+    rng.shuffle(pool)
+    reps = representatives(pool)
+    keys = [canonical_key(g) for g in reps]
+    assert keys == sorted(set(map(canonical_key, pool)))
+    assert len(reps) < len(graphs)  # some classes were met more than twice
+    for g in reps:
+        assert g is next(h for h in pool if canonical_key(h) == canonical_key(g))
 
 
 def test_renamed_copy_has_witness():

@@ -77,6 +77,12 @@ def test_member_exit_codes(workdir):
     assert main(args + ["--graph", str(workdir / "ab.hgf")]) == 1
 
 
+def test_member_refuses_a_graph_of_the_wrong_rank(capsys):
+    args = ["member", "--grammar", str(FIXTURES / "sgr.hlg")]
+    assert main(args + ["--graph", str(FIXTURES / "b_rank3.hgf")]) == 1
+    assert capsys.readouterr().out == "not a member\n"
+
+
 def test_member_budget_exit_names_the_nodes_expanded(capsys):
     """An inconclusive membership answer reports the nodes the prover expanded,
     summed over the relabelings tried, as ``hlc derive`` does; the budget

@@ -357,6 +357,24 @@ def test_member_rejects_unknown_labels(prover):
         hl_member(sgr, stray, prover=prover)
 
 
+@pytest.mark.parametrize("letter, balances", [("b", True), ("a", False)])
+def test_member_refuses_a_graph_of_the_wrong_rank(letter, balances):
+    """A rank-3 graph is no member of sgr, whose distinguished type has rank
+    2, whether or not a relabeling balances its counts (b by s does, a by q
+    does not); the answer comes before any relabeling is tried."""
+    sgr = build_sgr()
+    label = RankedLabel(letter, 2)
+    graph = build_graph([0, 1, 2], [(label, (0, 1))], ext=(0, 1, 2))
+    target = primitive_counts(sgr.distinguished)
+    assert any(primitive_counts(t) == target for t in sgr.types_for(label)) == balances
+    prover = CountingProver()
+    result = hl_member(sgr, graph, prover=prover)
+    assert isinstance(result, NotMember)
+    stats = result.stats
+    assert (stats.nodes_expanded, stats.pruned, stats.closed) == (0, 0, 0)
+    assert prover.calls == 0
+
+
 def test_hgr1_single_edge_and_isolated(prover):
     hgr1 = build_hgr1()
     edge = build_graph([0, 1], [(STAR, (0, 1))], ())

@@ -6,8 +6,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hlc.canon import canonical_form, isomorphic
-from hlc.fixtures import build_syntree_hrg, syntree
+from hlc.canon import canonical_form, canonical_key, isomorphic
+from hlc.fixtures import (
+    all_binary_graphs,
+    build_hgr1,
+    build_hgr2,
+    build_sgr,
+    build_syntree_hrg,
+    syntree,
+)
+from hlc.grammars import wgnf_to_hl
 from hlc.graphs import (
     Hypergraph,
     RankedLabel,
@@ -15,6 +23,7 @@ from hlc.graphs import (
     dollar,
     flowerbed,
     handle,
+    handle_label,
     isolated_node_count,
     relabel,
     relabel_one,
@@ -24,7 +33,7 @@ from hlc.graphs import (
     string_path,
     validate,
 )
-from hlc.hltypes import Division, Primitive
+from hlc.hltypes import Division, Primitive, Product
 
 A = RankedLabel("a", 2)
 B = RankedLabel("b", 2)
@@ -59,6 +68,75 @@ def test_handle_shapes():
     assert s0.nodes == () and len(s0.edges) == 1 and s0.ext == ()
     q3 = handle(RankedLabel("q", 3))
     assert len(q3.nodes) == 3 and q3.ext == q3.att[0] and len(q3.ext) == 3
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_handle_label_reads_handles(rank):
+    label = RankedLabel("h", rank)
+    assert handle_label(handle(label)) is label
+    p = Primitive("p", rank)
+    assert handle_label(handle(p)) is p
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        string_graph([A, B]),  # two edges
+        Hypergraph((0, 1), (0,), {0: (1, 0)}, {0: A}, (0, 1)),  # out of external order
+        build_graph([0, 1, 2], [(A, (0, 1))], (0, 1)),  # one extra isolated node
+        build_graph([0, 1], [], (0, 1)),  # no edge
+        build_graph([], [], ()),  # no edge, rank 0
+    ],
+)
+def test_handle_label_refuses_near_misses(g):
+    assert handle_label(g) is None
+
+
+def _handles_by_canon(g) -> bool:
+    """The reference: ``g`` is isomorphic to the handle of its one edge's label."""
+    return len(g.edges) == 1 and canonical_key(g) == canonical_key(handle(g.lab[g.edges[0]]))
+
+
+def _type_graphs(t):
+    """Every denominator and product body inside a type."""
+    if isinstance(t, Division):
+        yield t.denominator
+        yield from _type_graphs(t.numerator)
+        graph = t.denominator
+    elif isinstance(t, Product):
+        yield t.body
+        graph = t.body
+    else:
+        return
+    for e in graph.edges:
+        yield from _type_graphs(graph.lab[e])
+
+
+def test_handle_label_agrees_with_canonical_keys():
+    """``handle_label`` finds a handle exactly when the canonical key says
+    so: on the binary census under every external sequence, and on every
+    denominator and product body of the fixture grammars and of the syntree
+    grammar's conversion, trivial divisions kept or not."""
+    graphs = [
+        Hypergraph(g.nodes, g.edges, g.att, g.lab, ext)
+        for g in all_binary_graphs((1, 2))
+        for k in range(len(g.nodes) + 1)
+        for ext in itertools.permutations(g.nodes, k)
+    ]
+    syntree_hrg = build_syntree_hrg()
+    grammars = [build_sgr(), build_hgr1(), build_hgr2(), wgnf_to_hl(syntree_hrg)]
+    # Kept, the trivial production's division has a handle denominator.
+    grammars.append(wgnf_to_hl(syntree_hrg, keep_trivial_divisions=True))
+    types = [t for g in grammars for t in (g.distinguished, *(t for _, t in g.correspondence))]
+    graphs += [d for t in types for d in _type_graphs(t)]
+    found = 0
+    for g in graphs:
+        label = handle_label(g)
+        assert (label is not None) == _handles_by_canon(g)
+        if label is not None:
+            assert label is g.lab[g.edges[0]]
+            found += 1
+    assert 0 < found < len(graphs)
 
 
 def test_string_graph_shapes():
