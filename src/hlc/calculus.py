@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_key, transport_edge
-from .graphs import handle, handle_label, relabel_one, replace, replace_all, replace_with_maps
+from .graphs import handle, handle_label, replace, replace_all
 from .hltypes import (
     Division,
     Primitive,
@@ -69,7 +69,6 @@ DEFAULT_MAX_NODES = 1_000_000
 class DivLeftData:
     pivot_edge: int  # conclusion antecedent edge carrying the division type
     numerator_edge: int  # the numerator-labeled edge in premises[0]'s antecedent
-    part_order: tuple[int, ...]  # denominator edges aligned with premises[1:]
 
 
 @dataclass(frozen=True)
@@ -78,29 +77,33 @@ class TimesLeftData:
 
 
 @dataclass(frozen=True)
-class TimesRightData:
-    part_order: tuple[int, ...]  # pattern edges aligned with premises
-
-
-@dataclass(frozen=True)
 class DerivationTree:
-    """A rule-instance tree; re-checkable independently of the prover."""
+    """A rule-instance tree; re-checkable independently of the prover.
+
+    The rule fixes the order of the premises: division elimination has the
+    main premise first, then one premise per non-hole denominator edge in
+    edge-id order; product introduction has one premise per body edge in
+    edge-id order.
+    """
 
     conclusion: Sequent
     rule: str
     premises: tuple["DerivationTree", ...] = ()
     rule_data: object = None
 
+    def walk(self):
+        """Every node in pre-order, without recursion, so any depth is fine."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))
+
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        return sum(1 for _ in self.walk())
 
     def count_rule(self, rule: str) -> int:
-        return int(self.rule == rule) + sum(p.count_rule(rule) for p in self.premises)
-
-    def walk(self):
-        yield self
-        for p in self.premises:
-            yield from p.walk()
+        return sum(node.rule == rule for node in self.walk())
 
 
 @dataclass(frozen=True)
@@ -275,11 +278,9 @@ class Prover:
         succ = nseq.succedent
         if not isinstance(succ, Primitive):
             return None
-        g = nseq.antecedent
-        for e in g.edges:
-            if not isinstance(g.lab[e], Primitive):
-                return None
-        if handle_label(g) == succ:
+        if connective_count(nseq) != 0:
+            return None
+        if handle_label(nseq.antecedent) == succ:
             return DerivationTree(nseq, AXIOM)
         return False
 
@@ -314,7 +315,7 @@ class Prover:
                 continue
             d = lab.denominator
             hole = dollar_edge(d)
-            d_edges = sorted(de for de in d.edges if de != hole)
+            d_edges = [de for de in d.edges if de != hole]
             for extr in enumerate_context_extractions(g, e, lab, typed=self._tally):
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
@@ -330,24 +331,17 @@ class Prover:
                     if actual is extr.contracted
                     else transport_edge(extr.contracted, extr.numerator_edge, actual)
                 )
-                data = DivLeftData(
-                    pivot_edge=extr.pivot,
-                    numerator_edge=num_edge,
-                    part_order=tuple(d_edges),
-                )
+                data = DivLeftData(pivot_edge=extr.pivot, numerator_edge=num_edge)
                 return DerivationTree(nseq, DIV_LEFT, tuple(subtrees), data)
         if isinstance(succ, Product):
             body = succ.body
-            m_edges = sorted(body.edges)
             for dec in enumerate_decompositions(g, body, typed=self._tally):
-                premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in m_edges]
+                premise_seqs = [Sequent(dec.parts[m], body.lab[m]) for m in body.edges]
                 assert sum(connective_count(p) for p in premise_seqs) < cc
                 subtrees = self._prove_all(premise_seqs)
                 if subtrees is None:
                     continue
-                return DerivationTree(
-                    nseq, TIMES_RIGHT, tuple(subtrees), TimesRightData(tuple(m_edges))
-                )
+                return DerivationTree(nseq, TIMES_RIGHT, tuple(subtrees))
         return None
 
     def _prove_all(self, premise_seqs):
@@ -373,8 +367,19 @@ def check_derivation(t: DerivationTree) -> str | None:
     """Re-verify a derivation tree against the rule schemata, by reassembly.
 
     Returns None if every node is a correct instance of its cited rule with
-    the recorded rule data, otherwise a description of the first violation.
+    the recorded rule data, otherwise a description of the first violation
+    in pre-order.
     """
+    for node in t.walk():
+        report = _check_node(node)
+        if report is not None:
+            return report
+    return None
+
+
+def _check_node(t: DerivationTree) -> str | None:
+    """The first way ``t`` fails to instantiate its rule from its premises'
+    conclusions, or None."""
     report = validate_sequent(t.conclusion)
     if report is not None:
         return f"invalid conclusion: {report}"
@@ -419,12 +424,10 @@ def check_derivation(t: DerivationTree) -> str | None:
                 return "division elimination pivot not labeled by a division"
             d = lab.denominator
             hole = dollar_edge(d)
-            d_edges = sorted(e for e in d.edges if e != hole)
-            if sorted(data.part_order) != d_edges:
-                return "division elimination part order does not match the denominator"
+            d_edges = [e for e in d.edges if e != hole]
             if len(t.premises) != 1 + len(d_edges):
                 return "division elimination premise count mismatch"
-            main = t.premises[0]
+            main, parts = t.premises[0], t.premises[1:]
             if main.conclusion.succedent != succ:
                 return "division elimination main premise succedent mismatch"
             h = main.conclusion.antecedent
@@ -432,35 +435,25 @@ def check_derivation(t: DerivationTree) -> str | None:
                 return "division elimination numerator edge missing"
             if h.lab[data.numerator_edge] != lab.numerator:
                 return "division elimination numerator edge label mismatch"
-            for de, premise in zip(data.part_order, t.premises[1:]):
+            for de, premise in zip(d_edges, parts):
                 if premise.conclusion.succedent != d.lab[de]:
                     return "division elimination part premise succedent mismatch"
-            composite, _, emap = replace_with_maps(h, data.numerator_edge, d)
-            composite = relabel_one(composite, emap[hole], lab)
-            composite = replace_all(
-                composite,
-                {
-                    emap[de]: premise.conclusion.antecedent
-                    for de, premise in zip(data.part_order, t.premises[1:])
-                },
-            )
+            fill = {de: p.conclusion.antecedent for de, p in zip(d_edges, parts)}
+            fill[hole] = handle(lab)
+            composite = replace(h, data.numerator_edge, replace_all(d, fill))
             if canonical_key(composite) != canonical_key(g):
                 return "division elimination reassembly does not match the conclusion"
         elif t.rule == TIMES_RIGHT:
-            data = t.rule_data
             if not isinstance(succ, Product):
                 return "product introduction with non-product succedent"
             body = succ.body
-            if sorted(data.part_order) != sorted(body.edges):
-                return "product introduction part order does not match the pattern"
             if len(t.premises) != len(body.edges):
                 return "product introduction premise count mismatch"
-            for m, premise in zip(data.part_order, t.premises):
+            for m, premise in zip(body.edges, t.premises):
                 if premise.conclusion.succedent != body.lab[m]:
                     return "product introduction premise succedent mismatch"
             composite = replace_all(
-                body,
-                {m: premise.conclusion.antecedent for m, premise in zip(data.part_order, t.premises)},
+                body, {m: p.conclusion.antecedent for m, p in zip(body.edges, t.premises)}
             )
             if canonical_key(composite) != canonical_key(g):
                 return "product introduction reassembly does not match the conclusion"
@@ -468,10 +461,6 @@ def check_derivation(t: DerivationTree) -> str | None:
             return f"unknown rule {t.rule!r}"
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return f"rule data does not fit: {exc}"
-    for premise in t.premises:
-        report = check_derivation(premise)
-        if report is not None:
-            return report
     return None
 
 

@@ -412,7 +412,7 @@ def witness_valid(g: Hypergraph, h: Hypergraph, w: IsoWitness) -> bool:
         return False
     for e in g.edges:
         other = w.edge_map[e]
-        if tuple(w.node_map[v] for v in g.att[e]) != h.att[other]:
+        if tuple(w.node_map[v] for v in g.att[e]) != tuple(h.att[other]):
             return False
         if g.lab[e].canon_key() != h.lab[other].canon_key():
             return False

@@ -83,18 +83,26 @@ def _budget_exceeded(budget: SearchBudget, result: BudgetExceeded) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _checked_emit(tree: DerivationTree, emit_tree: str | None) -> bool:
+    """Check a tree the search produced and write it to ``--emit-tree``, if
+    given; False, after reporting an internal error, when the check fails."""
+    report = check_derivation(tree)
+    if report is not None:
+        print(f"internal error: produced tree fails verification: {report}")
+        return False
+    if emit_tree:
+        Path(emit_tree).write_text(json.dumps(tree_to_json(tree), indent=1))
+    return True
+
+
 def cmd_derive(args) -> int:
     seq = parse_sequent(_read(args.sequent))
     budget = _budget(args)
     result = Prover().derive(seq, budget)
     if isinstance(result, DerivationTree):
-        report = check_derivation(result)
-        if report is not None:
-            print(f"internal error: produced tree fails verification: {report}")
+        if not _checked_emit(result, args.emit_tree):
             return EXIT_USAGE
         print(f"derivable ({result.size()} tree nodes)")
-        if args.emit_tree:
-            Path(args.emit_tree).write_text(json.dumps(tree_to_json(result), indent=1))
         return EXIT_YES
     if isinstance(result, BudgetExceeded):
         return _budget_exceeded(budget, result)
@@ -112,15 +120,11 @@ def cmd_member(args) -> int:
         print(f"error: {exc}")
         return EXIT_USAGE
     if isinstance(result, MemberWitness):
-        report = check_derivation(result.tree)
-        if report is not None:
-            print(f"internal error: produced tree fails verification: {report}")
+        if not _checked_emit(result.tree, args.emit_tree):
             return EXIT_USAGE
         print("member")
         for e in sorted(result.assignment):
             print(f"  edge {e} : {print_type(result.assignment[e])}")
-        if args.emit_tree:
-            Path(args.emit_tree).write_text(json.dumps(tree_to_json(result.tree), indent=1))
         return EXIT_YES
     if isinstance(result, BudgetExceeded):
         return _budget_exceeded(budget, result)

@@ -26,15 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .calculus import (
-    DIV_LEFT,
-    TIMES_LEFT,
-    TIMES_RIGHT,
-    DerivationTree,
-    DivLeftData,
-    TimesLeftData,
-    TimesRightData,
-)
+from .calculus import DIV_LEFT, TIMES_LEFT, DerivationTree, DivLeftData, TimesLeftData
 from .canon import canonical_ordering
 from .graphs import DOLLAR_NAME, Hypergraph, RankedLabel, dollar, validate
 from .grammars import HRG, HLGrammar, Production, validate_hl_grammar, validate_hrg
@@ -478,10 +470,8 @@ def print_hrg(g: HRG) -> str:
         "terminal: " + " ".join(f"{x.name}/{x.rank}" for x in g.terminals),
     ]
     if g.fixed:
-        lines.append(
-            "fixed: "
-            + " ".join(f"{x.name}/{x.rank}" for x in sorted(g.fixed, key=lambda l: l.name))
-        )
+        fixed = sorted(g.fixed, key=lambda l: (l.name, l.rank))
+        lines.append("fixed: " + " ".join(f"{x.name}/{x.rank}" for x in fixed))
     lines.append(f"start: {g.start.name}")
     for prod in g.productions:
         lines.append(f"prod {prod.lhs.name} -> {print_graph_inline(prod.rhs)}")
@@ -525,18 +515,9 @@ def graph_from_json(d: dict, mode: str = "type") -> Hypergraph:
 def _rule_data_to_json(t: DerivationTree) -> dict | None:
     if t.rule == DIV_LEFT:
         data = t.rule_data
-        pivot_type = t.conclusion.antecedent.lab[data.pivot_edge]
-        denominator_edges = sorted(pivot_type.denominator.edges)
-        return {
-            "pivot_edge": data.pivot_edge,
-            "numerator_edge": data.numerator_edge,
-            "part_order": [denominator_edges.index(de) for de in data.part_order],
-        }
+        return {"pivot_edge": data.pivot_edge, "numerator_edge": data.numerator_edge}
     if t.rule == TIMES_LEFT:
         return {"edge": t.rule_data.edge}
-    if t.rule == TIMES_RIGHT:
-        body_edges = sorted(t.conclusion.succedent.body.edges)
-        return {"part_order": [body_edges.index(m) for m in t.rule_data.part_order]}
     return None
 
 
@@ -561,17 +542,10 @@ def tree_from_json(d: dict) -> DerivationTree:
     rule = d["rule"]
     data: object = None
     raw = d.get("rule_data")
+    # Older files also carry a "part_order"; it always held the order the
+    # rule fixes, so it is ignored.
     if rule == DIV_LEFT:
-        pivot_type = conclusion.antecedent.lab[raw["pivot_edge"]]
-        denominator_edges = sorted(pivot_type.denominator.edges)
-        data = DivLeftData(
-            pivot_edge=raw["pivot_edge"],
-            numerator_edge=raw["numerator_edge"],
-            part_order=tuple(denominator_edges[i] for i in raw["part_order"]),
-        )
+        data = DivLeftData(pivot_edge=raw["pivot_edge"], numerator_edge=raw["numerator_edge"])
     elif rule == TIMES_LEFT:
         data = TimesLeftData(edge=raw["edge"])
-    elif rule == TIMES_RIGHT:
-        body_edges = sorted(conclusion.succedent.body.edges)
-        data = TimesRightData(part_order=tuple(body_edges[i] for i in raw["part_order"]))
     return DerivationTree(conclusion=conclusion, rule=rule, premises=premises, rule_data=data)

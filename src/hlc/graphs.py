@@ -231,43 +231,11 @@ def relabel_one(g: Hypergraph, e0: int, label: object) -> Hypergraph:
     return Hypergraph(g.nodes, g.edges, dict(g.att), new_lab, g.ext)
 
 
-def replace_with_maps(
-    g: Hypergraph, e0: int, h: Hypergraph
-) -> tuple[Hypergraph, dict[int, int], dict[int, int]]:
-    """Replace edge ``e0`` of ``g`` by a fresh copy of ``h``.
-
-    The i-th external node of ``h`` is fused with the i-th attachment node of
-    ``e0``; all other nodes and all edges of ``h`` receive fresh identifiers.
-    Returns the result together with the node and edge maps taking ``h``'s
-    carrier into it.
-    """
-    if e0 not in g.lab:
-        raise KeyError(f"replace: unknown edge {e0}")
-    target = g.att[e0]
-    if len(target) != h.rank:
-        raise ValueError(f"replace: rank mismatch (edge rank {len(target)}, graph rank {h.rank})")
-    node_map: dict[int, int] = dict(zip(h.ext, target))
-    next_node = max(g.nodes, default=-1) + 1
-    for v in h.nodes:
-        if v not in node_map:
-            node_map[v] = next_node
-            next_node += 1
-    att = {e: g.att[e] for e in g.edges if e != e0}
-    lab = {e: g.lab[e] for e in g.edges if e != e0}
-    edge_map: dict[int, int] = {}
-    next_edge = max(g.edges, default=-1) + 1
-    for e in h.edges:
-        edge_map[e] = next_edge
-        next_edge += 1
-        att[edge_map[e]] = tuple(node_map[v] for v in h.att[e])
-        lab[edge_map[e]] = h.lab[e]
-    nodes = set(g.nodes).union(node_map.values())
-    return Hypergraph(nodes, att.keys(), att, lab, g.ext), node_map, edge_map
-
-
 def replace(g: Hypergraph, e0: int, h: Hypergraph) -> Hypergraph:
-    """``g`` with edge ``e0`` replaced by (a fresh copy of) ``h``."""
-    return replace_with_maps(g, e0, h)[0]
+    """``g`` with edge ``e0`` replaced by a fresh copy of ``h``: the i-th
+    external node of ``h`` is fused with the i-th attachment node of ``e0``,
+    and every other node and every edge of ``h`` gets a fresh identifier."""
+    return replace_all(g, {e0: h})
 
 
 def replace_all(g: Hypergraph, assignment: Mapping[int, Hypergraph]) -> Hypergraph:

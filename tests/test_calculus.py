@@ -9,7 +9,9 @@ import pytest
 from hlc.calculus import (
     AXIOM,
     DIV_LEFT,
+    DIV_RIGHT,
     TIMES_LEFT,
+    TIMES_RIGHT,
     BudgetExceeded,
     DerivationTree,
     DivLeftData,
@@ -116,6 +118,12 @@ def test_checker_rejects_fake_axiom():
     assert "non-primitive" in check_derivation(nonprim)
 
 
+def _swap_parts(tree: DerivationTree, first: int) -> DerivationTree:
+    premises = list(tree.premises)
+    premises[first], premises[first + 1] = premises[first + 1], premises[first]
+    return DerivationTree(tree.conclusion, tree.rule, tuple(premises), tree.rule_data)
+
+
 def test_checker_rejects_mutated_rule_data(prover):
     seq = Sequent(string_graph([SGR_Q, S2, P2]), S2)
     tree = prover.derive(seq)
@@ -131,7 +139,7 @@ def test_checker_rejects_mutated_rule_data(prover):
         tree.conclusion,
         tree.rule,
         tree.premises,
-        DivLeftData(data.pivot_edge, other, data.part_order),
+        DivLeftData(data.pivot_edge, other),
     )
     assert check_derivation(mutated) is not None
     shuffled = DerivationTree(
@@ -141,6 +149,44 @@ def test_checker_rejects_mutated_rule_data(prover):
         data,
     )
     assert check_derivation(shuffled) is not None
+    # The rule fixes the part premises to the sorted non-hole denominator
+    # edges, here s then p: swapped, they no longer fit their edges.
+    assert [p.conclusion.succedent for p in tree.premises[1:]] == [S2, P2]
+    assert check_derivation(_swap_parts(tree, 1)) is not None
+
+
+def test_product_introduction_premises_follow_body_edge_order(prover):
+    tree = prover.derive(Sequent(string_graph([P2, Q2]), Product(string_graph([P2, Q2]))))
+    assert isinstance(tree, DerivationTree) and tree.rule == TIMES_RIGHT
+    assert tree.rule_data is None
+    assert [p.conclusion.succedent for p in tree.premises] == [P2, Q2]
+    assert check_derivation(tree) is None
+    assert check_derivation(_swap_parts(tree, 0)) is not None
+
+
+def test_tree_walk_has_no_depth_limit():
+    # A hand-built chain far deeper than the recursion limit: one axiom under
+    # alternating unary rule nodes (not a valid derivation, only a shape).
+    depth = 10_000
+    seq = Sequent(handle(P2), P2)
+    tree = DerivationTree(seq, AXIOM)
+    for i in range(depth - 1):
+        tree = DerivationTree(seq, (TIMES_LEFT, DIV_RIGHT)[i % 2], (tree,))
+    nodes = list(tree.walk())
+    assert len(nodes) == depth and nodes[0] is tree and nodes[-1].rule == AXIOM
+    assert tree.size() == depth
+    assert tree.count_rule(AXIOM) == 1
+    assert tree.count_rule(TIMES_LEFT) == 5_000 and tree.count_rule(DIV_RIGHT) == 4_999
+
+
+def test_walk_is_pre_order(prover):
+    tree = prover.derive(Sequent(string_graph([SGR_Q, SGR_Q, S2, P2, P2]), S2))
+    assert isinstance(tree, DerivationTree)
+
+    def pre_order(t):
+        return [t] + [n for p in t.premises for n in pre_order(p)]
+
+    assert [id(n) for n in tree.walk()] == [id(n) for n in pre_order(tree)]
 
 
 def test_cut_with_axiom_is_identity(prover):

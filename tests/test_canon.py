@@ -147,6 +147,19 @@ def test_invalid_witness_rejected():
     assert not witness_valid(g, h, bad)
 
 
+def test_list_attachments_give_a_valid_witness():
+    # Graph construction keeps attachments as given, so they may be lists.
+    listed = Hypergraph(nodes=[0, 1], edges=[0], att={0: [0, 1]}, lab={0: A}, ext=[])
+    tupled = Hypergraph(nodes=[0, 1], edges=[0], att={0: (0, 1)}, lab={0: A}, ext=[])
+    for g, h in ((listed, listed), (listed, tupled), (tupled, listed)):
+        w = isomorphic(g, h)
+        assert w is not None and witness_valid(g, h, w)
+    flipped = Hypergraph(nodes=[0, 1], edges=[0], att={0: [1, 0]}, lab={0: A}, ext=[])
+    identity = IsoWitness(node_map={0: 0, 1: 1}, edge_map={0: 0})
+    assert witness_valid(listed, tupled, identity)
+    assert not witness_valid(flipped, tupled, identity)
+
+
 def test_transport_edge_roundtrip():
     rng = random.Random(11)
     for _ in range(50):

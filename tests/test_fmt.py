@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,8 @@ from hlc.fmt import (
     tree_from_json,
     tree_to_json,
 )
-from hlc.graphs import RankedLabel, dollar, string_graph
+from hlc.grammars import HRG, Production
+from hlc.graphs import RankedLabel, build_graph, dollar, string_graph
 from hlc.hltypes import Division, Primitive, Product, Sequent
 
 A = RankedLabel("a", 2)
@@ -72,6 +77,19 @@ def test_sequent_round_trip():
     assert parse_sequent(canonical) == seq
 
 
+def _two_fixed_labels_hrg() -> HRG:
+    s = RankedLabel("S", 2)
+    l1, l2 = RankedLabel("l", 1), RankedLabel("l", 2)
+    rhs = build_graph([0, 1], [(l2, (0, 1)), (l1, (0,))], (0, 1))
+    return HRG(
+        nonterminals=(s,),
+        terminals=(l1, l2),
+        productions=(Production(s, rhs),),
+        start=s,
+        fixed=frozenset({l1, l2}),
+    )
+
+
 def test_grammar_round_trips():
     for grammar in (build_sgr(), build_hgr1()):
         back = parse_hl_grammar(print_hl_grammar(grammar))
@@ -80,7 +98,7 @@ def test_grammar_round_trips():
         assert len(back.correspondence) == len(grammar.correspondence)
         for (a, t), (b, u) in zip(back.correspondence, grammar.correspondence):
             assert a == b and t == u
-    for hrg in (build_syntree_hrg(), build_sgr_hrg()):
+    for hrg in (build_syntree_hrg(), build_sgr_hrg(), _two_fixed_labels_hrg()):
         back = parse_hrg(print_hrg(hrg))
         assert back.nonterminals == hrg.nonterminals
         assert back.terminals == hrg.terminals
@@ -89,6 +107,26 @@ def test_grammar_round_trips():
         assert len(back.productions) == len(hrg.productions)
         for p, q in zip(back.productions, hrg.productions):
             assert p.lhs == q.lhs and isomorphic(p.rhs, q.rhs) is not None
+
+
+def test_fixed_labels_print_the_same_under_every_hash_seed():
+    # Labels that share a name iterate in hash order, which PYTHONHASHSEED
+    # changes from one interpreter to the next.
+    text = print_hrg(_two_fixed_labels_hrg())
+    assert "fixed: l/1 l/2\n" in text
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys; from hlc.fmt import parse_hrg, print_hrg; "
+        "print(print_hrg(parse_hrg(sys.argv[1])), end='')"
+    )
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, text], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == text
 
 
 def test_valuation_lines():
@@ -160,6 +198,30 @@ def test_tree_json_covers_reversible_rules(prover):
     assert tree.count_rule("div_right") >= 1 and tree.count_rule("times_left") >= 1
     back = tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
     assert check_derivation(back) is None
+
+
+def test_trees_written_with_part_order_load_and_check():
+    """Trees as hlc wrote them when ``div_left`` and ``times_right`` nodes
+    carried a ``part_order``: the ``hlc derive --emit-tree`` output for
+    ``fixtures/sgr_aabbb.seq``, then ``q s p |- s`` and ``p q |- x(p q)``.
+    Every such order was the one the rule now fixes, so the key is ignored,
+    and writing the tree back gives the same JSON without it."""
+    blobs = json.loads((Path(__file__).resolve().parent / "legacy_trees.json").read_text())
+    rules = set()
+    for blob in blobs:
+        tree = tree_from_json(blob)
+        assert check_derivation(tree) is None
+        rules.update(node.rule for node in tree.walk())
+        written = tree_to_json(tree)
+        assert "part_order" not in json.dumps(written)
+        assert written == _without_part_order(blob)
+    assert {"div_left", "times_right"} <= rules
+
+
+def _without_part_order(blob: dict) -> dict:
+    data = {k: v for k, v in (blob["rule_data"] or {}).items() if k != "part_order"}
+    premises = [_without_part_order(p) for p in blob["premises"]]
+    return {**blob, "rule_data": data or None, "premises": premises}
 
 
 def test_sequent_round_trip_preserves_derivability(prover):

@@ -11,9 +11,8 @@ from hlc.graphs import (
     build_graph,
     dollar,
     handle,
-    relabel_one,
+    replace,
     replace_all,
-    replace_with_maps,
     string_graph,
     validate,
 )
@@ -112,12 +111,15 @@ def reassemble_decomposition(pattern, dec):
     return replace_all(pattern, dict(dec.parts))
 
 
-def reassemble_extraction(div_type, extr):
+def reassemble_division(contracted, numerator_edge, div_type, parts):
+    """``contracted[numerator_edge := D[$ := handle(N ÷ D), d := parts[d]]]``."""
     d = div_type.denominator
-    hole = dollar_edge(d)
-    composite, _, emap = replace_with_maps(extr.contracted, extr.numerator_edge, d)
-    composite = relabel_one(composite, emap[hole], div_type)
-    return replace_all(composite, {emap[de]: extr.parts[de] for de in extr.parts})
+    filled = replace_all(d, {dollar_edge(d): handle(div_type), **parts})
+    return replace(contracted, numerator_edge, filled)
+
+
+def reassemble_extraction(div_type, extr):
+    return reassemble_division(extr.contracted, extr.numerator_edge, div_type, extr.parts)
 
 
 def decomposition_keys(host, pattern, **kw):
@@ -363,11 +365,9 @@ def oracle_extraction_keys(host, pivot, div_type):
             if validate(contracted) is not None:
                 continue
             try:
-                composite, _, emap = replace_with_maps(contracted, fresh, d)
+                composite = reassemble_division(contracted, fresh, div_type, parts)
             except (KeyError, ValueError):
                 continue
-            composite = relabel_one(composite, emap[hole], div_type)
-            composite = replace_all(composite, {emap[de]: parts[de] for de in d_edges})
             if isomorphic(composite, host) is not None:
                 keys.add(
                     (canonical_key(contracted), tuple(canonical_key(parts[de]) for de in d_edges))
