@@ -51,6 +51,8 @@ from .hltypes import (
     dollar_edge,
     is_balanced,
     primitive_counts,
+    require_valid,
+    sequent_report,
     set_counts,
     validate_sequent,
 )
@@ -222,9 +224,7 @@ class Prover:
     def derive(
         self, s: Sequent, budget: SearchBudget | None = None
     ) -> DerivationTree | NotDerivable | BudgetExceeded:
-        report = validate_sequent(s)
-        if report is not None:
-            raise ValueError(f"invalid sequent: {report}")
+        require_valid("sequent", validate_sequent(s))
         budget = budget or SearchBudget()
         start_nodes, start_hits = self.nodes_expanded, self._budget_hits
         start_pruned, start_closed = self._tally.pruned, self._tally.closed
@@ -379,8 +379,8 @@ def check_derivation(t: DerivationTree) -> str | None:
 
 def _check_node(t: DerivationTree) -> str | None:
     """The first way ``t`` fails to instantiate its rule from its premises'
-    conclusions, or None."""
-    report = validate_sequent(t.conclusion)
+    conclusions, or None; the conclusion is checked afresh, never cached."""
+    report = sequent_report(t.conclusion)
     if report is not None:
         return f"invalid conclusion: {report}"
     g, succ = t.conclusion.antecedent, t.conclusion.succedent

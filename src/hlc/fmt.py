@@ -497,12 +497,10 @@ def graph_from_json(d: dict, mode: str = "type") -> Hypergraph:
     lab = {}
     for edge in d["edges"]:
         att[edge["id"]] = tuple(edge["att"])
-        label_text = edge["label"]
-        if label_text.startswith("("):
-            lab[edge["id"]] = parse_type(label_text[1:-1])
-        else:
-            parser = _Parser(label_text)
-            lab[edge["id"]] = parser.label(mode)
+        parser = _Parser(edge["label"])
+        lab[edge["id"]] = parser.label(mode)
+        if not parser.at_end():
+            raise parser.fail("trailing input after label")
     return Hypergraph(
         nodes=d["nodes"],
         edges=att.keys(),

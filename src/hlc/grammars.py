@@ -45,7 +45,9 @@ from .hltypes import (
     pack_target,
     packing,
     primitive_counts,
+    require_valid,
     set_counts,
+    set_report,
     validate_type,
 )
 
@@ -126,14 +128,10 @@ def _packed(lexicon: _Lexicon, edges: int) -> tuple[Packing, dict]:
 
 def type_set(g: HLGrammar) -> list[HLType]:
     """The range of the correspondence, without duplicates."""
-    out: list[HLType] = []
-    seen = set()
+    seen: dict[object, HLType] = {}
     for _, t in g.correspondence:
-        key = t.canon_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
+        seen.setdefault(t.canon_key(), t)
+    return list(seen.values())
 
 
 @dataclass(frozen=True)
@@ -152,6 +150,11 @@ class HRG:
 
 
 def validate_hrg(g: HRG) -> str | None:
+    """None or the first violation; the verdict is cached on the grammar."""
+    return cached_report(g, _hrg_report)
+
+
+def _hrg_report(g: HRG) -> str | None:
     if set(g.nonterminals) & set(g.terminals):
         return "nonterminals and terminals must be disjoint"
     if g.start not in g.nonterminals:
@@ -241,11 +244,15 @@ def hl_member(
     :mod:`hlc.hltypes`) differ from the distinguished type's is unbalanced, so
     underivable, and is skipped before any sequent is built (``pruned`` in the
     stats; ``nodes_expanded`` and ``closed`` sum those of every ``derive``,
-    a witness's stats included).  A balanced relabeling is built with its
-    counts, the distinguished type's and the sum of its types' connective
-    counts, so ``derive`` does not walk it to find them.  A graph of another
-    rank than the distinguished type's is answered ``NotMember`` at once: no
-    relabeling of it is a sequent.
+    a witness's stats included).  A graph of another rank than the
+    distinguished type's is answered ``NotMember`` at once: no relabeling of
+    it is a sequent.  A balanced relabeling is built with its counts (the
+    distinguished type's), the sum of its types' connective counts and its
+    verdict of validity, so ``derive`` walks it neither to count nor to
+    validate.  It is valid: its structure is that of ``graph``, which was
+    validated; ``relabel`` checks every rank; every new label is a type from
+    the validated correspondence, so a valid type and not ``$``; the
+    distinguished type is validated; and the two ranks are compared before any relabeling.
 
     What a query needs of the grammar, each label's types with their counts
     and the alphabet as a set, is found once and cached on the grammar
@@ -266,22 +273,15 @@ def hl_member(
     the first hit ends the query, as does a balanced relabeling met with no
     nodes left.
     """
-    report = validate_hl_grammar(g)
-    if report is not None:
-        raise ValueError(f"invalid grammar: {report}")
-    report = validate(graph)
-    if report is not None:
-        raise ValueError(f"invalid graph: {report}")
+    require_valid("grammar", validate_hl_grammar(g))
+    require_valid("graph", validate(graph))
     lexicon = _lexicon(g)
     packed, weights = _packed(lexicon, len(graph.edges))
     options_of: dict[int, tuple[tuple[HLType, int], ...]] = {}
     for e in graph.edges:
-        options = weights.get(graph.lab[e])
-        if options is None:
-            if graph.lab[e] not in lexicon.alphabet:
-                raise ValueError(f"edge {e} labeled outside the grammar alphabet: {graph.lab[e]!r}")
-            options = ()
-        options_of[e] = options
+        if graph.lab[e] not in lexicon.alphabet:
+            raise ValueError(f"edge {e} labeled outside the grammar alphabet: {graph.lab[e]!r}")
+        options_of[e] = weights.get(graph.lab[e], ())
     prover = prover or Prover()
     if graph.rank != g.distinguished.rank:
         return NotMember(SearchStats(0, 0, len(prover.memo)))
@@ -309,6 +309,7 @@ def hl_member(
         relabeled = relabel(graph, assignment)
         set_counts(relabeled, sum(map(connective_count, assignment.values())), target_counts)
         seq = Sequent(relabeled, g.distinguished)
+        set_report(seq, None)
         result = prover.derive(seq, SearchBudget(max_nodes=cap - nodes))
         last = prover.last_stats
         nodes += last.nodes_expanded
@@ -327,6 +328,7 @@ def hrg_generate(g: HRG, max_edges: int, max_steps: int) -> list[Hypergraph]:
     intermediate graph stays within the edge bound; canonical duplicates
     removed.  Breadth-first over canonical states, so any derivation order
     that respects the bounds is covered."""
+    require_valid("grammar", validate_hrg(g))
     if max_edges <= 0 or max_steps <= 0:
         raise ValueError("bounds must be positive")
     nonterminals = set(g.nonterminals)
@@ -376,10 +378,9 @@ def _membership_bounds(g: HRG, n_edges: int) -> tuple[int, int]:
 
 def hrg_member(g: HRG, graph: Hypergraph) -> bool:
     """Bounded-exhaustive membership: generate everything of the right size."""
-    terminals = set(g.terminals)
-    for e in graph.edges:
-        if graph.lab[e] not in terminals:
-            return False
+    require_valid("grammar", validate_hrg(g))
+    if any(graph.lab[e] not in g.terminals for e in graph.edges):
+        return False
     max_edges, max_steps = _membership_bounds(g, len(graph.edges))
     key = canonical_key(graph)
     return any(canonical_key(h) == key for h in hrg_generate(g, max_edges, max_steps))
@@ -414,6 +415,7 @@ def wgnf_to_hl(g: HRG, *, keep_trivial_divisions: bool = False) -> HLGrammar:
     terminal's handle collapses to a bare primitive correspondence unless
     ``keep_trivial_divisions`` is set (the two forms are interderivable).
     """
+    require_valid("grammar", validate_hrg(g))
     if not is_wgnf(g):
         raise ValueError("grammar is not in weak Greibach normal form")
     nonterminals = set(g.nonterminals)
@@ -430,10 +432,8 @@ def wgnf_to_hl(g: HRG, *, keep_trivial_divisions: bool = False) -> HLGrammar:
                 relabeling[e] = dollar(a.rank)
             elif lab in nonterminals:
                 relabeling[e] = _nonterminal_primitive(lab)
-            elif lab in g.fixed:
+            else:  # a valid grammar in WGNF leaves only fixed terminals
                 relabeling[e] = _fixed_primitive(lab)
-            else:  # unreachable in WGNF: a second designated terminal
-                raise ValueError("production has more than one designated terminal")
         denominator = relabel(prod.rhs, relabeling)
         t: HLType
         if handle_label(denominator) is not None and not keep_trivial_divisions:

@@ -169,8 +169,19 @@ def cached_report(x: object, report) -> str | None:
     cached = x.__dict__.get("_report", _UNCHECKED)
     if cached is _UNCHECKED:
         cached = report(x)
-        object.__setattr__(x, "_report", cached)
+        set_report(x, cached)
     return cached
+
+
+def set_report(x: object, report: str | None) -> None:
+    """Cache on a fresh value ``x`` the verdict that its builder knows."""
+    object.__setattr__(x, "_report", report)
+
+
+def require_valid(what: str, report: str | None) -> None:
+    """Refuse invalid input: raise ``ValueError("invalid {what}: {report}")`` if reported."""
+    if report is not None:
+        raise ValueError(f"invalid {what}: {report}")
 
 
 def validate_type(t: object) -> str | None:
@@ -258,6 +269,11 @@ class Sequent:
 
 
 def validate_sequent(s: Sequent) -> str | None:
+    """:func:`sequent_report`, cached on the sequent."""
+    return cached_report(s, sequent_report)
+
+
+def sequent_report(s: Sequent) -> str | None:
     """Check rank match, absence of ``$``, and all antecedent label types."""
     report = validate(s.antecedent)
     if report is not None:

@@ -59,6 +59,7 @@ from .hltypes import (
     Sequent,
     cached_report,
     dollar_edge,
+    require_valid,
     validate_sequent,
     validate_type,
 )
@@ -113,12 +114,6 @@ def _valuation_report(w: Valuation) -> str | None:
     return None
 
 
-def _check_valuation(w: Valuation) -> None:
-    report = validate_valuation(w)
-    if report is not None:
-        raise ValueError(f"invalid valuation: {report}")
-
-
 def is_enumerable(t: HLType) -> bool:
     """Division-free types have finitely enumerable denotations."""
     if isinstance(t, Primitive):
@@ -142,6 +137,12 @@ def contains_decidable(t: HLType) -> bool:
             is_enumerable(d.lab[e]) for e in d.edges if e != hole
         ) and contains_decidable(t.numerator)
     return False
+
+
+def model_checkable(s: Sequent) -> bool:
+    """Whether :func:`sequent_holds` decides ``s`` rather than answering UNDECIDED."""
+    g = s.antecedent
+    return all(is_enumerable(g.lab[e]) for e in g.edges) and contains_decidable(s.succedent)
 
 
 def _flatten(body: Hypergraph) -> Hypergraph:
@@ -180,7 +181,7 @@ def denotation_enumerate(w: Valuation, t: HLType):
     flattened body gives, picks taken in ``itertools.product`` order over
     the body's sorted edges.  Raises ``ValueError`` on an invalid
     valuation."""
-    _check_valuation(w)
+    require_valid("valuation", validate_valuation(w))
     if not is_enumerable(t):
         return NOT_ENUMERABLE
     if isinstance(t, Product):
@@ -217,13 +218,9 @@ def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozen
 def denotation_contains(w: Valuation, t: HLType, g: Hypergraph):
     """Exact membership of ``g`` in the denotation of ``t``, or UNDECIDED.
     Raises ``ValueError`` on an invalid valuation, type or graph."""
-    _check_valuation(w)
-    report = validate_type(t)
-    if report is not None:
-        raise ValueError(f"invalid type: {report}")
-    report = validate(g)
-    if report is not None:
-        raise ValueError(f"invalid graph: {report}")
+    require_valid("valuation", validate_valuation(w))
+    require_valid("type", validate_type(t))
+    require_valid("graph", validate(g))
     if not contains_decidable(t):
         return UNDECIDED
     return _contains(w, t, g)
@@ -262,13 +259,11 @@ def sequent_holds(w: Valuation, s: Sequent):
     An enumerable succedent with the antecedent's product's entry key
     denotes the same set, so the sequent holds and nothing is enumerated.
     Raises ``ValueError`` on an invalid valuation or sequent."""
-    _check_valuation(w)
-    report = validate_sequent(s)
-    if report is not None:
-        raise ValueError(f"invalid sequent: {report}")
-    lhs = Product(s.antecedent)
-    if not is_enumerable(lhs) or not contains_decidable(s.succedent):
+    require_valid("valuation", validate_valuation(w))
+    require_valid("sequent", validate_sequent(s))
+    if not model_checkable(s):
         return UNDECIDED
+    lhs = Product(s.antecedent)
     if is_enumerable(s.succedent) and _entry_key(s.succedent) == _entry_key(lhs):
         return True
     return all(_contains(w, s.succedent, g) for g in _denotation(w, lhs)[0])

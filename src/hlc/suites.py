@@ -12,7 +12,7 @@ import random
 import time
 from typing import Callable
 
-from .calculus import DerivationTree, Prover, SearchBudget, cut_compose
+from .calculus import DerivationTree, Prover, SearchBudget, check_derivation, cut_compose
 from .canon import canonical_key
 from .fixtures import (
     all_binary_graphs,
@@ -30,7 +30,6 @@ from .fixtures import (
 )
 from .graphs import Hypergraph, RankedLabel, build_graph, relabel_one, validate
 from .grammars import MemberWitness, hl_member, hrg_member, wgnf_to_hl
-from .hltypes import Product, Sequent
 from .lambek import (
     Dot,
     LPrim,
@@ -40,13 +39,7 @@ from .lambek import (
     lambek_derive,
     translate_lsequent,
 )
-from .models import (
-    contains_decidable,
-    is_enumerable,
-    random_valuation,
-    sequent_holds,
-    sequent_primitives,
-)
+from .models import model_checkable, random_valuation, sequent_holds, sequent_primitives
 
 _MAX_LISTED = 20
 
@@ -61,6 +54,17 @@ def _report(name: str, seed: int, cases: int, discrepancies: list, t0: float, **
         "elapsed_s": round(time.time() - t0, 3),
         **extra,
     }
+
+
+def _check_tree(discrepancies: list, result, **case) -> None:
+    """Add a discrepancy for ``case`` when the tree that a ``hl_member``,
+    ``derive`` or ``cut_compose`` result carries fails
+    :func:`check_derivation`."""
+    tree = result.tree if isinstance(result, MemberWitness) else result
+    if isinstance(tree, DerivationTree):
+        report = check_derivation(tree)
+        if report is not None:
+            discrepancies.append({**case, "check": report})
 
 
 def kite_graph() -> Hypergraph:
@@ -89,6 +93,7 @@ def run_sgr(seed: int = 0, budget: SearchBudget | None = None) -> dict:
                 accepted.append(word)
             if got != (word in expected):
                 discrepancies.append({"word": word, "member": got})
+            _check_tree(discrepancies, result, word=word)
     return _report("sgr", seed, cases, discrepancies, t0, accepted=sorted(accepted))
 
 
@@ -103,14 +108,17 @@ def run_allgraphs(seed: int = 0, budget: SearchBudget | None = None) -> dict:
         got = isinstance(result, MemberWitness)
         if got != in_l1(g):
             discrepancies.append({"graph": i, "edges": len(g.edges), "member": got})
+        _check_tree(discrepancies, result, graph=i)
     big = kite_graph()
     big_result = hl_member(grammar, big, budget, prover=prover, seed=seed)
     if not isinstance(big_result, MemberWitness):
         discrepancies.append({"graph": "four-edge", "member": False})
+    _check_tree(discrepancies, big_result, graph="four-edge")
     lonely = build_graph([0, 1, 2], [(STAR, (0, 1))], ext=())
     lonely_result = hl_member(grammar, lonely, budget, prover=prover, seed=seed)
     if isinstance(lonely_result, MemberWitness):
         discrepancies.append({"graph": "isolated-node", "member": True})
+    _check_tree(discrepancies, lonely_result, graph="isolated-node")
     return _report(
         "allgraphs", seed, len(graphs) + 2, discrepancies, t0, census=len(graphs)
     )
@@ -132,11 +140,8 @@ def run_bipartite(seed: int = 0, budget: SearchBudget | None = None) -> dict:
             discrepancies.append(
                 {"graph": i, "edges": len(g.edges), "member": got, "oracle": want}
             )
+        _check_tree(discrepancies, result, graph=i)
     return _report("bipartite", seed, len(graphs), discrepancies, t0, accepted=accepted)
-
-
-def model_checkable(s: Sequent) -> bool:
-    return is_enumerable(Product(s.antecedent)) and contains_decidable(s.succedent)
 
 
 def run_soundness(corpus: list[DerivationTree], seed: int = 0, valuations: int = 50) -> dict:
@@ -183,6 +188,7 @@ def run_cut(corpus: list[DerivationTree], seed: int = 0, pairs: int = 100) -> di
         result = cut_compose(d1, d2, e, prover=prover)
         if not isinstance(result, DerivationTree):
             discrepancies.append({"pair": i, "result": type(result).__name__})
+        _check_tree(discrepancies, result, pair=i)
     return _report("cut", seed, pairs, discrepancies, t0, candidates=len(candidates))
 
 
@@ -224,11 +230,13 @@ def run_embedding(seed: int = 0, samples: int = 200) -> dict:
     discrepancies = []
     for ants, succ in cases:
         string_side = lambek_derive(ants, succ)
-        graph_side = isinstance(prover.derive(translate_lsequent(ants, succ)), DerivationTree)
+        result = prover.derive(translate_lsequent(ants, succ))
+        graph_side = isinstance(result, DerivationTree)
         if string_side != graph_side:
             discrepancies.append(
                 {"sequent": f"{list(ants)} -> {succ}", "string": string_side, "graph": graph_side}
             )
+        _check_tree(discrepancies, result, sequent=f"{list(ants)} -> {succ}")
     for ants, succ in stock:
         if not lambek_derive(ants, succ):
             discrepancies.append({"sequent": f"{list(ants)} -> {succ}", "string": False})
@@ -294,22 +302,22 @@ def run_conversion(seed: int = 0, budget: SearchBudget | None = None) -> dict:
             cases += 1
             g = sgr_string_graph(word)
             via_hrg = hrg_member(sgr_hrg, g)
-            via_hl = isinstance(
-                hl_member(converted, g, budget, prover=prover, seed=seed), MemberWitness
-            )
+            result = hl_member(converted, g, budget, prover=prover, seed=seed)
+            via_hl = isinstance(result, MemberWitness)
             if via_hrg != via_hl:
                 discrepancies.append({"word": word, "hrg": via_hrg, "hl": via_hl})
+            _check_tree(discrepancies, result, word=word)
     # Tree case: the generated tree plus mutated non-members.
     tree_hrg = build_syntree_hrg()
     tree_converted = wgnf_to_hl(tree_hrg)
     for i, g in enumerate([syntree()] + syntree_mutants()):
         cases += 1
         via_hrg = hrg_member(tree_hrg, g)
-        via_hl = isinstance(
-            hl_member(tree_converted, g, budget, prover=prover, seed=seed), MemberWitness
-        )
+        result = hl_member(tree_converted, g, budget, prover=prover, seed=seed)
+        via_hl = isinstance(result, MemberWitness)
         if via_hrg != via_hl:
             discrepancies.append({"tree": i, "hrg": via_hrg, "hl": via_hl})
+        _check_tree(discrepancies, result, tree=i)
     return _report("conversion", seed, cases, discrepancies, t0)
 
 

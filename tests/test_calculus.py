@@ -26,7 +26,7 @@ from hlc.calculus import (
 )
 from hlc.fixtures import hgr1_types
 from hlc.graphs import build_graph, dollar, handle, string_graph
-from hlc.hltypes import Division, Primitive, Product, Sequent
+from hlc.hltypes import Division, Primitive, Product, Sequent, set_report, validate_sequent
 
 S2 = Primitive("s", 2)
 P2 = Primitive("p", 2)
@@ -449,3 +449,15 @@ def test_word_key_answers_as_the_canonical_key(monkeypatch):
     assert len(answers) == len(reference)
     for got, expected in zip(answers, reference):
         assert got == expected
+
+
+def test_checker_ignores_a_seeded_verdict():
+    """A verdict seeded on a sequent reaches ``validate_sequent``, so the
+    prover's boundary, but never ``check_derivation``, which checks every
+    conclusion afresh."""
+    p2 = Primitive("p", 2)
+    seq = Sequent(handle(p2), Primitive("q", 1))  # a rank mismatch
+    set_report(seq, None)
+    assert validate_sequent(seq) is None
+    report = check_derivation(DerivationTree(seq, AXIOM))
+    assert report == "invalid conclusion: rank mismatch: antecedent 2, succedent 1"

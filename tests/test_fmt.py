@@ -228,3 +228,13 @@ def test_sequent_round_trip_preserves_derivability(prover):
     seq = Sequent(string_graph([Q, S2, P2]), S2)
     text = print_sequent(seq)
     assert isinstance(prover.derive(parse_sequent(text)), DerivationTree)
+
+
+def test_graph_json_labels_parse_as_one_label():
+    g = string_graph([Q, S2])
+    blob = graph_to_json(g)
+    assert blob["edges"][0]["label"].startswith("(")
+    assert graph_from_json(blob).lab[0] == Q
+    blob["edges"][0]["label"] += " s/2"
+    with pytest.raises(ParseError, match="trailing input after label"):
+        graph_from_json(blob)

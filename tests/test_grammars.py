@@ -578,3 +578,66 @@ def test_wgnf_to_hl_rejects_non_wgnf():
     )
     with pytest.raises(ValueError):
         wgnf_to_hl(bad)
+
+
+def test_member_walks_its_graph_once(monkeypatch):
+    """Once the grammar is validated, one ``hl_member`` call validates its
+    graph once: each relabeled goal carries its verdict, so ``derive`` finds
+    it cached however many goals it is asked."""
+    import sys
+
+    from hlc import graphs
+
+    walked = []
+    original = graphs.validate
+
+    def counting(g):
+        walked.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hlc" and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counting)
+    for grammar, graph in (
+        (build_sgr(), sgr_string_graph("aabbb")),
+        (build_sgr(), sgr_string_graph("bab")),
+        (build_hgr1(), all_binary_graphs((1, 2, 3))[-4]),
+    ):
+        assert validate_hl_grammar(grammar) is None
+        walked.clear()
+        prover = CountingProver()
+        hl_member(grammar, graph, prover=prover)
+        assert prover.calls >= 2
+        assert walked == [graph]
+
+
+def _broken_hrgs() -> dict[str, tuple[HRG, str]]:
+    """Grammars that ``validate_hrg`` refuses, each with its report."""
+    s, a = RankedLabel("S", 2), RankedLabel("a", 2)
+    good = Production(s, string_graph([a]))
+    wide = Production(s, build_graph([0, 1, 2], [(a, (0, 1))], ext=(0, 1, 2)))
+    return {
+        "terminal start": (HRG((s,), (a,), (good,), a), "start symbol must be a nonterminal"),
+        "rank mismatch": (HRG((s,), (a,), (good, wide), s), "production 1: rank mismatch"),
+        "terminal lhs": (
+            HRG((s,), (a,), (good, Production(a, string_graph([a]))), s),
+            "production 1: left-hand side not a nonterminal",
+        ),
+    }
+
+
+@pytest.mark.parametrize("defect", sorted(_broken_hrgs()))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g: hrg_generate(g, 3, 3),
+        lambda g: hrg_member(g, string_graph([RankedLabel("a", 2)])),
+        wgnf_to_hl,
+    ],
+    ids=["hrg_generate", "hrg_member", "wgnf_to_hl"],
+)
+def test_hrg_entry_points_refuse_an_invalid_grammar(defect, entry):
+    grammar, report = _broken_hrgs()[defect]
+    assert validate_hrg(grammar) == report
+    with pytest.raises(ValueError, match=f"^invalid grammar: {report}$"):
+        entry(grammar)

@@ -21,6 +21,7 @@ from hlc.models import (
     denotation_contains,
     denotation_enumerate,
     is_enumerable,
+    model_checkable,
     random_graphs,
     random_valuation,
     sequent_holds,
@@ -655,3 +656,23 @@ def test_valuation_report_is_cached_on_the_valuation(monkeypatch):
         with pytest.raises(ValueError, match="assigned more than once"):
             sequent_holds(twice, Sequent(handle(P), P))
     assert calls == [good, twice]
+
+
+def test_model_checkable_is_the_gate_of_sequent_holds():
+    """``sequent_holds`` answers UNDECIDED exactly where ``model_checkable``
+    says no, and the suites use the same gate."""
+    import hlc.suites
+
+    assert hlc.suites.model_checkable is model_checkable
+    rng = random.Random(0)
+    seen = set()
+    for ants, succ in enumerate_lambek_corpus(max_each=1, max_succ=1, max_len=2):
+        s = translate_lsequent(ants, succ)
+        checkable = model_checkable(s)
+        assert checkable == (
+            is_enumerable(Product(s.antecedent)) and contains_decidable(s.succedent)
+        )
+        verdict = sequent_holds(random_valuation(rng, sequent_primitives(s)), s)
+        assert (verdict is not UNDECIDED) == checkable
+        seen.add(checkable)
+    assert seen == {True, False}

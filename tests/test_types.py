@@ -12,6 +12,7 @@ from hlc.hltypes import (
     Sequent,
     connective_count,
     dollar_edge,
+    require_valid,
     validate_sequent,
     validate_type,
 )
@@ -60,6 +61,27 @@ def test_validate_sequent_violations():
     assert "not labeled by a type" in validate_sequent(
         Sequent(string_graph([RankedLabel("a", 2)]), S2)
     )
+
+
+def test_validate_sequent_computes_a_report_once(monkeypatch):
+    """The verdict is cached on the sequent, valid or not."""
+    from hlc import hltypes
+
+    computed = []
+    report = hltypes.sequent_report
+    monkeypatch.setattr(hltypes, "sequent_report", lambda s: computed.append(s) or report(s))
+    good = Sequent(string_graph([Q, S2, P2]), S2)
+    bad = Sequent(string_graph([P2]), Primitive("s", 0))
+    for _ in range(3):
+        assert validate_sequent(good) is None
+        assert "rank mismatch" in validate_sequent(bad)
+    assert computed == [good, bad]
+
+
+def test_require_valid_is_the_one_refusal():
+    require_valid("sequent", None)
+    with pytest.raises(ValueError, match=r"^invalid sequent: rank mismatch$"):
+        require_valid("sequent", "rank mismatch")
 
 
 def test_malformed_type_is_refused_on_every_call():
