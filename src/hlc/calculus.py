@@ -18,8 +18,51 @@ product introduction or division elimination.
 
 Every backward step removes exactly one connective, so the search space is
 finite; a failure answer is exact unless a budget was hit along the way:
-``NotDerivable`` means the search over every rule instance of this calculus
-came back empty.
+``NotDerivable`` means the search came back empty over every rule instance
+of this calculus that the lemma below keeps.
+
+**Primitive heads.**  Division elimination at a pivot ``N ÷ D`` whose
+numerator ``N`` is primitive is tried only when the succedent is ``N``, and
+only with contexts that cover the whole antecedent, so that its main premise
+is the axiom ``N-handle |- N``.  This loses no derivation:
+
+*Lemma.*  Every derivable normal sequent ``G |- C`` that is not
+all-primitive has a derivation whose last rule is product introduction,
+division elimination at a pivot whose numerator is not primitive, or
+division elimination at a pivot whose primitive numerator is ``C``, with the
+axiom as main premise.
+
+*Proof,* by induction on the connective count.  A normal sequent with a
+connective is concluded by division elimination or product introduction
+only, so take a derivation whose last
+rule is division elimination at ``A = N ÷ D``, ``N`` primitive, with main
+premise ``H |- C``, where ``H`` holds ``A``'s fresh ``N``-labeled edge ``f``
+in place of ``A``'s region.  ``H`` has no product label and ``C`` is not a
+division, so ``H |- C`` is normal.  If it is all-primitive, only the axiom
+derives it, so ``C = N`` and ``H`` is ``N``'s handle, the whole context.
+Otherwise the induction hypothesis gives ``H |- C`` a derivation whose last
+rule is product introduction or division elimination at a pivot ``B``, and
+``B`` is not ``f``, whose label is primitive.  Two cases remain:
+
+* ``f`` lies in a part, of the product introduction or of ``B``'s context.
+  Substituting ``A``'s region for ``f`` in that part gives a part that
+  division elimination at ``A`` derives from the part and ``A``'s own
+  premises, and the same last rule, with that part, concludes ``G |- C``.
+* ``f`` lies outside ``B``'s region, in the main premise ``K |- C`` of the
+  elimination at ``B``.  Then ``B`` is not the axiom case (a handle's only
+  edge is ``B``'s fresh one), so ``B``'s numerator is not primitive, and
+  the two eliminations commute: ``A``'s and ``B``'s regions are disjoint,
+  and ``B``'s consumed nodes are not attached to ``f``, so division
+  elimination at ``A`` derives ``K[f := A's region] |- C``, and elimination
+  at ``B`` then concludes ``G |- C``.
+
+Both cases are instances of hyperedge replacement, isolated nodes included,
+since substituting a graph for an edge commutes with substitutions at other
+edges.  In each, the last rule is one the lemma allows.  With a product
+succedent there is no axiom, so a primitive-numerator pivot is never the
+last step there.  The search tries every instance of the allowed rules and
+proves the premises by the same search, so by induction on the connective
+count it finds a derivation whenever one exists.
 Every derivable sequent is balanced, in its primitive counts and in its
 node count (see :mod:`hlc.hltypes`), so an unbalanced goal is refuted at
 once, and rule instances are enumerated with the typed slot check of
@@ -288,7 +331,10 @@ class Prover:
         """Try division elimination at each division pivot in edge order, then
         product introduction; return the first derivation.  The axiom never
         applies here: ``_prove`` has already decided every all-primitive
-        sequent, and a primitive's handle is all-primitive.
+        sequent, and a primitive's handle is all-primitive.  A pivot with a
+        primitive numerator is tried only when that numerator is the
+        succedent, and only with whole contexts, whose main premise is the
+        axiom; the module docstring proves that no verdict changes.
 
         The enumerators run with the typed slot check, so every part premise
         they yield is balanced.  The conclusion is balanced too (``derive``
@@ -313,10 +359,15 @@ class Prover:
             lab = g.lab[e]
             if not isinstance(lab, Division):
                 continue
+            # A primitive numerator is eliminated only as the whole context
+            # of its own succedent (see the module docstring).
+            whole = isinstance(lab.numerator, Primitive)
+            if whole and lab.numerator != succ:
+                continue
             d = lab.denominator
             hole = dollar_edge(d)
             d_edges = [de for de in d.edges if de != hole]
-            for extr in enumerate_context_extractions(g, e, lab, typed=self._tally):
+            for extr in enumerate_context_extractions(g, e, lab, typed=self._tally, whole=whole):
                 premise_seqs = [Sequent(extr.contracted, succ)] + [
                     Sequent(extr.parts[de], d.lab[de]) for de in d_edges
                 ]

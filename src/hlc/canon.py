@@ -70,7 +70,8 @@ within each graph by the sorted set of their keys, which keeps the search on
 small integers; the canonical tuple carries that sorted label table itself,
 so the key depends on the graph alone.  The canonical key is the one identity
 of a graph: nothing is interned, and the only cache is the one ``canon_data``
-keeps on the graph value.
+keeps on the graph value, which :func:`canonical_ordering` completes with a
+string graph's orders when they are first asked for.
 """
 
 from __future__ import annotations
@@ -342,16 +343,18 @@ class _Search:
 
 
 def canon_data(g: Hypergraph):
-    """(canonical tuple, node order, edge order); cached on the graph value."""
+    """(canonical tuple, node order, edge order); cached on the graph value.
+
+    A string graph's orders are None here: most callers want its key alone,
+    so :func:`canonical_ordering` builds them when they are first asked for.
+    """
     cached = g.__dict__.get("_canon")
     if cached is not None:
         return cached
     path = string_path(g)
     if path is not None:
-        att, lab = g.att, g.lab
-        nodes = [g.ext[0], *[att[e][1] for e in path]] if path else g.ext
-        key = ("W", tuple([lab[e].canon_key() for e in path]))
-        cached = (key, {v: i for i, v in enumerate(nodes)}, {e: i for i, e in enumerate(path)})
+        lab = g.lab
+        cached = (("W", tuple([lab[e].canon_key() for e in path])), None, None)
     else:
         prep = _Prep(g)
         init = [0] * prep.n
@@ -393,8 +396,15 @@ def canonical_form(g: Hypergraph) -> bytes:
 
 
 def canonical_ordering(g: Hypergraph) -> tuple[dict[int, int], dict[int, int]]:
-    """Maps from node/edge identifiers to canonical positions."""
-    _, node_order, edge_order = canon_data(g)
+    """Maps from node/edge identifiers to canonical positions; a string
+    graph's are its path positions, built on first use and cached."""
+    key, node_order, edge_order = canon_data(g)
+    if node_order is None:
+        path = string_path(g)
+        nodes = [g.ext[0], *[g.att[e][1] for e in path]] if path else g.ext
+        node_order = {v: i for i, v in enumerate(nodes)}
+        edge_order = {e: i for i, e in enumerate(path)}
+        object.__setattr__(g, "_canon", (key, node_order, edge_order))
     return node_order, edge_order
 
 

@@ -38,6 +38,7 @@ from .fmt import (
     tree_to_json,
 )
 from .grammars import MemberWitness, hl_member, hrg_generate, is_wgnf, wgnf_to_hl
+from .hltypes import require_valid
 from .matching import enumerate_decompositions
 from .models import UNDECIDED, Valuation, sequent_holds, validate_valuation
 from .suites import SUITES, run_suite
@@ -208,9 +209,10 @@ def cmd_model_check(args) -> int:
                 alphabet.setdefault(g.lab[e])
         assignment.append((prim, tuple(graphs)))
     valuation = Valuation(alphabet=tuple(alphabet), assignment=tuple(assignment))
-    report = validate_valuation(valuation)
-    if report is not None:
-        print(f"error: invalid valuation: {report}")
+    try:
+        require_valid("valuation", validate_valuation(valuation))
+    except ValueError as exc:
+        print(f"error: {exc}")
         return EXIT_USAGE
     seq = parse_sequent(_read(args.sequent))
     verdict = sequent_holds(valuation, seq)

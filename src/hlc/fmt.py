@@ -30,7 +30,7 @@ from .calculus import DIV_LEFT, TIMES_LEFT, DerivationTree, DivLeftData, TimesLe
 from .canon import canonical_ordering
 from .graphs import DOLLAR_NAME, Hypergraph, RankedLabel, dollar, validate
 from .grammars import HRG, HLGrammar, Production, validate_hl_grammar, validate_hrg
-from .hltypes import Division, HLType, Primitive, Product, Sequent, validate_sequent
+from .hltypes import Division, HLType, Primitive, Product, Sequent, refusal, validate_sequent
 
 
 class ParseError(Exception):
@@ -39,6 +39,13 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
+
+
+def _require_valid(what: str, report: str | None) -> None:
+    """Refuse a parsed value that does not validate, as a format error at
+    1:1 with the text of :func:`hlc.hltypes.refusal`."""
+    if report is not None:
+        raise ParseError(refusal(what, report), 1, 1)
 
 
 @dataclass(frozen=True)
@@ -285,9 +292,7 @@ def parse_sequent(text: str) -> Sequent:
     if not parser.at_end():
         raise parser.fail("trailing input after sequent")
     seq = Sequent(antecedent, succedent)
-    report = validate_sequent(seq)
-    if report is not None:
-        raise ParseError(f"invalid sequent: {report}", 1, 1)
+    _require_valid("sequent", validate_sequent(seq))
     return seq
 
 
@@ -319,9 +324,7 @@ def parse_hl_grammar(text: str) -> HLGrammar:
         distinguished=distinguished,
         correspondence=tuple(correspondence),
     )
-    report = validate_hl_grammar(grammar)
-    if report is not None:
-        raise ParseError(f"invalid grammar: {report}", 1, 1)
+    _require_valid("grammar", validate_hl_grammar(grammar))
     return grammar
 
 
@@ -366,9 +369,7 @@ def parse_hrg(text: str) -> HRG:
         start=start,
         fixed=frozenset(fixed),
     )
-    report = validate_hrg(grammar)
-    if report is not None:
-        raise ParseError(f"invalid grammar: {report}", 1, 1)
+    _require_valid("grammar", validate_hrg(grammar))
     return grammar
 
 

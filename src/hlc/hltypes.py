@@ -178,10 +178,15 @@ def set_report(x: object, report: str | None) -> None:
     object.__setattr__(x, "_report", report)
 
 
+def refusal(what: str, report: str) -> str:
+    """The one text that refuses invalid input: ``invalid {what}: {report}``."""
+    return f"invalid {what}: {report}"
+
+
 def require_valid(what: str, report: str | None) -> None:
-    """Refuse invalid input: raise ``ValueError("invalid {what}: {report}")`` if reported."""
+    """Refuse invalid input: raise ``ValueError`` with its :func:`refusal` if reported."""
     if report is not None:
-        raise ValueError(f"invalid {what}: {report}")
+        raise ValueError(refusal(what, report))
 
 
 def validate_type(t: object) -> str | None:

@@ -15,9 +15,14 @@ Both are answered by one search, ``_instances``: embed the pattern (D with
 its hole on the pivot), group the host's remaining edges into clusters, and
 give each cluster to one pattern edge.  A decomposition is the case without
 a pivot, in which every cluster must go to a part; around a pivot a cluster
-may also stay outside the region.  The two public functions only build their
-results from the instances.  Both are exhaustive up to part-isomorphism, and
-every instance reassembles to the host up to isomorphism.  Neither filters
+may also stay outside the region, unless the caller asks for *whole*
+contexts, which cover the host as a decomposition does: D's external nodes
+are fixed to the host's by position and nothing stays outside, so the
+contracted graph is the numerator's handle (the prover asks for these at a
+primitive numerator, see :mod:`hlc.calculus`).  The two public functions
+only build their results from the instances.  Both are exhaustive up to
+part-isomorphism, and every instance reassembles to the host up to
+isomorphism.  Neither filters
 isomorphic repeats: every instance yielded differs from the others in its
 node map, its part edges or the number of isolated nodes apportioned to each
 part, though its parts may be isomorphic to another's.  The prover's memo
@@ -30,13 +35,13 @@ the edges incident to them into clusters that must travel together, and a
 cluster with a host external node inside cannot join a part.  Replacement
 keeps every interior node of the substituted graph, isolated or not, so an
 isolated host node (no incident edge, not external) outside the image may
-join any part as an interior node, or, around a pivot, stay outside.  Such
-nodes are interchangeable: swapping two of them is an automorphism of the
-host that fixes the image.  So they are apportioned by count, one instance
-per count vector (``itertools.combinations_with_replacement`` over the
-slots): in node order, the first nodes go to the first slot that takes
-any, the next to the next, and so on, which keeps every instance up to
-part-isomorphism.
+join any part as an interior node, or, around a pivot and unless the
+context is whole, stay outside.  Such nodes are interchangeable: swapping
+two of them is an automorphism of the host that fixes the image.  So they
+are apportioned by count, one instance per count vector
+(``itertools.combinations_with_replacement`` over the slots): in node
+order, the first nodes go to the first slot that takes any, the next to the
+next, and so on, which keeps every instance up to part-isomorphism.
 
 **Incremental clusters.**  The embeddings are searched depth first: the free
 pattern nodes (those the external nodes or the hole do not fix) are placed in
@@ -92,7 +97,7 @@ packed sum equals a packed target exactly when the counts are equal.  With
 to its target less ``j`` nodes, ``0 <= j <= L``, which ``j`` of those nodes
 make up.  A slot assignment of the clusters is kept only when every slot's
 shortfall is such a ``j`` and the shortfalls add up to ``L`` (at most ``L``
-around a pivot, where the rest stay outside); it then has one balanced
+where the rest may stay outside); it then has one balanced
 apportionment, the count vector of the shortfalls.  A cluster with a single
 slot makes no choice, so its weight enters that slot's sum up front, and a
 slot that only such clusters offer is checked before anything is chosen.
@@ -106,9 +111,10 @@ nothing; ``hlc match`` lists every decomposition, balanced or not.
 once the sum of one of its slots is final and wrong.  Let ``R`` be the free
 pattern nodes still to place.  A slot is *closed* when no node of ``R`` is
 attached to it, and a placed pattern node ``b`` is a *sealer* when every slot
-attached to it is closed and, around a pivot, ``b`` is consumed (in a
-decomposition any such ``b`` will do).  ``R`` only shrinks, so a closed slot
-stays closed and a sealer stays a sealer.  Every cluster made later is a
+attached to it is closed and, where clusters may stay outside, ``b`` is
+consumed (in a decomposition or a whole context any such ``b`` will do).
+``R`` only shrinks, so a closed slot stays closed and a sealer stays a
+sealer.  Every cluster made later is a
 piece of a split at a later node ``r`` of ``R``, and each piece touches
 ``r``, since the cluster split was connected through it; a closed slot is
 attached to no node of ``R``, so no piece offers it.  The clusters offering
@@ -380,8 +386,8 @@ def _seals(nodes, slot_att, rest: set, consumed) -> tuple[list[int], frozenset[i
     """The closed slots and the sealers while the free pattern nodes ``rest``
     are still to place (see the module docstring): a slot is closed when no
     node of ``rest`` is attached to it, and a sealer is a placed node whose
-    every slot is closed and which, around a pivot (``consumed`` set), is
-    consumed."""
+    every slot is closed and which, where clusters may stay outside
+    (``consumed`` set), is consumed."""
     closed, open_nodes = [], set()
     for m, att_m in slot_att:
         if rest.isdisjoint(att_m):
@@ -401,24 +407,25 @@ class _Role(NamedTuple):
 
     slot_att: list[tuple[int, frozenset[int]]]  # slot -> its attachment nodes
     free: list[int]  # the pattern nodes to place, in order
-    consumed: frozenset[int] | None  # around a pivot, the nodes the region swallows
+    consumed: frozenset[int] | None  # with an outside, the nodes the region swallows
     # depth -> (closed slots, sealers) where that pair changes
     seals: dict[int, tuple[list[int], frozenset[int]]]
 
 
-def _role(pattern: Hypergraph, slot_order, fixed, pivot, consumed_dom) -> _Role:
+def _role(pattern: Hypergraph, slot_order, fixed, whole, consumed_dom) -> _Role:
     """The pattern's :class:`_Role`, cached on it under everything it
     depends on."""
     roles = pattern.__dict__.get("_match_roles")
     if roles is None:
         roles = {}
         object.__setattr__(pattern, "_match_roles", roles)
-    key = (tuple(slot_order), tuple(fixed), tuple(consumed_dom), pivot is not None)
+    key = (tuple(slot_order), tuple(fixed), tuple(consumed_dom), whole)
     cached = roles.get(key)
     if cached is None:
         slot_att = [(m, frozenset(pattern.att[m])) for m in slot_order]
-        # Around a pivot, a cluster touching no consumed node may stay outside.
-        consumed = frozenset(consumed_dom) if pivot is not None else None
+        # Unless the parts cover the whole host, a cluster touching no
+        # consumed node may stay outside.
+        consumed = None if whole else frozenset(consumed_dom)
         free = [v for v in sorted(pattern.nodes) if v not in fixed]
         seals = {}
         previous = None
@@ -580,6 +587,7 @@ def _instances(
     pivot: int | None,
     consumed_dom: list[int],
     typed: Tally | None,
+    whole: bool,
 ) -> Iterator[tuple]:
     """The instances of ``pattern`` in the host, with the ``slot_order``
     edges expanded to parts (see the module docstring).
@@ -587,23 +595,24 @@ def _instances(
     Yields ``(phi, parts, part_edges, outside, consumed)``: the embedding
     (an injective extension of ``fixed``), the parts and their host edges,
     the host edges left outside, and the host nodes the parts swallow.  A
-    ``pivot`` joins no cluster and makes the outside a choice for every
-    cluster that does not touch the image of ``consumed_dom``; those images
-    may not be host external nodes.
+    ``pivot`` joins no cluster.  With ``whole``, every cluster and isolated
+    node goes to a part; otherwise the outside is a choice for every isolated
+    node and every cluster that does not touch the image of ``consumed_dom``.
+    The images of ``consumed_dom`` may not be host external nodes.
     """
+    if len(set(fixed.values())) != len(fixed):
+        return
     facts = _host(host)
     if any(fixed.get(v) in facts.ext for v in consumed_dom):
         return
-    if len(set(fixed.values())) != len(fixed):
-        return
-    lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
+    lonely_slots = list(slot_order) if whole else [*slot_order, None]
     edge_ids = sorted(slot_order)
     targets = None
     counts = dict.fromkeys(edge_ids)  # the counts of each part, when typed
     if typed is not None:
         counts = {m: primitive_counts(pattern.lab[m]) for m in edge_ids}
         targets = {m: pack_target(c, facts.packing) for m, c in counts.items()}
-    role = _role(pattern, slot_order, fixed, pivot, consumed_dom)
+    role = _role(pattern, slot_order, fixed, whole, consumed_dom)
     search = _Search(host, facts, role, fixed, pivot, consumed_dom, targets, typed)
     for clusters in search.run():
         # The isolated nodes outside the image, which a part may take.
@@ -668,7 +677,7 @@ def enumerate_decompositions(
     fixed = dict(zip(pattern.ext, host.ext))
     for phi, parts, part_edges, _, _ in _instances(
         host, pattern, slot_order, fixed,
-        pivot=None, consumed_dom=[], typed=typed,
+        pivot=None, consumed_dom=[], typed=typed, whole=True,
     ):
         yield Decomposition(node_map=dict(phi), parts=parts, part_edges=part_edges)
 
@@ -679,6 +688,7 @@ def enumerate_context_extractions(
     div_type: Division,
     *,
     typed: Tally | None = None,
+    whole: bool = False,
 ) -> Iterator[ContextExtraction]:
     """All division contexts at ``pivot``, whose label must equal ``div_type``.
 
@@ -691,15 +701,28 @@ def enumerate_context_extractions(
     balances against its denominator edge's label are built; the slot
     assignments skipped at a leaf are counted in ``typed.pruned``, and the
     partial maps the closed-slot cut removes in ``typed.closed``.
+
+    With ``whole``, only the contexts that cover the whole host are built:
+    D's external nodes lie on the host's, by position, and no cluster or
+    isolated node stays outside, so the contracted graph is the numerator's
+    handle.  These are exactly the extractions without ``whole`` whose
+    contracted graph has one edge, attached to the host's external nodes in
+    order, and no other node, in the same order.
     """
     d = div_type.denominator
     hole = dollar_edge(d)
     if len(d.att[hole]) != len(host.att[pivot]):
         return
+    fixed = dict(zip(d.att[hole], host.att[pivot]))
+    if whole:
+        if len(d.ext) != len(host.ext):
+            return
+        for v, t in zip(d.ext, host.ext):
+            if fixed.setdefault(v, t) != t:
+                return
     d_edges = [e for e in d.edges if e != hole]
     # Non-external denominator nodes are consumed by the contraction.
     consumed_dom = [v for v in d.nodes if v not in d.ext]
-    fixed = dict(zip(d.att[hole], host.att[pivot]))
     fresh = max(host.edges, default=-1) + 1
     # The contracted graph trades the pivot and the parts for the numerator;
     # typed, its counts are the host's (see ``Prover._expand``).
@@ -709,7 +732,7 @@ def enumerate_context_extractions(
     host_counts = primitive_counts(host) if typed is not None else None
     for phi, parts, part_edges, outside, consumed in _instances(
         host, d, d_edges, fixed,
-        pivot=pivot, consumed_dom=consumed_dom, typed=typed,
+        pivot=pivot, consumed_dom=consumed_dom, typed=typed, whole=whole,
     ):
         att = {e: host.att[e] for e in outside}
         lab = {e: host.lab[e] for e in outside}

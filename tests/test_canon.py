@@ -238,6 +238,28 @@ def test_string_graphs_are_keyed_by_their_word():
             assert isomorphic(g, near) is None
 
 
+def test_string_orders_are_built_on_first_use():
+    """A string graph's key is found without its orders; they come when first
+    asked for, as its path positions, and stay cached beside the key."""
+    rng = random.Random(24)
+    for word in _words(rng, 30, 6):
+        g = string_graph(word)
+        h = permute(g, rng)
+        key = canonical_key(h)
+        assert canon_data(h) == (key, None, None)
+        path = hlc.canon.string_path(h)
+        nodes, edges = canonical_ordering(h)
+        assert edges == {e: i for i, e in enumerate(path)}
+        along = [h.ext[0], *(h.att[e][1] for e in path)] if path else h.ext
+        assert nodes == {v: i for i, v in enumerate(along)}
+        assert canon_data(h) == (key, nodes, edges)
+        assert canonical_ordering(h)[0] is nodes
+        w = isomorphic(g, h)
+        assert w is not None and witness_valid(g, h, w)
+        for e in g.edges:
+            assert hlc.canon.transport_edge(g, e, h) == w.edge_map[e]
+
+
 def _string_family(seed: int) -> list[Hypergraph]:
     """String graphs of random words, a renamed copy of each, and their near
     misses, all built afresh from ``seed``."""

@@ -356,3 +356,44 @@ def test_search_deeper_than_the_recursion_limit_is_inconclusive(command, tmp_pat
         f"recursion limit ({limit} frames)\n"
     )
     assert done.stderr == ""
+
+
+def test_refusals_print_one_text(workdir, capsys):
+    """Each entry refuses invalid input with ``invalid {what}: {report}``:
+    the parsers as a format error at 1:1 on stderr, ``model-check`` an
+    invalid valuation on stdout; every refusal exits with the usage code."""
+    p2 = Primitive("p", 2)
+    mismatch = workdir / "mismatch.seq"
+    mismatch.write_text(print_sequent(Sequent(handle(p2), Primitive("p", 1))))
+    bad_grammar = workdir / "bad.hlg"
+    bad_grammar.write_text((workdir / "sgr.hlg").read_text() + "map a/2 -> prim s/1\n")
+    bad_hrg = workdir / "bad.hrg"
+    bad_hrg.write_text(
+        (workdir / "sgr.hrg").read_text().replace("terminal: a/2 b/2", "terminal: a/2 b/2 S/2")
+    )
+    twice = workdir / "twice.val"
+    twice.write_text("p/2 = { a.hgf }\np/2 = { a.hgf }\n")
+    graph = str(workdir / "aabbb.hgf")
+    runs = [
+        (["derive", str(mismatch)], "", (
+            "format error: 1:1: invalid sequent: rank mismatch: antecedent 2, succedent 1\n"
+        )),
+        (
+            ["member", "--grammar", str(bad_grammar), "--graph", graph],
+            "",
+            "format error: 1:1: invalid grammar: rank mismatch in correspondence for a/2\n",
+        ),
+        (
+            ["convert", "--in", str(bad_hrg)],
+            "",
+            "format error: 1:1: invalid grammar: nonterminals and terminals must be disjoint\n",
+        ),
+        (
+            ["model-check", "--valuation", str(twice), "--sequent", str(workdir / "axiom.seq")],
+            "error: invalid valuation: p/2: assigned more than once\n",
+            "",
+        ),
+    ]
+    for argv, out, err in runs:
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (out, err), argv

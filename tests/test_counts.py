@@ -20,7 +20,7 @@ from hlc.hltypes import (
     primitive_counts,
 )
 from hlc.lambek import enumerate_lambek_corpus, lambek_derive, translate_lsequent
-from hlc.matching import enumerate_context_extractions
+from hlc.matching import Tally, enumerate_context_extractions
 from tests.test_matching import pruned_at_uncut_leaves, recount
 
 S2 = Primitive("s", 2)
@@ -152,34 +152,54 @@ def test_balanced_but_underivable_is_still_searched():
 
 def test_pruned_counts_extractions_with_an_unbalanced_part():
     # One expansion, whose premises are all primitive and decided outright,
-    # so every prune and every cut comes from the typed search at the one pivot.
+    # so every prune comes from the typed search at the one pivot, where the
+    # prover asks for whole contexts: its numerator s is the succedent.
     seq = Sequent(string_graph([SGR_Q, P2, S2]), S2)
     d = SGR_Q.denominator
     hole = dollar_edge(d)
-    extractions = list(enumerate_context_extractions(seq.antecedent, 0, SGR_Q))
-    unbalanced = sum(
-        any(
-            primitive_counts(extr.parts[de]) != primitive_counts(d.lab[de])
-            for de in extr.parts
+    slot_order = sorted(e for e in d.edges if e != hole)
+    consumed_dom = [v for v in d.nodes if v not in d.ext]
+
+    def pruned(extractions, fixed, whole):
+        return pruned_at_uncut_leaves(
+            seq.antecedent, d, slot_order, fixed,
+            [(extr.phi, extr.part_edges, extr.parts) for extr in extractions],
+            pivot=0, consumed_dom=consumed_dom, whole=whole,
         )
-        for extr in extractions
-    )
+
+    def unbalanced(extractions):
+        return sum(
+            any(
+                primitive_counts(extr.parts[de]) != primitive_counts(d.lab[de])
+                for de in extr.parts
+            )
+            for extr in extractions
+        )
+
+    fixed = dict(zip(d.att[hole], seq.antecedent.att[0]))
+    whole = list(enumerate_context_extractions(seq.antecedent, 0, SGR_Q, whole=True))
     result = Prover().derive(seq)
     assert isinstance(result, NotDerivable)
     assert result.stats.nodes_expanded == 1
-    assert unbalanced > 0
+    assert unbalanced(whole) > 0
     # The slot check sees only the leaves the closed-slot cut keeps.
-    assert result.stats.pruned == pruned_at_uncut_leaves(
-        seq.antecedent, d, sorted(e for e in d.edges if e != hole),
-        dict(zip(d.att[hole], seq.antecedent.att[0])),
-        [(extr.phi, extr.part_edges, extr.parts) for extr in extractions],
-        pivot=0, consumed_dom=[v for v in d.nodes if v not in d.ext],
+    assert result.stats.pruned == pruned(
+        whole, {**fixed, **dict(zip(d.ext, seq.antecedent.ext))}, True
     )
-    # The s slot closes once the node between s and p is placed, which may go
+    # A whole context fixes every node but the one between s and p, so no
+    # slot closes above the leaf and the cut has nothing to remove.
+    assert result.stats.closed == 0
+    # The full enumeration at the same pivot still meets the cut.  There the
+    # s slot closes once the node between s and p is placed, which may go
     # only to host node 2 (it is consumed, and node 3 is external).  The one
     # cluster offering s is the p edge, which cannot fill it, and the hole's
     # consumed node seals it: that one partial map is cut.
-    assert result.stats.closed == 1
+    every = list(enumerate_context_extractions(seq.antecedent, 0, SGR_Q))
+    tally = Tally()
+    assert list(enumerate_context_extractions(seq.antecedent, 0, SGR_Q, typed=tally)) == []
+    assert unbalanced(every) == len(every) > 0
+    assert tally.pruned == pruned(every, fixed, False)
+    assert tally.closed == 1
 
 
 def test_axiom_is_balanced():

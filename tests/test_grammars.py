@@ -37,6 +37,7 @@ from hlc.grammars import (
 )
 from hlc.graphs import RankedLabel, build_graph, dollar, handle, relabel, replace, string_graph
 from hlc.hltypes import NODES, Division, Primitive, Sequent, add_counts, primitive_counts
+from hlc.matching import Tally, enumerate_context_extractions
 
 
 def test_type_set_sizes():
@@ -95,6 +96,18 @@ def test_grammar_validation_is_cached_and_checked_before_search():
     assert validate_hl_grammar(good) is None and "_report" in good.__dict__
 
 
+class ExpansionRecorder(CountingProver):
+    """Also records every goal it expands."""
+
+    def __init__(self):
+        super().__init__()
+        self.expanded = []
+
+    def _expand(self, nseq):
+        self.expanded.append(nseq)
+        return super()._expand(nseq)
+
+
 def test_member_prunes_unbalanced_relabelings():
     hgr2 = build_hgr2()
     # Three edges on three nodes: the two-edge graphs leave the closed-slot
@@ -104,7 +117,7 @@ def test_member_prunes_unbalanced_relabelings():
         for g in all_binary_graphs((3,))
         if len(g.nodes) == 3 and in_l1(g) and not is_bipartite(g)
     )
-    prover = CountingProver()
+    prover = ExpansionRecorder()
     result = hl_member(hgr2, graph, prover=prover)
     assert isinstance(result, NotMember)
     assert result.stats.pruned > 0
@@ -112,7 +125,17 @@ def test_member_prunes_unbalanced_relabelings():
     assert result.stats.pruned + prover.calls == total
     assert result.stats.nodes_expanded == sum(r.stats.nodes_expanded for r in prover.results)
     assert result.stats.closed == sum(r.stats.closed for r in prover.results)
-    assert result.stats.closed > 0
+    # Every numerator here is primitive, so the prover asks only for whole
+    # contexts, which leave the closed-slot cut nothing to remove.  The full
+    # typed enumeration at the pivots of the goals it expanded meets the cut.
+    tally = Tally()
+    for goal in prover.expanded:
+        g = goal.antecedent
+        for e in g.edges:
+            if isinstance(g.lab[e], Division):
+                for _ in enumerate_context_extractions(g, e, g.lab[e], typed=tally):
+                    pass
+    assert tally.closed > 0
 
 
 class RelabelingRecorder(Prover):

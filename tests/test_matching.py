@@ -11,6 +11,7 @@ from hlc.graphs import (
     build_graph,
     dollar,
     handle,
+    handle_label,
     replace,
     replace_all,
     string_graph,
@@ -479,7 +480,7 @@ def _balanced(parts, labels):
 
 
 def pruned_at_uncut_leaves(
-    host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom
+    host, pattern, slot_order, fixed, instances, *, pivot, consumed_dom, whole
 ):
     """What ``Tally.pruned`` counts: of the untyped ``(phi, part_edges,
     parts)`` instances, grouped by embedding and part edges (one group per
@@ -495,7 +496,7 @@ def pruned_at_uncut_leaves(
         if key not in cut:
             cut[key] = _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, whole=whole, known=known,
             )
     return sum(not ok and not cut[group[0]] for group, ok in balanced.items())
 
@@ -512,7 +513,7 @@ def _check_typed_decompositions(host, pattern):
     assert tally.pruned == pruned_at_uncut_leaves(
         host, pattern, sorted(pattern.edges), dict(zip(pattern.ext, host.ext)),
         [(dec.node_map, dec.part_edges, dec.parts) for dec in untyped],
-        pivot=None, consumed_dom=[],
+        pivot=None, consumed_dom=[], whole=True,
     )
     assert decomposition_keys(host, pattern, typed=Tally()) == {
         tuple(canonical_key(dec.parts[m]) for m in sorted(pattern.edges)) for dec in kept
@@ -531,7 +532,7 @@ def _check_typed_extractions(host, pivot, div_type):
     assert tally.pruned == pruned_at_uncut_leaves(
         host, d, sorted(e for e in d.edges if e != hole), dict(zip(d.att[hole], host.att[pivot])),
         [(x.phi, x.part_edges, x.parts) for x in untyped],
-        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext],
+        pivot=pivot, consumed_dom=[v for v in d.nodes if v not in d.ext], whole=False,
     )
     assert extraction_keys(host, pivot, div_type, typed=Tally()) == {
         (canonical_key(x.contracted), tuple(canonical_key(x.parts[de]) for de in sorted(x.parts)))
@@ -667,7 +668,7 @@ def _reference_clusters(host, image, pivot):
 
 
 def _reference_closed_cut(
-    host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, known
+    host, pattern, slot_order, fixed, phi, *, pivot, consumed_dom, whole, known
 ):
     """Whether the closed-slot cut removes a proper prefix of the full
     embedding ``phi``, stated afresh: at each depth above the leaf where the
@@ -675,7 +676,8 @@ def _reference_closed_cut(
     scratch, and a closed slot whose every offering cluster has that one slot
     and touches a sealer's image must sum, in count dicts, to its label's
     counts, less the nodes of at most as many isolated host nodes as the host
-    has."""
+    has.  Unless ``whole``, a cluster touching no consumed node may stay
+    outside, and only consumed nodes seal."""
     free = sorted(v for v in pattern.nodes if v not in fixed)
     host_ext = frozenset(host.ext)
     incidences = host._incidence_map()
@@ -687,7 +689,7 @@ def _reference_closed_cut(
         sealers = {
             b for b in pattern.nodes
             if b not in rest
-            and (pivot is None or b in consumed_dom)
+            and (whole or b in consumed_dom)
             and all(m in closed for m in slot_order if b in pattern.att[m])
         }
         changed, previous = (closed, sealers) != previous, (closed, sealers)
@@ -702,7 +704,7 @@ def _reference_closed_cut(
             slots = []
             if host_ext.isdisjoint(interior):
                 slots = [m for m in slot_order if hits <= att_sets[m]]
-            if pivot is not None and hits.isdisjoint(consumed_img):
+            if not whole and hits.isdisjoint(consumed_img):
                 slots.append(None)
             for m in slots:
                 if m not in sums:
@@ -722,14 +724,15 @@ def _reference_closed_cut(
 
 
 def _reference_instances(
-    host, pattern, slot_order, fixed, *, pivot, consumed_dom, typed, walked, choices, yielding,
+    host, pattern, slot_order, fixed, *,
+    pivot, consumed_dom, typed, whole, walked, choices, yielding,
 ):
     host_ext = frozenset(host.ext)
     if any(fixed.get(v) in host_ext for v in consumed_dom):
         return
     incidences = host._incidence_map()
     isolated = [v for v in host.nodes if v not in incidences and v not in host_ext]
-    lonely_slots = [*slot_order, None] if pivot is not None else list(slot_order)
+    lonely_slots = list(slot_order) if whole else [*slot_order, None]
     edge_ids = sorted(slot_order)
     targets = None
     if typed is not None:
@@ -747,7 +750,7 @@ def _reference_instances(
             slots = []
             if host_ext.isdisjoint(interior):
                 slots = [m for m in slot_order if hits <= att_sets[m]]
-            if pivot is not None and hits.isdisjoint(consumed_img):
+            if not whole and hits.isdisjoint(consumed_img):
                 slots.append(None)
             if not slots:
                 break
@@ -756,7 +759,7 @@ def _reference_instances(
         else:
             if typed is not None and _reference_closed_cut(
                 host, pattern, slot_order, fixed, phi,
-                pivot=pivot, consumed_dom=consumed_dom, known=known,
+                pivot=pivot, consumed_dom=consumed_dom, whole=whole, known=known,
             ):
                 continue
             weights = None
@@ -833,15 +836,16 @@ def test_incremental_search_equals_reference(monkeypatch):
     rng = random.Random(21)
     cases = []
     for host, pattern in [*string_hosts(rng, 25), *rank1_hosts(rng, 25)]:
-        cases.append((enumerate_decompositions, host, (pattern,)))
+        cases.append((enumerate_decompositions, host, (pattern,), {}))
     for host, pivot, d in [
         *string_division_hosts(rng, 25),
         *rank1_division_hosts(rng, 25),
         *wide_division_hosts(rng, 8),
     ]:
-        cases.append((enumerate_context_extractions, host, (pivot, d)))
-    totals = {"items": 0, "pruned": 0, "closed": 0, "leaves": 0, "yielding": 0}
-    for enumerate_, host, args in cases:
+        for whole in (False, True):
+            cases.append((enumerate_context_extractions, host, (pivot, d), {"whole": whole}))
+    totals = {"items": 0, "pruned": 0, "closed": 0, "leaves": 0, "yielding": 0, "whole": 0}
+    for enumerate_, host, args, kw in cases:
         for k in range(3):
             padded = with_isolated_nodes(host, k)
             for typed in (False, True):
@@ -850,27 +854,76 @@ def test_incremental_search_equals_reference(monkeypatch):
                     monkeypatch.setattr(matching, "_instances", instances)
                     tally = Tally() if typed else None
                     before = choice_runs[0]
-                    items = enumerate_(padded, *args, typed=tally)
+                    items = enumerate_(padded, *args, typed=tally, **kw)
                     fields = [_item_fields(item) for item in items]
                     runs.append((fields, tally and tally.pruned, choice_runs[0] - before))
                 assert runs[1] == runs[0]
                 totals["items"] += len(runs[0][0])
+                totals["whole"] += len(runs[0][0]) if kw.get("whole") else 0
                 totals["pruned"] += runs[0][1] or 0
                 totals["closed"] += tally.closed if typed else 0
                 totals["leaves"] += runs[0][2]
                 totals["yielding"] += yielding[0]
                 yielding[0] = 0
     assert totals["items"] > 1000 and totals["pruned"] > 100 and totals["closed"] > 0
+    assert totals["whole"] > 50
     # The reference walked embeddings that the incremental search never reaches,
     # and some leaves that reach slot assignment yield nothing.
     assert len(walked) > totals["leaves"] > totals["yielding"] > 0
 
 
+def test_whole_contexts_are_the_extractions_that_contract_to_a_handle():
+    """With ``whole``, the enumerator yields, in the same order, exactly the
+    extractions of the full enumeration whose contracted graph is the
+    numerator's handle: its one edge on the host's external nodes in order,
+    and no other node.  Typed, it keeps the balanced ones among them."""
+    rng = random.Random(23)
+    sgr_q = Division(S, string_graph([dollar(2), S, P]))
+    cases = [
+        *string_division_hosts(rng, 40),
+        *rank1_division_hosts(rng, 40),
+        *wide_division_hosts(rng, 8),
+    ]
+    words = [[rng.choice([sgr_q, S, P]) for _ in range(rng.randint(1, 6))] for _ in range(30)]
+    words += [[sgr_q] * a + [S] + [P] * b for a in range(4) for b in range(4)]
+    for labels in words:
+        host = string_graph(labels)
+        cases += [(host, e, sgr_q) for e in host.edges if host.lab[e] == sgr_q]
+    seen = {"whole": 0, "other": 0, "typed": 0}
+
+    def fields(item):  # phi is compared as a map: whole contexts fix more of it
+        phi, *rest = _item_fields(item)
+        return sorted(phi), rest
+
+    for host, pivot, div in cases:
+        for k in range(2):
+            padded = with_isolated_nodes(host, k)
+            for typed in (False, True):
+                every = list(enumerate_context_extractions(
+                    padded, pivot, div, typed=Tally() if typed else None
+                ))
+                want = [
+                    fields(x) for x in every
+                    if handle_label(x.contracted) == div.numerator
+                ]
+                got = list(enumerate_context_extractions(
+                    padded, pivot, div, typed=Tally() if typed else None, whole=True
+                ))
+                assert [fields(x) for x in got] == want
+                seen["whole"] += len(want)
+                seen["other"] += len(every) - len(want)
+                seen["typed"] += typed and len(want)
+    assert min(seen.values()) > 20
+
+
 def test_closed_slots_leave_one_leaf_per_extraction(monkeypatch):
-    """``q^30 s p^30 |- s`` takes 30 division eliminations, and the
-    closed-slot cut leaves each extraction one leaf to decide: the first whose
-    s part balances, which yields the derivation's instance."""
-    from hlc.calculus import DerivationTree, Prover, check_derivation
+    """``q^30 s p^30 |- s`` takes 30 division eliminations.  Asked at each of
+    their conclusions and pivots, the full typed enumeration, the closed-slot
+    cut leaves each extraction one leaf to decide: the first whose s part
+    balances, which yields the derivation's instance.  (The prover asks only
+    for whole contexts at these primitive-numerator pivots, which leave the
+    cut nothing to remove, so the enumerator is called here directly.)"""
+    from hlc.calculus import DIV_LEFT, DerivationTree, Prover, check_derivation
     from hlc.fixtures import build_sgr
     from hlc.hltypes import Sequent
 
@@ -881,15 +934,25 @@ def test_closed_slots_leave_one_leaf_per_extraction(monkeypatch):
         runs[0] += 1
         return choices(*args)
 
-    monkeypatch.setattr(matching, "_choices", counted)
     sgr = build_sgr()
     q, p, s = (t for _, t in sgr.correspondence)
-    prover = Prover()
-    tree = prover.derive(Sequent(string_graph([q] * 30 + [s] + [p] * 30), sgr.distinguished))
+    tree = Prover().derive(Sequent(string_graph([q] * 30 + [s] + [p] * 30), sgr.distinguished))
     assert isinstance(tree, DerivationTree)
     assert check_derivation(tree) is None
+    steps = [node for node in tree.walk() if node.rule == DIV_LEFT]
+    assert len(steps) == 30
+    monkeypatch.setattr(matching, "_choices", counted)
+    tally = Tally()
+    for node in steps:
+        g, pivot = node.conclusion.antecedent, node.rule_data.pivot_edge
+        first = next(enumerate_context_extractions(g, pivot, g.lab[pivot], typed=tally))
+        main, *parts = (premise.conclusion.antecedent for premise in node.premises)
+        assert canonical_key(first.contracted) == canonical_key(main)
+        assert [canonical_key(first.parts[de]) for de in sorted(first.parts)] == [
+            canonical_key(part) for part in parts
+        ]
     assert runs[0] == 30
-    assert prover.last_stats.closed > 0
+    assert tally.closed > 0
 
 
 def _copy(g):
@@ -1096,10 +1159,11 @@ def test_matching_premises_are_never_recounted(monkeypatch):
     q, p, s = (t for _, t in sgr.correspondence)
     types = {"q": q, "p": p, "s": s}
     verdicts = []
-    for word in ("q" * 8 + "s" + "p" * 8, "qqqqqpsqppppp"):  # q^8 s p^8, and a swap
+    # q^8 s p^8, q^12 s p^12, and a swap
+    for word in ("q" * 8 + "s" + "p" * 8, "q" * 12 + "s" + "p" * 12, "qqqqqpsqppppp"):
         sequent = Sequent(string_graph([types[c] for c in word]), sgr.distinguished)
         verdicts.append(type(calculus.Prover().derive(sequent)))
-    assert verdicts == [calculus.DerivationTree, calculus.NotDerivable]
+    assert verdicts == [calculus.DerivationTree, calculus.DerivationTree, calculus.NotDerivable]
     assert len(built) > 50 and walked
     assert not {id(g) for g in built} & {id(g) for g in walked}
 
