@@ -64,6 +64,11 @@ def main() -> None:
     (out / "assoc_p.seq").write_text(
         print_sequent(Sequent(string_graph([p2, pp]), Product(string_graph([pp, p2]))))
     )
+    # p x(eps) p |- x(p.p) fails under w.val: x(eps) keeps a gap between the p's.
+    gap = Product(string_graph([]))
+    (out / "gap_pp.seq").write_text(
+        print_sequent(Sequent(string_graph([p2, gap, p2]), Product(string_graph([p2, p2]))))
+    )
 
     # A tiny valuation over one rank-2 primitive.
     (out / "g_a.hgf").write_text(print_graph(sgr_string_graph("a")))

@@ -26,7 +26,21 @@ Inside it, membership of a graph ``g`` in ``[[t]]`` has three cases:
   flattened body's canonical key (cached on the product), where a body that
   flattens to the handle of one label ``A`` is keyed as ``A`` itself.  So
   ``×(p·p·q)``, ``×((p·p)·q)`` and ``×(p·×(p·q))`` share one entry, as do
-  ``×(handle(p))`` and ``p``.  A sequent whose succedent has the same key
+  ``×(handle(p))`` and ``p``.
+
+  A string product's key needs no flattened body.  Splice lemma: replacing
+  an edge of a path by a string graph with a nonempty word ``v`` gives a
+  path again, whose word has ``v`` in that edge's place, since the word's
+  two ends are fused with the edge's two nodes and its inner nodes are
+  fresh.  So a product whose body is a string graph, each product on it
+  having a nonempty word in turn, flattens to the string graph of the
+  concatenated word, and ``canon`` keys a string graph by its word.  The
+  exception is an empty nested word: the empty word's graph keeps its two
+  external nodes apart, so ``×(p·×(ε)·p)`` flattens to two ``p`` edges with
+  a gap between them, not to ``p·p``.  Such products, and those with a
+  nested body that is not a string graph, are flattened and canonicalised.
+
+  A sequent whose succedent has the same key
   as the antecedent's product, such as ``p, ×(p·q) ⊢ ×(×(p·p)·q)``, holds
   as ``X ⊆ X`` and enumerates none; any other sequent takes the
   antecedent's product through the same cache.  Membership is up to
@@ -50,7 +64,15 @@ import random
 from dataclasses import dataclass
 
 from .canon import canonical_key, representatives
-from .graphs import Hypergraph, RankedLabel, build_graph, handle_label, replace_all, validate
+from .graphs import (
+    Hypergraph,
+    RankedLabel,
+    build_graph,
+    handle_label,
+    replace_all,
+    string_path,
+    validate,
+)
 from .hltypes import (
     Division,
     HLType,
@@ -60,6 +82,7 @@ from .hltypes import (
     cached_report,
     dollar_edge,
     require_valid,
+    set_report,
     validate_sequent,
     validate_type,
 )
@@ -145,28 +168,40 @@ def model_checkable(s: Sequent) -> bool:
     return all(is_enumerable(g.lab[e]) for e in g.edges) and contains_decidable(s.succedent)
 
 
-def _flatten(body: Hypergraph) -> Hypergraph:
-    """``body`` with every product-labelled edge replaced by that product's
-    body, round after round, until no edge is product-labelled."""
-    while True:
-        nested = {e: body.lab[e].body for e in body.edges if isinstance(body.lab[e], Product)}
-        if not nested:
-            return body
-        body = replace_all(body, nested)
+def _flat(t: Product) -> Hypergraph:
+    """``t``'s body with every product-labelled edge replaced by that
+    product's body, round after round, until no edge is product-labelled;
+    built once and cached on the product."""
+    body = t.__dict__.get("_flat")
+    if body is None:
+        body = t.body
+        while True:
+            nested = {e: body.lab[e].body for e in body.edges if isinstance(body.lab[e], Product)}
+            if not nested:
+                break
+            body = replace_all(body, nested)
+        t._flat = body
+    return body
 
 
-def _flat(t: Product) -> tuple[Hypergraph, object]:
-    """The flattened body of ``t`` and the key its denotation is cached
-    under, computed once and cached on the product; neither refers back to
-    it.  A body that flattens to the handle of one label ``A`` is keyed as
-    ``A``, since ``[[×(handle(A))]] = [[A]]``."""
-    cached = t.__dict__.get("_flat")
-    if cached is None:
-        body = _flatten(t.body)
-        label = handle_label(body)
-        key = ("x", canonical_key(body)) if label is None else label.canon_key()
-        cached = t._flat = (body, key)
-    return cached
+def _word(t: Product) -> tuple | None:
+    """The word of ``t``'s flattened body, as label keys, when splicing gives
+    it: ``t.body`` is a string graph and every product on its path has a
+    nonempty word.  Otherwise None.  Computed once and cached on the
+    product, without building the flattened body."""
+    if "_word" not in t.__dict__:
+        body = t.body
+        path = string_path(body)
+        word = None if path is None else []
+        for e in path or ():
+            lab = body.lab[e]
+            letters = _word(lab) if isinstance(lab, Product) else (lab.canon_key(),)
+            if not letters:  # no word to splice, or an empty one: a gap
+                word = None
+                break
+            word += letters
+        t._word = word if word is None else tuple(word)
+    return t._word
 
 
 def denotation_enumerate(w: Valuation, t: HLType):
@@ -180,12 +215,13 @@ def denotation_enumerate(w: Valuation, t: HLType):
     product, the first that substituting the valuation's graphs into the
     flattened body gives, picks taken in ``itertools.product`` order over
     the body's sorted edges.  Raises ``ValueError`` on an invalid
-    valuation."""
+    valuation or type."""
     require_valid("valuation", validate_valuation(w))
+    require_valid("type", validate_type(t))
     if not is_enumerable(t):
         return NOT_ENUMERABLE
     if isinstance(t, Product):
-        body = _flat(t)[0]
+        body = _flat(t)
         label = handle_label(body)
         if label is None:
             edges = body.edges
@@ -197,10 +233,27 @@ def denotation_enumerate(w: Valuation, t: HLType):
 
 
 def _entry_key(t: HLType) -> object:
-    """The key that enumerable ``t``'s denotation is cached under: a
-    primitive's key or a product's flattened key (:func:`_flat`).  Types
-    with one key have one denotation under every valuation."""
-    return t.canon_key() if isinstance(t, Primitive) else _flat(t)[1]
+    """The key that enumerable ``t``'s denotation is cached under, cached
+    on a product: a primitive's key, or the canonical key of a product's
+    flattened body, ``("x", key)``, where a body that flattens to the handle
+    of one label ``A`` is keyed as ``A``, since ``[[×(handle(A))]] = [[A]]``.
+    A product with a :func:`_word` takes that key from the word, as
+    :mod:`hlc.canon` keys a string graph; any other is flattened and
+    canonicalised.  Types with one key have one denotation under every
+    valuation."""
+    if isinstance(t, Primitive):
+        return t.canon_key()
+    key = t.__dict__.get("_entry")
+    if key is None:
+        word = _word(t)
+        if word is None:
+            body = _flat(t)
+            label = handle_label(body)
+            key = ("x", canonical_key(body)) if label is None else label.canon_key()
+        else:
+            key = word[0] if len(word) == 1 else ("x", ("W", word))
+        t._entry = key
+    return key
 
 
 def _denotation(w: Valuation, t: HLType) -> tuple[tuple[Hypergraph, ...], frozenset]:
@@ -264,6 +317,7 @@ def sequent_holds(w: Valuation, s: Sequent):
     if not model_checkable(s):
         return UNDECIDED
     lhs = Product(s.antecedent)
+    set_report(lhs, None)  # the sequent's report checks what the product's would
     if is_enumerable(s.succedent) and _entry_key(s.succedent) == _entry_key(lhs):
         return True
     return all(_contains(w, s.succedent, g) for g in _denotation(w, lhs)[0])

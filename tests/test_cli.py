@@ -202,7 +202,12 @@ def test_model_check(workdir):
 
 @pytest.mark.parametrize(
     "sequent, code, verdict",
-    [("pp_p.seq", 1, "fails"), ("assoc_p.seq", 0, "holds"), ("axiom_p.seq", 0, "holds")],
+    [
+        ("pp_p.seq", 1, "fails"),
+        ("assoc_p.seq", 0, "holds"),
+        ("axiom_p.seq", 0, "holds"),
+        ("gap_pp.seq", 1, "fails"),
+    ],
 )
 def test_model_check_fixture_verdicts(capsys, sequent, code, verdict):
     argv = ["model-check", "--valuation", str(FIXTURES / "w.val"), "--sequent", str(FIXTURES / sequent)]

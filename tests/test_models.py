@@ -9,7 +9,17 @@ import hlc.models
 from hlc.calculus import DerivationTree
 from hlc.canon import canonical_key
 from hlc.fixtures import build_sgr
-from hlc.graphs import RankedLabel, build_graph, dollar, handle, replace, replace_all, string_graph
+from hlc.graphs import (
+    Hypergraph,
+    RankedLabel,
+    build_graph,
+    dollar,
+    handle,
+    handle_label,
+    replace,
+    replace_all,
+    string_graph,
+)
 from hlc.hltypes import Division, Primitive, Product, Sequent, dollar_edge
 from hlc.lambek import Dot, LPrim, enumerate_lambek_corpus, translate_lsequent
 from hlc.matching import enumerate_decompositions
@@ -82,6 +92,27 @@ def test_division_not_enumerable():
     w = val()
     t = Division(P, string_graph([dollar(2), Q]))
     assert denotation_enumerate(w, t) is NOT_ENUMERABLE
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (
+            Product(build_graph([0, 1], [(RankedLabel("u", 2), (0, 1))], (0, 1))),
+            r"invalid type: product body edge 0 not labeled by a type",
+        ),
+        ("x", r"invalid type: not a type: 'x'"),
+        (
+            Product(Hypergraph(nodes=(0, 1), edges=(0,), att={0: (0,)}, lab={0: P}, ext=(0, 1))),
+            r"invalid type: product body: edge 0: rank mismatch",
+        ),
+    ],
+    ids=["alphabet symbol in the body", "not a type", "edge of the wrong rank"],
+)
+def test_enumeration_refuses_an_invalid_type(t, message):
+    w = val(p=[string_graph([A]), string_graph([A, B])])
+    with pytest.raises(ValueError, match=message):
+        denotation_enumerate(w, t)
 
 
 def test_contains_primitive():
@@ -577,6 +608,83 @@ def test_undecidable_sequent_with_one_entry_stays_undecided(monkeypatch):
     w = val(s=[string_graph([A, B])], q=[string_graph([B])])
     assert sequent_holds(w, s) is UNDECIDED
     assert calls == []
+
+
+def reference_entry_key(t):
+    """The entry key as flattening and canonicalising give it: every
+    product-labelled edge replaced by that product's body until none is
+    left, then the handle rule or the flattened body's canonical key."""
+    if isinstance(t, Primitive):
+        return t.canon_key()
+    body = t.body
+    while True:
+        nested = {e: body.lab[e].body for e in body.edges if isinstance(body.lab[e], Product)}
+        if not nested:
+            break
+        body = replace_all(body, nested)
+    label = handle_label(body)
+    return ("x", canonical_key(body)) if label is None else label.canon_key()
+
+
+def _reversed(x):
+    return build_graph([0, 1], [(x, (1, 0))], (0, 1))
+
+
+def _nested_products(rng: random.Random, per_level: int = 20) -> tuple[list, list]:
+    """Products nested three deep over P, Q, a division, handles, the
+    empty-bodied ``×(ε)`` and a reversed handle: those whose word splices
+    (string bodies over labels that splice), and the others (string bodies
+    with a label that does not, reversed handles, rank-1 and rank-3 bodies
+    and handles, and rank-2 bodies with a rank-1 or a rank-3 edge)."""
+    spliced = [P, Q, Division(P, string_graph([dollar(2), Q])), Product(handle(P))]
+    other = [Product(string_graph([])), Product(_reversed(P))]
+    by_rank = {1: [Primitive("r", 1)], 2: other, 3: [Primitive("t", 3)]}
+    words, others = [], []
+    for _ in range(3):
+        made = []
+        for _ in range(per_level):
+            words.append(Product(string_graph(rng.choices(spliced, k=rng.randint(1, 3)))))
+            x, y = rng.choice(spliced + other), rng.choice(spliced + other)
+            mixed = rng.choices(spliced + other, k=rng.randint(0, 2)) + [rng.choice(other)]
+            rng.shuffle(mixed)
+            body = rng.choice([
+                lambda: string_graph(mixed),
+                lambda: _reversed(x),
+                lambda: build_graph([0, 1], [(x, (0, 1))], (0,)),
+                lambda: build_graph([0, 1, 2], [(x, (0, 1)), (y, (1, 2))], (0, 1, 2)),
+                lambda: handle(rng.choice(by_rank[rng.choice((1, 3))])),
+                lambda: build_graph([0, 1, 2], [(rng.choice(by_rank[3]), (0, 1, 2))], (0, 2)),
+                lambda: build_graph([0, 1], [(x, (0, 1)), (rng.choice(by_rank[1]), (1,))], (0, 1)),
+            ])()
+            made.append(Product(body))
+        spliced += words[-per_level:]
+        others += made
+        for t in made:
+            by_rank[t.rank].append(t)
+    return words, others
+
+
+def test_word_keys_equal_the_flattened_keys():
+    words, others = _nested_products(random.Random(8))
+    for t in words + others:
+        assert hlc.models._entry_key(t) == reference_entry_key(t), t
+    assert all(hlc.models._word(t) is not None for t in words)
+    assert all(hlc.models._word(t) is None for t in others)
+    # A body that is not a string graph may still flatten to one.
+    pq3 = Product(build_graph([0, 1, 2], [(P, (0, 1)), (Q, (1, 2))], (0, 1, 2)))
+    flat_pq = Product(build_graph([0, 1, 2], [(pq3, (0, 1, 2))], (0, 2)))
+    for t in (flat_pq, Product(string_graph([flat_pq, P]))):
+        assert hlc.models._entry_key(t) == reference_entry_key(t), t
+    assert hlc.models._entry_key(flat_pq) == ("x", ("W", (P.canon_key(), Q.canon_key())))
+
+
+def test_an_empty_nested_word_leaves_a_gap():
+    """``×(ε)`` keeps its two external nodes apart, so ``p, ×(ε), p`` is
+    not ``p·p``: under ``fixtures/w.val``'s valuation the sequent fails."""
+    w = val(p=[string_graph([A]), string_graph([A, B])])
+    s = Sequent(string_graph([P, Product(string_graph([])), P]), Product(string_graph([P, P])))
+    assert sequent_holds(w, s) is False
+    assert folded_holds(w, s) is reference_holds(w, s) is False
 
 
 def test_shared_entries_keep_the_reference_verdicts():
